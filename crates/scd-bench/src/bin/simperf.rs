@@ -33,8 +33,14 @@
 //! the detailed cells, so a slow warming engine cannot quietly eat the
 //! sampled sweep's duty-cycle budget.
 //!
+//! Each cell also times the fast-forward engine: `RefCore::run` from the
+//! cell's initial state (snapshotted before the detailed run) under the
+//! same budget. The v4 record carries the per-cell `refcore_mips` and
+//! their geomean `ref_mips`, floored by `--check` like `warming_mips`,
+//! so a fast-forward slip fails the perf smoke too.
+//!
 //! `--ref FILE` copies per-cell `mips` from an earlier record into the
-//! output as `ref_mips` plus a per-cell and geomean `speedup` — the
+//! output as `base_mips` plus a per-cell and geomean `speedup` — the
 //! honest before/after record for optimization PRs. `--check FILE`
 //! compares the current run against a committed record and exits
 //! non-zero only when a cell *regresses* below `0.70x` its reference
@@ -43,7 +49,8 @@
 
 use luma::scripts::BENCHMARKS;
 use scd_guest::{GuestOptions, Scheme, Session, Vm};
-use scd_sim::{geomean, SimConfig, SimError};
+use scd_ref::RefError;
+use scd_sim::{geomean, lockstep, SimConfig, SimError};
 use std::fmt::Write as _;
 use std::process::exit;
 use std::time::Instant;
@@ -65,6 +72,9 @@ struct Cell {
     scheme: Scheme,
     insts: u64,
     wall_s: f64,
+    /// Instructions and wall time of `RefCore::run` on the same cell.
+    ref_insts: u64,
+    ref_wall_s: f64,
 }
 
 impl Cell {
@@ -80,6 +90,10 @@ impl Cell {
 
     fn mips(&self) -> f64 {
         self.insts as f64 / self.wall_s.max(1e-12) / 1e6
+    }
+
+    fn ref_mips(&self) -> f64 {
+        self.ref_insts as f64 / self.ref_wall_s.max(1e-12) / 1e6
     }
 }
 
@@ -161,6 +175,7 @@ fn main() {
                     session.machine.disable_invariants();
                     session.machine.set_replay(!interleaved);
                     replay_mode = session.machine.replay_engine();
+                    let mut core = lockstep::snapshot_core(&session.machine);
                     let started = Instant::now();
                     match session.machine.run(budget) {
                         Ok(_) | Err(SimError::InstLimit { .. }) => {}
@@ -170,15 +185,33 @@ fn main() {
                             continue;
                         }
                     }
+                    let wall_s = started.elapsed().as_secs_f64();
+                    // The fast-forward engine on the same cell and budget.
+                    let started = Instant::now();
+                    match core.run(budget) {
+                        Ok(_) | Err(RefError::InstLimit { .. }) => {}
+                        Err(e) => {
+                            eprintln!("  {key}: RefCore FAILED: {e}");
+                            failures.push(format!("{key} RefCore: {e}"));
+                            continue;
+                        }
+                    }
                     let cell = Cell {
                         preset: cfg.name,
                         vm,
                         bench: name,
                         scheme,
                         insts: session.machine.stats.instructions,
-                        wall_s: started.elapsed().as_secs_f64(),
+                        wall_s,
+                        ref_insts: core.instructions,
+                        ref_wall_s: started.elapsed().as_secs_f64(),
                     };
-                    eprintln!("  {:<44} {:>8.2} Minst/s", cell.key(), cell.mips());
+                    eprintln!(
+                        "  {:<44} {:>8.2} Minst/s  (RefCore {:.2})",
+                        cell.key(),
+                        cell.mips(),
+                        cell.ref_mips()
+                    );
                     cells.push(cell);
                 }
             }
@@ -287,6 +320,8 @@ fn main() {
         exit(1);
     });
     eprintln!("simperf: geomean {g:.2} Minst/s over {} cells", cells.len());
+    let ref_mips = ref_geomean(&cells);
+    eprintln!("simperf: RefCore fast-forward geomean {ref_mips:.2} Minst/s");
     let warming_mips = warm_geomean(&warm_cells, "drain");
     let warming_detailed = warm_geomean(&warm_cells, "detailed");
     eprintln!(
@@ -295,8 +330,8 @@ fn main() {
         warming_mips / warming_detailed.max(1e-12)
     );
 
-    if let Some((baseline, base_warming)) = check {
-        exit(run_check(&cells, warming_mips, &baseline, base_warming));
+    if let Some(baseline) = check {
+        exit(run_check(&cells, warming_mips, ref_mips, &baseline));
     }
 
     let json = render_json(
@@ -305,10 +340,19 @@ fn main() {
         quick,
         budget,
         replay_mode,
-        reference.as_ref().map(|(r, _)| r.as_slice()),
+        reference.as_ref().map(|r| r.cells.as_slice()),
     );
     scd_bench::write_artifact(OUT, &json);
     eprintln!("simperf: wrote {OUT}");
+}
+
+/// Geomean `RefCore::run` throughput over the detailed matrix.
+fn ref_geomean(cells: &[Cell]) -> f64 {
+    let mips: Vec<f64> = cells.iter().map(Cell::ref_mips).collect();
+    geomean(&mips).unwrap_or_else(|| {
+        eprintln!("simperf: no RefCore measurements — cannot compute geomean");
+        exit(1);
+    })
 }
 
 /// Geomean throughput of one warming engine's cells.
@@ -325,28 +369,24 @@ fn warm_geomean(cells: &[WarmCell], engine: &str) -> f64 {
 }
 
 /// Compares this run against a committed record; only regressions fail.
-/// The drain-rate warming geomean is held to the same floor as the
-/// detailed cells (a pre-v3 baseline without the field skips that leg).
-fn run_check(
-    cells: &[Cell],
-    warming_mips: f64,
-    baseline: &[(String, f64)],
-    base_warming: Option<f64>,
-) -> i32 {
+/// The drain-rate warming geomean and the RefCore fast-forward geomean
+/// are held to the same floor as the detailed cells (a baseline older
+/// than v3 / v4 lacks the field, and that leg is skipped).
+fn run_check(cells: &[Cell], warming_mips: f64, ref_mips: f64, baseline: &Record) -> i32 {
     const TOLERANCE: f64 = 0.70;
     let mut bad = 0u32;
     let mut matched = 0u32;
     for c in cells {
         let key = c.key();
-        let Some((_, ref_mips)) = baseline.iter().find(|(k, _)| *k == key) else {
+        let Some((_, base_mips)) = baseline.cells.iter().find(|(k, _)| *k == key) else {
             continue;
         };
         matched += 1;
         let now = c.mips();
-        if now < ref_mips * TOLERANCE {
+        if now < base_mips * TOLERANCE {
             eprintln!(
                 "simperf --check: REGRESSION {key}: {now:.2} Minst/s < {TOLERANCE} x \
-                 baseline {ref_mips:.2}"
+                 baseline {base_mips:.2}"
             );
             bad += 1;
         }
@@ -355,13 +395,18 @@ fn run_check(
         eprintln!("simperf --check: no cells matched the baseline record");
         return 1;
     }
-    if let Some(base) = base_warming {
-        if warming_mips < base * TOLERANCE {
-            eprintln!(
-                "simperf --check: REGRESSION warming engine: {warming_mips:.2} Minst/s < \
-                 {TOLERANCE} x baseline {base:.2}"
-            );
-            bad += 1;
+    for (what, now, base) in [
+        ("warming engine", warming_mips, baseline.warming_mips),
+        ("RefCore fast-forward", ref_mips, baseline.ref_mips),
+    ] {
+        if let Some(base) = base {
+            if now < base * TOLERANCE {
+                eprintln!(
+                    "simperf --check: REGRESSION {what}: {now:.2} Minst/s < \
+                     {TOLERANCE} x baseline {base:.2}"
+                );
+                bad += 1;
+            }
         }
     }
     if bad == 0 {
@@ -386,11 +431,14 @@ fn render_json(
     // warming-engine leg: "warming_mips" (the drain-rate geomean — the
     // consumer's marginal cost, and the --check floor), its
     // detailed-loop counterpart and the per-cell "warming" array
-    // (which also carries the gated-drain and end-to-end rates).
+    // (which also carries the gated-drain and end-to-end rates). v4 adds
+    // the RefCore fast-forward rate: per-cell "refcore_mips", their
+    // geomean "ref_mips" (a --check floor), and renames the per-cell
+    // --ref field to "base_mips" so "ref" means RefCore throughout.
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"scd-simperf-v3\",");
+    let _ = writeln!(s, "  \"schema\": \"scd-simperf-v4\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"budget_insts\": {budget},");
     let _ = writeln!(s, "  \"host_cpus\": {host_cpus},");
@@ -403,6 +451,7 @@ fn render_json(
         exit(1);
     });
     let _ = writeln!(s, "  \"geomean_mips\": {g:.3},");
+    let _ = writeln!(s, "  \"ref_mips\": {:.3},", ref_geomean(cells));
     let warming = warm_geomean(warm_cells, "drain");
     let warming_detailed = warm_geomean(warm_cells, "detailed");
     let _ = writeln!(s, "  \"warming_mips\": {warming:.3},");
@@ -450,7 +499,8 @@ fn render_json(
         let _ = write!(
             s,
             "    {{\"key\": \"{}\", \"preset\": \"{}\", \"vm\": \"{}\", \"bench\": \"{}\", \
-             \"scheme\": \"{}\", \"insts\": {}, \"wall_ms\": {:.3}, \"mips\": {:.3}",
+             \"scheme\": \"{}\", \"insts\": {}, \"wall_ms\": {:.3}, \"mips\": {:.3}, \
+             \"refcore_mips\": {:.3}",
             c.key(),
             c.preset,
             c.vm.name(),
@@ -459,12 +509,13 @@ fn render_json(
             c.insts,
             c.wall_s * 1e3,
             c.mips(),
+            c.ref_mips(),
         );
         if let Some(r) = reference {
             if let Some((_, m)) = r.iter().find(|(k, _)| *k == c.key()) {
                 let _ = write!(
                     s,
-                    ", \"ref_mips\": {:.3}, \"speedup\": {:.3}",
+                    ", \"base_mips\": {:.3}, \"speedup\": {:.3}",
                     m,
                     c.mips() / m.max(1e-12)
                 );
@@ -477,32 +528,49 @@ fn render_json(
     s
 }
 
+/// A committed record, as far as `--ref` and `--check` need it.
+struct Record {
+    /// `(key, mips)` per detailed cell.
+    cells: Vec<(String, f64)>,
+    /// Drain-rate warming geomean (v3 and later).
+    warming_mips: Option<f64>,
+    /// RefCore fast-forward geomean (v4 and later).
+    ref_mips: Option<f64>,
+}
+
 /// Minimal reader for this tool's own output format: pulls
 /// `(key, mips)` pairs out of the `"cells"` array, one cell per line,
-/// plus the top-level `warming_mips` geomean (absent from pre-v3
-/// records, in which case the warming floor is skipped). Not a JSON
-/// parser — it only needs to round-trip what [`render_json`] writes
-/// (the workspace is serde-free by design).
+/// plus the top-level `warming_mips` and `ref_mips` geomeans (absent
+/// from pre-v3 / pre-v4 records, in which case that floor is skipped).
+/// Only a line *starting* with a top-level field counts: v3 cells
+/// written with `--ref` carry a per-cell `ref_mips` of another meaning.
+/// Not a JSON parser — it only needs to round-trip what
+/// [`render_json`] writes (the workspace is serde-free by design).
 ///
 /// Strict where it matters: a line that names a cell (`"key"` present)
 /// must carry a well-formed, finite, positive `mips` number. Silently
 /// skipping such a line would shrink the baseline and let a regressed
 /// cell dodge the `--check` gate.
-fn load_record(path: &str) -> (Vec<(String, f64)>, Option<f64>) {
+fn load_record(path: &str) -> Record {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("simperf: cannot read reference record {path}: {e}");
         exit(70);
     });
-    let warming = text
-        .lines()
-        .find_map(|l| field_num(l.trim_start(), "warming_mips"))
-        .filter(|m| m.is_finite() && *m > 0.0);
+    let top_level = |name: &str| {
+        let pat = format!("\"{name}\": ");
+        text.lines()
+            .map(str::trim_start)
+            .filter(|l| l.starts_with(&pat))
+            .find_map(|l| field_num(l, name))
+            .filter(|m| m.is_finite() && *m > 0.0)
+    };
     let mut out = Vec::new();
     for line in text.lines() {
         let Some(key) = field_str(line, "key") else {
             continue;
         };
-        // `mips` must be the cell's own measurement, not `ref_mips`.
+        // `mips` must be the cell's own measurement, not `base_mips`,
+        // `refcore_mips` or a v3 `ref_mips`.
         let mips = match field_num(line, "mips") {
             Some(m) if m.is_finite() && m > 0.0 => m,
             _ => {
@@ -519,7 +587,11 @@ fn load_record(path: &str) -> (Vec<(String, f64)>, Option<f64>) {
         eprintln!("simperf: reference record {path} contains no cells");
         exit(1);
     }
-    (out, warming)
+    Record {
+        cells: out,
+        warming_mips: top_level("warming_mips"),
+        ref_mips: top_level("ref_mips"),
+    }
 }
 
 fn field_str(line: &str, name: &str) -> Option<String> {

@@ -558,12 +558,12 @@ fn print_first_diff(golden: &str, got: &str) {
     );
 }
 
-/// Reads the top-level `wall_ms` out of the committed full-detail
-/// `BENCH_sweep.json`, if present. The file is hand-emitted JSON with
-/// one key per line, so a line scan is exact: the first `"wall_ms"`
-/// key is the top-level one (the `per_cell` array comes later).
-fn full_detail_wall_ms() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_sweep.json").ok()?;
+/// Reads the top-level `wall_ms` out of a sweep record (the committed
+/// full-detail `BENCH_sweep.json`, or the sampled record a run is about
+/// to replace). Records are hand-emitted JSON with one key per line, so
+/// a line scan is exact: the first `"wall_ms"` key is the top-level one
+/// (the `per_cell` array comes later).
+fn record_wall_ms(text: &str) -> Option<f64> {
     text.lines()
         .map(str::trim_start)
         .find_map(|l| l.strip_prefix("\"wall_ms\": "))
@@ -591,9 +591,21 @@ fn bench_json(
     // regressions can be localized to a preset/VM/scheme corner.
     let total_insts: u64 = r.iter().map(|(_, _, out)| out.run.stats.instructions).sum();
     let aggregate_mips = total_insts as f64 / 1e6 / (unique_ms / 1e3).max(1e-9);
+    // v3 adds "host_cpus": wall times are only comparable between runs
+    // on the same host.
+    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let reports_line = format!(
+        "\"reports\": [{}],",
+        reports
+            .iter()
+            .map(|n| format!("\"{n}\""))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"scd-sweep-bench-v2\",");
+    let _ = writeln!(s, "  \"schema\": \"scd-sweep-bench-v3\",");
+    let _ = writeln!(s, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(s, "  \"threads\": {threads},");
     let _ = writeln!(s, "  \"quick\": {quick},");
     if let Some(p) = sample {
@@ -607,7 +619,8 @@ fn bench_json(
         // Only full-scale runs are comparable to the committed record:
         // a --quick pass runs tiny inputs and would quote a nonsense
         // thousand-fold "speedup".
-        if let Some(full_ms) = full_detail_wall_ms().filter(|_| !quick) {
+        let full = std::fs::read_to_string("BENCH_sweep.json").unwrap_or_default();
+        if let Some(full_ms) = record_wall_ms(&full).filter(|_| !quick) {
             let _ = writeln!(s, "  \"full_detail_wall_ms\": {full_ms:.3},");
             let _ = writeln!(
                 s,
@@ -615,16 +628,22 @@ fn bench_json(
                 full_ms / wall_ms.max(1e-9)
             );
         }
+        // The sampled record this run replaces, when it covers the same
+        // plan and reports: running the previous build's sweep first on
+        // the same host makes this a same-host before/after.
+        let prev = std::fs::read_to_string("BENCH_sweep_sampled.json").unwrap_or_default();
+        let same_shape =
+            prev.contains(&format!("\"sample\": \"{p}\",")) && prev.contains(&reports_line);
+        if let Some(prev_ms) = record_wall_ms(&prev).filter(|_| !quick && same_shape) {
+            let _ = writeln!(s, "  \"previous_wall_ms\": {prev_ms:.3},");
+            let _ = writeln!(
+                s,
+                "  \"speedup_vs_previous\": {:.3},",
+                prev_ms / wall_ms.max(1e-9)
+            );
+        }
     }
-    let _ = writeln!(
-        s,
-        "  \"reports\": [{}],",
-        reports
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let _ = writeln!(s, "  {reports_line}");
     let _ = writeln!(s, "  \"cells\": {},", r.len());
     let _ = writeln!(
         s,

@@ -2,12 +2,17 @@
 
 //! # scd-ref — the architectural oracle
 //!
-//! A timing-free reference ISS for the scd-isa subset: one [`RefCore::step`]
-//! per instruction, no pipeline, no caches, no predictors. Every data
-//! result comes from the same [`scd_isa::exec`] semantics table the cycle
-//! model uses, so the two executors cannot drift apart on value semantics —
-//! any lockstep divergence is by construction a *plumbing* bug (register
-//! file, memory, control flow, SCD state), never a table disagreement.
+//! A timing-free reference ISS for the scd-isa subset: no pipeline, no
+//! caches, no predictors. It runs two ways over one set of semantics:
+//! [`RefCore::step`] executes one instruction and reports its
+//! architectural effects (the lockstep and replay drivers), and
+//! [`RefCore::run`] executes the guest as threaded code — pre-decoded
+//! straight runs chained by index, see [`Text`] — for standalone runs
+//! and fast-forward. Every data result comes from the same
+//! [`scd_isa::exec`] semantics table the cycle model uses, so the two
+//! executors cannot drift apart on value semantics — any lockstep
+//! divergence is by construction a *plumbing* bug (register file,
+//! memory, control flow, SCD state), never a table disagreement.
 //!
 //! The crate also hosts the seeded random-program generator ([`gen`]) and
 //! the on-disk reproducer corpus format ([`corpus`]) used by `scd-cli fuzz`.
@@ -26,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use scd_isa::{exec, Inst, Program, Reg};
 
@@ -62,6 +68,9 @@ type JteMap = HashMap<(u8, u64), u64, BuildHasherDefault<JteHasher>>;
 
 pub mod corpus;
 pub mod gen;
+mod threaded;
+
+pub use threaded::Text;
 
 /// One SCD branch-id register set: `Rop[bid]`, its valid bit, and
 /// `Rmask[bid]` (Table I of the paper).
@@ -219,9 +228,7 @@ pub struct RefCore {
     pub output: Vec<u8>,
     /// Instructions retired so far.
     pub instructions: u64,
-    text_base: u64,
-    text_end: u64,
-    insts: Vec<Option<Inst>>,
+    text: Arc<Text>,
     segs: Vec<Segment>,
     /// Index of the segment the last access landed in (locality cache).
     last_seg: usize,
@@ -260,9 +267,10 @@ impl RefCore {
             pc: program.text_base,
             output: Vec::new(),
             instructions: 0,
-            text_base: program.text_base,
-            text_end: program.text_base + 4 * program.words.len() as u64,
-            insts: program.insts.iter().copied().map(Some).collect(),
+            text: Arc::new(Text::new(
+                program.text_base,
+                program.insts.iter().copied().map(Some).collect(),
+            )),
             segs,
             last_seg: 0,
             seg_hw: vec![0; nseg],
@@ -306,9 +314,7 @@ impl RefCore {
             pc,
             output: Vec::new(),
             instructions: 0,
-            text_base,
-            text_end: text_base + (text.len() as u64 & !3),
-            insts,
+            text: Arc::new(Text::new(text_base, insts)),
             segs,
             last_seg: 0,
             seg_hw: vec![0; nseg],
@@ -319,16 +325,16 @@ impl RefCore {
         }
     }
 
-    /// Builds a core around pre-decoded instructions and *moved-in*
+    /// Builds a core around a shared pre-decoded [`Text`] and *moved-in*
     /// segments (the text segment included). The execute-ahead replay
-    /// producer uses this to take ownership of the DUT's guest memory
-    /// for the duration of a run — a 200 MB heap must not be cloned per
-    /// run — and hands it back via [`RefCore::into_segments`].
+    /// producer and the sampled fast-forward use this to take ownership
+    /// of the DUT's guest memory for the duration of a run — a 200 MB
+    /// heap must not be cloned per run — and hand it back via
+    /// [`RefCore::into_segments`]. The `Text` is built once per program
+    /// and shared, so a core per interval leg costs only the state sync.
     #[allow(clippy::too_many_arguments)]
     pub fn from_owned_state(
-        text_base: u64,
-        text_end: u64,
-        insts: Vec<Option<Inst>>,
+        text: Arc<Text>,
         segments: Vec<Segment>,
         regs: [u64; 32],
         fregs: [u64; 32],
@@ -343,9 +349,7 @@ impl RefCore {
             pc,
             output: Vec::new(),
             instructions: 0,
-            text_base,
-            text_end,
-            insts,
+            text,
             segs: segments,
             last_seg: 0,
             seg_hw: vec![0; nseg],
@@ -371,22 +375,14 @@ impl RefCore {
         self.segs
     }
 
-    /// Like [`RefCore::into_segments`], but also hands back the decoded
-    /// text vector. The sampled fast-forward builds a fresh core per
-    /// interval leg; recycling the decode (megabytes for a real
-    /// interpreter) keeps the per-leg cost at the state sync, not an
-    /// allocation.
-    pub fn into_insts_and_segments(self) -> (Vec<Option<Inst>>, Vec<Segment>) {
-        (self.insts, self.segs)
-    }
-
     /// What a [`BopHint::Auto`] `bop` on `bid` would resolve to right
     /// now: `Some(target)` for a hit, `None` for a fall-through. The
     /// replay producer uses this to *speculate* past `bop`s (recording
     /// the predicted outcome for the timing model to verify) instead of
     /// stopping at every one.
+    #[inline]
     pub fn bop_auto_target(&self, bid: u8) -> Option<u64> {
-        let bid = bid as usize % self.nbids;
+        let bid = self.bid(bid);
         if self.scd_enabled && self.scd[bid].rop_v {
             self.jte_map.get(&(bid as u8, self.scd[bid].rop_d)).copied()
         } else {
@@ -399,13 +395,13 @@ impl RefCore {
     /// every store (an undo log) so a mis-speculated or interrupted
     /// batch can be rolled back to the consumer's exact point.
     pub fn read_mem(&mut self, addr: u64, size: u64) -> Option<u64> {
-        self.read(addr, size, 0).ok()
+        self.read(addr, size)
     }
 
     /// Writes `size` bytes little-endian at `addr`; panics if unmapped
     /// (undo entries are pre-validated by construction).
     pub fn write_mem(&mut self, addr: u64, size: u64, v: u64) {
-        self.write(addr, size, v, 0)
+        self.write(addr, size, v)
             .expect("undo entry targets mapped memory");
     }
 
@@ -421,10 +417,7 @@ impl RefCore {
 
     /// The decoded instruction at `pc`, if `pc` is in text and decodable.
     pub fn inst_at(&self, pc: u64) -> Option<Inst> {
-        if pc < self.text_base || pc >= self.text_end || !pc.is_multiple_of(4) {
-            return None;
-        }
-        self.insts[((pc - self.text_base) / 4) as usize]
+        self.text.inst(self.text.index(pc)?)
     }
 
     /// Seeds one SCD register set from externally captured architectural
@@ -474,9 +467,66 @@ impl RefCore {
         }
     }
 
+    /// `bid` reduced to a live SCD register set.
+    #[inline(always)]
+    fn bid(&self, bid: u8) -> usize {
+        let bid = bid as usize;
+        if bid < self.nbids {
+            bid
+        } else {
+            bid % self.nbids
+        }
+    }
+
+    /// `setmask`: `Rmask[bid] <- v`.
+    #[inline(always)]
+    fn set_mask(&mut self, bid: u8, v: u64) {
+        let bid = self.bid(bid);
+        self.scd[bid].rmask = v;
+    }
+
+    /// The SCD side effect of a `<load>.op` that loaded `v`:
+    /// `Rop[bid] <- v & Rmask[bid]`, valid.
+    #[inline(always)]
+    fn load_op_commit(&mut self, bid: u8, v: u64) {
+        let bid = self.bid(bid);
+        let s = &mut self.scd[bid];
+        s.rop_d = v & s.rmask;
+        s.rop_v = true;
+    }
+
+    /// The SCD side effect of a `bop` that redirects: `Rop[bid]` is
+    /// consumed.
+    #[inline(always)]
+    fn bop_follow(&mut self, bid: u8) {
+        let bid = self.bid(bid);
+        self.scd[bid].rop_v = false;
+    }
+
+    /// `jru` to register value `rs1`: trains the JTE map on a valid
+    /// `Rop[bid]` (last write wins, exactly like the cycle model's
+    /// update-in-place JTE insert), consumes it, and returns the target.
+    #[inline(always)]
+    fn jru_train(&mut self, bid: u8, rs1: u64) -> u64 {
+        let bid = self.bid(bid);
+        let target = rs1 & !1;
+        if self.scd_enabled && self.scd[bid].rop_v {
+            self.jte_map
+                .insert((bid as u8, self.scd[bid].rop_d), target);
+            self.scd[bid].rop_v = false;
+        }
+        target
+    }
+
+    /// The segment holding `[addr, addr + size)`, if one does. A range
+    /// running past 2^64 fits none.
     fn find_seg(&mut self, addr: u64, size: u64) -> Option<usize> {
-        let fits =
-            |s: &Segment| addr >= s.base && addr.wrapping_add(size) <= s.base + s.data.len() as u64;
+        let fits = |s: &Segment| {
+            addr >= s.base
+                && addr
+                    .checked_add(size)
+                    .is_some_and(|end| end <= s.base + s.data.len() as u64)
+        };
         if let Some(s) = self.segs.get(self.last_seg) {
             if fits(s) {
                 return Some(self.last_seg);
@@ -487,17 +537,14 @@ impl RefCore {
         Some(i)
     }
 
+    /// Reads `size` bytes little-endian, or `None` when unmapped.
     #[inline]
-    fn read(&mut self, addr: u64, size: u64, pc: u64) -> Result<u64, RefError> {
-        let i = self.find_seg(addr, size).ok_or(RefError::Mem {
-            pc,
-            addr,
-            write: false,
-        })?;
+    fn read(&mut self, addr: u64, size: u64) -> Option<u64> {
+        let i = self.find_seg(addr, size)?;
         let s = &self.segs[i];
         let off = (addr - s.base) as usize;
         let d = &s.data[off..off + size as usize];
-        Ok(match *d {
+        Some(match *d {
             [a] => a as u64,
             [a, b] => u16::from_le_bytes([a, b]) as u64,
             [a, b, c, e] => u32::from_le_bytes([a, b, c, e]) as u64,
@@ -505,13 +552,11 @@ impl RefCore {
         })
     }
 
+    /// Writes `size` bytes little-endian, or `None` (writing nothing)
+    /// when unmapped.
     #[inline]
-    fn write(&mut self, addr: u64, size: u64, v: u64, pc: u64) -> Result<(), RefError> {
-        let i = self.find_seg(addr, size).ok_or(RefError::Mem {
-            pc,
-            addr,
-            write: true,
-        })?;
+    fn write(&mut self, addr: u64, size: u64, v: u64) -> Option<()> {
+        let i = self.find_seg(addr, size)?;
         let s = &mut self.segs[i];
         let off = (addr - s.base) as usize;
         s.data[off..off + size as usize].copy_from_slice(&v.to_le_bytes()[..size as usize]);
@@ -519,7 +564,7 @@ impl RefCore {
         if end > self.seg_hw[i] {
             self.seg_hw[i] = end;
         }
-        Ok(())
+        Some(())
     }
 
     /// Executes one instruction at the current PC and returns its
@@ -534,11 +579,11 @@ impl RefCore {
         Ok(out)
     }
 
-    /// The single execution body behind both [`RefCore::step`] and the
-    /// fast [`RefCore::run`] loop. `TRACE` selects (at monomorphization
-    /// time) whether the [`StepArch`] record is populated; the semantics
-    /// are written exactly once either way. Returns the exit code when
-    /// this instruction was the halting `ecall`.
+    /// The one-instruction execution body behind [`RefCore::step`] and
+    /// the irregular cases of [`RefCore::run`] (`ecall`, `ebreak`,
+    /// holes, faults, bad pcs). `TRACE` selects (at monomorphization
+    /// time) whether the [`StepArch`] record is populated. Returns the
+    /// exit code when this instruction was the halting `ecall`.
     #[inline(always)]
     fn step_impl<const TRACE: bool>(
         &mut self,
@@ -546,11 +591,9 @@ impl RefCore {
         out: &mut StepArch,
     ) -> Result<Option<u64>, RefError> {
         let pc = self.pc;
-        if pc < self.text_base || pc >= self.text_end || !pc.is_multiple_of(4) {
-            return Err(RefError::PcOutOfRange { pc });
-        }
-        let inst =
-            self.insts[((pc - self.text_base) / 4) as usize].ok_or(RefError::BadInst { pc })?;
+        let idx = self.text.index(pc).ok_or(RefError::PcOutOfRange { pc })?;
+        let inst = self.text.inst(idx).ok_or(RefError::BadInst { pc })?;
+        let fault = |addr, write| RefError::Mem { pc, addr, write };
 
         let mut next_pc = pc + 4;
         let mut ea = None;
@@ -588,7 +631,9 @@ impl RefCore {
             } => {
                 let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                let raw = self.read(addr, exec::load_width(op), pc)?;
+                let raw = self
+                    .read(addr, exec::load_width(op))
+                    .ok_or(fault(addr, false))?;
                 self.wx(rd, exec::load_extend(op, raw));
             }
             Inst::Store {
@@ -601,7 +646,8 @@ impl RefCore {
                 ea = Some(addr);
                 let v = exec::store_truncate(op, self.regs[rs2.index()]);
                 store = Some(v);
-                self.write(addr, exec::store_width(op), v, pc)?;
+                self.write(addr, exec::store_width(op), v)
+                    .ok_or(fault(addr, true))?;
             }
             Inst::OpImm { op, rd, rs1, imm } => {
                 let v = exec::alu(op, self.regs[rs1.index()], imm as u64);
@@ -614,14 +660,14 @@ impl RefCore {
             Inst::Fld { rd, rs1, offset } => {
                 let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                self.fregs[rd.index()] = self.read(addr, 8, pc)?;
+                self.fregs[rd.index()] = self.read(addr, 8).ok_or(fault(addr, false))?;
             }
             Inst::Fsd { rs2, rs1, offset } => {
                 let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
                 let v = self.fregs[rs2.index()];
                 store = Some(v);
-                self.write(addr, 8, v, pc)?;
+                self.write(addr, 8, v).ok_or(fault(addr, true))?;
             }
             Inst::FOp { op, rd, rs1, rs2 } => {
                 self.fregs[rd.index()] =
@@ -648,56 +694,33 @@ impl RefCore {
             Inst::Fence => {}
 
             // ---- SCD extension ----
-            Inst::SetMask { bid, rs1 } => {
-                let bid = bid as usize % self.nbids;
-                self.scd[bid].rmask = self.regs[rs1.index()];
-            }
+            Inst::SetMask { bid, rs1 } => self.set_mask(bid, self.regs[rs1.index()]),
             Inst::Bop { bid } => {
-                let bid = bid as usize % self.nbids;
-                let key = (bid as u8, self.scd[bid].rop_d);
                 let target = match hint {
-                    BopHint::Auto => {
-                        if self.scd_enabled && self.scd[bid].rop_v {
-                            self.jte_map.get(&key).copied()
-                        } else {
-                            None
-                        }
-                    }
+                    BopHint::Auto => self.bop_auto_target(bid),
                     BopHint::Hit => {
-                        if !self.scd[bid].rop_v {
-                            return Err(RefError::BopNotValid { pc, bid: bid as u8 });
+                        let b = self.bid(bid);
+                        if !self.scd[b].rop_v {
+                            return Err(RefError::BopNotValid { pc, bid: b as u8 });
                         }
-                        Some(
-                            self.jte_map
-                                .get(&key)
-                                .copied()
-                                .ok_or(RefError::BopUntrained {
-                                    pc,
-                                    bid: bid as u8,
-                                    rop_d: key.1,
-                                })?,
-                        )
+                        let rop_d = self.scd[b].rop_d;
+                        Some(self.jte_map.get(&(b as u8, rop_d)).copied().ok_or(
+                            RefError::BopUntrained {
+                                pc,
+                                bid: b as u8,
+                                rop_d,
+                            },
+                        )?)
                     }
                     BopHint::Miss => None,
                     BopHint::Target(t) => Some(t),
                 };
                 if let Some(t) = target {
                     next_pc = t;
-                    self.scd[bid].rop_v = false;
+                    self.bop_follow(bid);
                 }
             }
-            Inst::Jru { bid, rs1 } => {
-                let bid = bid as usize % self.nbids;
-                let target = self.regs[rs1.index()] & !1;
-                if self.scd_enabled && self.scd[bid].rop_v {
-                    // Last write wins, exactly like the cycle model's
-                    // update-in-place JTE insert.
-                    self.jte_map
-                        .insert((bid as u8, self.scd[bid].rop_d), target);
-                    self.scd[bid].rop_v = false;
-                }
-                next_pc = target;
-            }
+            Inst::Jru { bid, rs1 } => next_pc = self.jru_train(bid, self.regs[rs1.index()]),
             Inst::JteFlush => self.flush_rop(),
             Inst::LoadOp {
                 op,
@@ -706,15 +729,14 @@ impl RefCore {
                 rs1,
                 offset,
             } => {
-                let bid = bid as usize % self.nbids;
                 let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                let raw = self.read(addr, exec::load_width(op), pc)?;
+                let raw = self
+                    .read(addr, exec::load_width(op))
+                    .ok_or(fault(addr, false))?;
                 let v = exec::load_extend(op, raw);
                 self.wx(rd, v);
-                let s = &mut self.scd[bid];
-                s.rop_d = v & s.rmask;
-                s.rop_v = true;
+                self.load_op_commit(bid, v);
             }
         }
 
@@ -742,15 +764,24 @@ impl RefCore {
     }
 
     /// Runs standalone ([`BopHint::Auto`]) until the guest exits, a guest
-    /// error occurs, or `max_insts` instructions retire. This is the fast
-    /// path: the `TRACE = false` monomorphization of the shared execute
-    /// body, with no per-instruction [`StepArch`] bookkeeping.
+    /// error occurs, or the retirement count `instructions` reaches
+    /// `max_insts`. This is the fast path: threaded code over the
+    /// pre-decoded [`Text`], one budget check per straight run, with
+    /// `step_impl` executing only the irregular instructions. The
+    /// result — registers, memory, pc, count, output, SCD state, error —
+    /// is exactly that of a [`RefCore::step`] loop.
     ///
     /// # Errors
-    /// [`RefError::InstLimit`] on budget exhaustion, or any stepping error.
+    /// [`RefError::InstLimit`] on budget exhaustion, or any stepping error
+    /// (with `pc` and `instructions` at the faulting instruction).
     pub fn run(&mut self, max_insts: u64) -> Result<u64, RefError> {
+        let text = Arc::clone(&self.text);
         let mut scratch = StepArch::default();
         while self.instructions < max_insts {
+            self.run_blocks(&text, max_insts);
+            if self.instructions >= max_insts {
+                break;
+            }
             if let Some(code) = self.step_impl::<false>(BopHint::Auto, &mut scratch)? {
                 return Ok(code);
             }
@@ -893,5 +924,33 @@ mod tests {
         let mut c = RefCore::from_program(&p, false, 4);
         let e = c.run(100).unwrap_err();
         assert!(matches!(e, RefError::Mem { write: false, .. }), "{e:?}");
+    }
+
+    #[test]
+    fn accesses_wrapping_past_2_pow_64_fault() {
+        for (width, store) in [(8u64, false), (8, true), (4, false), (2, true)] {
+            let mut a = asm();
+            a.li(Reg::T0, -(width as i64) / 2);
+            let k = width.trailing_zeros() as usize;
+            if store {
+                a.store(scd_isa::StoreOp::ALL[k], Reg::T1, 0, Reg::T0);
+            } else {
+                a.load(LoadOp::ALL[k], Reg::T1, 0, Reg::T0);
+            }
+            halt(&mut a, 0);
+            let p = a.finish().unwrap();
+            let fault = RefError::Mem {
+                pc: p.text_end() - 16,
+                addr: (-(width as i64) / 2) as u64,
+                write: store,
+            };
+            let mut stepped = RefCore::from_program(&p, false, 4);
+            stepped.map("low", 0, 64);
+            assert_eq!(stepped.step(BopHint::Auto).map(|_| ()), Ok(()));
+            assert_eq!(stepped.step(BopHint::Auto), Err(fault));
+            let mut ran = RefCore::from_program(&p, false, 4);
+            ran.map("low", 0, 64);
+            assert_eq!(ran.run(100), Err(fault));
+        }
     }
 }

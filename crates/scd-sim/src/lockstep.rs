@@ -204,7 +204,7 @@ impl TraceSink for LockstepSink {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::machine::Machine;
+    use crate::machine::{Machine, SimError};
     use crate::trace::downcast_sink;
     use scd_isa::{Asm, LoadOp, Reg};
 
@@ -272,6 +272,61 @@ mod tests {
         cfg.scd.flush_interval = Some(16);
         let sink = lockstep_run(&dispatch_program(), cfg);
         assert!(sink.divergence().is_none(), "{}", sink.divergence().unwrap());
+    }
+
+    #[test]
+    fn an_access_wrapping_past_2_pow_64_faults_alike_in_both_executors() {
+        for store in [false, true] {
+            let mut a = Asm::new(0x1_0000);
+            a.li(Reg::T1, 3);
+            a.li(Reg::T0, -8);
+            if store {
+                a.sd(Reg::T1, 0, Reg::T0);
+            } else {
+                a.ld(Reg::T1, 0, Reg::T0);
+            }
+            a.li(Reg::A7, 0);
+            a.ecall();
+            let p = a.finish().unwrap();
+            let mut core = snapshot_core(&Machine::new(SimConfig::embedded_a5(), &p));
+            let oracle = core.run(1_000).unwrap_err();
+            assert_eq!(
+                oracle,
+                RefError::Mem {
+                    pc: core.pc,
+                    addr: u64::MAX - 7,
+                    write: store
+                }
+            );
+            // Traced (interleaved loop, oracle in lockstep) and untraced
+            // (default engine) runs of the cycle model.
+            for traced in [true, false] {
+                let mut m = Machine::new(SimConfig::embedded_a5(), &p);
+                if traced {
+                    m.set_trace_sink(Box::new(LockstepSink::new(&m)));
+                }
+                let dut = m.run(1_000).unwrap_err();
+                let SimError::Mem { pc, fault } = dut else {
+                    panic!("expected a memory fault, got {dut:?}");
+                };
+                assert_eq!(
+                    (pc, fault.addr, fault.write),
+                    (core.pc, u64::MAX - 7, store)
+                );
+                // The cycle model counts the faulting instruction as
+                // begun; the oracle stops before it.
+                assert_eq!(m.stats.instructions, core.instructions + 1);
+                if traced {
+                    let sink = downcast_sink::<LockstepSink>(m.take_trace_sink().unwrap()).unwrap();
+                    assert!(
+                        sink.divergence().is_none(),
+                        "{}",
+                        sink.divergence().unwrap()
+                    );
+                    assert_eq!(sink.checked(), core.instructions);
+                }
+            }
+        }
     }
 
     #[test]

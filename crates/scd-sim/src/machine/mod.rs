@@ -189,11 +189,11 @@ pub struct Machine {
     fetch_blk: u64,
     fetch_streak: u64,
 
-    /// Decoded-text vector for the sampled fast-forward legs, handed
-    /// back by each leg's reference core so hundreds of legs per run
-    /// don't re-collect it from `insts`. Pure derived cache: never
-    /// snapshotted.
-    ff_decoded: Option<Vec<Option<Inst>>>,
+    /// The reference core's pre-decoded threaded text, built on first
+    /// use and shared by every fast-forward leg and replay producer, so
+    /// hundreds of legs per run don't rebuild it from `insts`. Pure
+    /// derived cache: never snapshotted.
+    ff_text: Option<Arc<scd_ref::Text>>,
 
     /// Run statistics.
     pub stats: SimStats,
@@ -359,7 +359,7 @@ impl Machine {
             test_producer_panic: false,
             fetch_blk: u64::MAX,
             fetch_streak: 0,
-            ff_decoded: None,
+            ff_text: None,
             stats: SimStats::default(),
             regs: [0; 32],
             fregs: [0; 32],

@@ -561,39 +561,8 @@ impl Machine {
     pub(super) fn make_producer(&mut self, max_insts: u64, record_from: u64) -> Producer {
         let scd_cfg: ScdConfig = self.cfg.scd;
         let nbids = scd_cfg.branch_ids.min(super::MAX_BRANCH_IDS);
-        let segments: Vec<Segment> = self
-            .mem
-            .take_all_data()
-            .into_iter()
-            .map(|(name, base, data)| Segment {
-                name: name.to_string(),
-                base,
-                data,
-            })
-            .collect();
-        let decoded = self
-            .ff_decoded
-            .take()
-            .unwrap_or_else(|| self.insts.iter().copied().map(Some).collect());
-        let mut core = RefCore::from_owned_state(
-            self.text_base,
-            self.text_end,
-            decoded,
-            segments,
-            self.regs,
-            self.fregs,
-            self.pc,
-            scd_cfg.enabled,
-            scd_cfg.branch_ids,
-        );
-        // Only the first `nbids` SCD register sets are architecturally
-        // live; seeding the dormant tail would alias into live slots
-        // through the oracle's `bid % nbids` reduction.
-        for (bid, s) in self.scd.iter().take(nbids).enumerate() {
-            core.seed_scd(bid, s.rop_v, s.rop_d, s.rmask);
-        }
         Producer {
-            core,
+            core: self.make_ref_core(),
             insts: Arc::clone(&self.insts),
             text_base: self.text_base,
             text_end: self.text_end,
@@ -612,14 +581,53 @@ impl Machine {
         }
     }
 
-    /// Takes the guest memory (and the recycled decoded text) back from
-    /// a finished producer core.
+    /// A reference core at the machine's architectural state, owning the
+    /// *moved* guest memory and sharing the threaded text (built on
+    /// first use). The fast-forward leg and the replay producer both
+    /// start here; [`Machine::take_back_core`] returns the memory.
+    pub(super) fn make_ref_core(&mut self) -> RefCore {
+        let scd_cfg: ScdConfig = self.cfg.scd;
+        let nbids = scd_cfg.branch_ids.min(super::MAX_BRANCH_IDS);
+        let segments: Vec<Segment> = self
+            .mem
+            .take_all_data()
+            .into_iter()
+            .map(|(name, base, data)| Segment {
+                name: name.to_string(),
+                base,
+                data,
+            })
+            .collect();
+        let (text_base, insts) = (self.text_base, &self.insts);
+        let text = self.ff_text.get_or_insert_with(|| {
+            Arc::new(scd_ref::Text::new(
+                text_base,
+                insts.iter().copied().map(Some).collect(),
+            ))
+        });
+        let mut core = RefCore::from_owned_state(
+            Arc::clone(text),
+            segments,
+            self.regs,
+            self.fregs,
+            self.pc,
+            scd_cfg.enabled,
+            scd_cfg.branch_ids,
+        );
+        // Only the first `nbids` SCD register sets are architecturally
+        // live; seeding the dormant tail would alias into live slots
+        // through the oracle's `bid % nbids` reduction.
+        for (bid, s) in self.scd.iter().take(nbids).enumerate() {
+            core.seed_scd(bid, s.rop_v, s.rop_d, s.rmask);
+        }
+        core
+    }
+
+    /// Takes the guest memory back from a finished reference core.
     pub(super) fn take_back_core(&mut self, core: RefCore) {
         let hws = core.seg_high_waters().to_vec();
-        let (decoded, segments) = core.into_insts_and_segments();
-        self.ff_decoded = Some(decoded);
         self.mem
-            .put_back_data(segments.into_iter().map(|s| s.data).zip(hws));
+            .put_back_data(core.into_segments().into_iter().map(|s| s.data).zip(hws));
     }
 
     /// The execute-ahead run loop: functionally identical to

@@ -6,11 +6,20 @@
 //! Mode seams:
 //!
 //! * *fast-forward* hands the guest to the `scd-ref` reference core
-//!   (the same producer the execute-ahead replay engine uses) and syncs
-//!   the architectural state back at the leg boundary;
-//! * *warming* is the interleaved loop monomorphized with `WARMING =
-//!   true` ([`Machine::run_warming`]) — caches, TLBs, predictors and the
-//!   JTE overlay update, the clock does not;
+//!   (built like the execute-ahead replay producer, sharing its
+//!   threaded text) and syncs the architectural state back at the leg
+//!   boundary;
+//! * *warming* updates caches, TLBs, predictors and the JTE overlay
+//!   while the clock stands still, in one of two bit-identical engines
+//!   picked once per run in [`Machine::run_sampled`]. The replay drain
+//!   (`warm.rs`, via `warm_leg`) fuses the leg: the producer's core
+//!   runs the fast-forward span record-free, then streams the warm
+//!   span's retirements for the drain to apply. It takes every plan
+//!   with per-structure windows, and uniform plans when the host can
+//!   pipeline (`ReplayMode::Auto` with a spare CPU, or `Force`). On a
+//!   single CPU or with replay off, uniform plans run
+//!   `run_fastforward` followed by the interleaved loop monomorphized
+//!   with `WARMING = true` ([`Machine::run_warming`]);
 //! * *measure* is the stock detailed interleaved loop; its counter
 //!   deltas feed the [`SampleAccum`](crate::SampleAccum).
 //!
@@ -25,7 +34,6 @@ use crate::config::ScdConfig;
 use crate::sampling::{SampleAccum, SampleReport, SamplingPlan};
 use crate::snapshot::Snapshot;
 use crate::stats::SimStats;
-use scd_ref::{RefCore, Segment};
 
 impl Machine {
     /// Runs `insts` instructions in pure architectural fast-forward on
@@ -49,36 +57,9 @@ impl Machine {
         let target = base + insts;
 
         // Same construction as the replay producer: move the guest
-        // memory into the core, seed the live SCD register sets. The
-        // decoded text is recycled leg to leg via `ff_decoded`.
-        let segments: Vec<Segment> = self
-            .mem
-            .take_all_data()
-            .into_iter()
-            .map(|(name, seg_base, data)| Segment {
-                name: name.to_string(),
-                base: seg_base,
-                data,
-            })
-            .collect();
-        let decoded = self
-            .ff_decoded
-            .take()
-            .unwrap_or_else(|| self.insts.iter().copied().map(Some).collect());
-        let mut core = RefCore::from_owned_state(
-            self.text_base,
-            self.text_end,
-            decoded,
-            segments,
-            self.regs,
-            self.fregs,
-            self.pc,
-            scd_cfg.enabled,
-            scd_cfg.branch_ids,
-        );
-        for (bid, s) in self.scd.iter().take(nbids).enumerate() {
-            core.seed_scd(bid, s.rop_v, s.rop_d, s.rmask);
-        }
+        // memory into the core, seed the live SCD register sets, share
+        // the threaded text.
+        let mut core = self.make_ref_core();
 
         // Run in chunks bounded by the flush quantum. `begin_retirement`
         // counts the instruction first and flushes when that (1-based)
@@ -126,11 +107,7 @@ impl Machine {
             s.rmask = rmask;
             s.rop_ready = self.cycle;
         }
-        let hws = core.seg_high_waters().to_vec();
-        let (decoded, segments) = core.into_insts_and_segments();
-        self.ff_decoded = Some(decoded);
-        self.mem
-            .put_back_data(segments.into_iter().map(|s| s.data).zip(hws));
+        self.take_back_core(core);
 
         match fault {
             Some(e) => {

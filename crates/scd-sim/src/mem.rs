@@ -45,6 +45,18 @@ struct Segment {
     hw: usize,
 }
 
+impl Segment {
+    /// Whether `[addr, addr + size)` lies inside this segment. A range
+    /// running past 2^64 lies inside none.
+    #[inline]
+    fn holds(&self, addr: u64, size: u64) -> bool {
+        addr >= self.base
+            && addr
+                .checked_add(size)
+                .is_some_and(|end| end <= self.base + self.data.len() as u64)
+    }
+}
+
 /// Segmented guest memory.
 #[derive(Debug, Default)]
 pub struct Memory {
@@ -95,7 +107,7 @@ impl Memory {
         let seg = self
             .segments
             .iter_mut()
-            .find(|s| addr >= s.base && addr + bytes.len() as u64 <= s.base + s.data.len() as u64)
+            .find(|s| s.holds(addr, bytes.len() as u64))
             .unwrap_or_else(|| panic!("write_bytes to unmapped {addr:#x}"));
         let off = (addr - seg.base) as usize;
         seg.data[off..off + bytes.len()].copy_from_slice(bytes);
@@ -106,12 +118,12 @@ impl Memory {
     fn locate(&self, addr: u64, size: u64) -> Option<(usize, usize)> {
         let hint = self.last_seg.get();
         if let Some(s) = self.segments.get(hint) {
-            if addr >= s.base && addr + size <= s.base + s.data.len() as u64 {
+            if s.holds(addr, size) {
                 return Some((hint, (addr - s.base) as usize));
             }
         }
         for (i, s) in self.segments.iter().enumerate() {
-            if addr >= s.base && addr + size <= s.base + s.data.len() as u64 {
+            if s.holds(addr, size) {
                 self.last_seg.set(i);
                 return Some((i, (addr - s.base) as usize));
             }
@@ -340,6 +352,25 @@ mod tests {
         let f = m.read_u32(0x5000).unwrap_err();
         assert_eq!(f.addr, 0x5000);
         assert!(!f.write);
+    }
+
+    #[test]
+    fn accesses_wrapping_past_2_pow_64_fault() {
+        let mut m = Memory::new();
+        m.add_segment("a", 0, 0x100);
+        let f = m.read_u64(u64::MAX - 7).unwrap_err();
+        assert_eq!((f.addr, f.write), (u64::MAX - 7, false));
+        assert!(m.read_u32(u64::MAX - 1).is_err());
+        assert!(m.write_u64(u64::MAX - 3, 1).is_err());
+        assert!(m.read_u8(u64::MAX).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "write_bytes to unmapped")]
+    fn write_bytes_wrapping_past_2_pow_64_panics_as_unmapped() {
+        let mut m = Memory::new();
+        m.add_segment("a", 0, 0x100);
+        m.write_bytes(u64::MAX - 1, &[1, 2, 3, 4]);
     }
 
     #[test]

@@ -14,14 +14,26 @@
 //! Every retired instruction runs in exactly one [`ExecMode`]:
 //!
 //! * [`ExecMode::FastForward`] — pure architectural execution on the
-//!   `scd-ref` reference core. No timing model, no predictor or cache
-//!   updates. Fastest; used to skip between sampling intervals.
-//! * [`ExecMode::Warming`] — the detailed loop with the cycle clock
+//!   `scd-ref` reference core's threaded-code `run`. No timing model, no
+//!   predictor or cache updates. Fastest; used to skip between sampling
+//!   intervals.
+//! * [`ExecMode::Warming`] — functional execution with the cycle clock
 //!   frozen: I-cache / D-cache / TLB / BTB / ITTAGE / JTE contents are
 //!   updated exactly as in detailed mode, but no cycles are charged and
 //!   the issue scoreboard is bypassed. Repairs the micro-architectural
 //!   state the fast-forward leg left stale, so measurement does not
 //!   start from misleadingly cold (or misleadingly stale) structures.
+//!   Two engines implement it and leave bit-identical structures
+//!   (`tests/warm_replay.rs`): the replay-driven drain in
+//!   `machine/warm.rs`, which applies only the structure updates from
+//!   the reference core's retirement stream, and the interleaved loop
+//!   monomorphized with `WARMING = true` ([`Machine::run_warming`]).
+//!   Plans with per-structure windows always take the drain (only it
+//!   implements them); uniform plans take it when the host can overlap
+//!   the producer thread with the drain, and the `WARMING = true` loop
+//!   otherwise (one CPU, or replay turned off).
+//!
+//! [`Machine::run_warming`]: crate::Machine::run_warming
 //! * [`ExecMode::Detailed`] — the full cycle-approximate model; the
 //!   only mode that contributes to the sampled estimate.
 
@@ -34,7 +46,10 @@ pub enum ExecMode {
     /// Full cycle-approximate timing simulation.
     Detailed,
     /// Functional execution that updates micro-architectural state
-    /// (caches, TLBs, predictors, JTEs) but charges no cycles.
+    /// (caches, TLBs, predictors, JTEs) but charges no cycles: the
+    /// `machine/warm.rs` replay drain, or the `WARMING = true`
+    /// interleaved loop where the host cannot pipeline (see the module
+    /// docs for the choice).
     Warming,
     /// Pure architectural execution on the reference core.
     FastForward,
