@@ -371,3 +371,44 @@ fn warm_then_detailed_seam_composes() {
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.snapshot().to_bytes(), b.snapshot().to_bytes());
 }
+
+/// Golden split-window sampled runs: the per-structure gates must keep
+/// producing these exact estimates whichever code implements them. The
+/// committed text holds each case's `SampleReport` and `SimStats`
+/// `Debug` strings; regenerate (only for an intended model change) with
+/// `SCD_BLESS=1 cargo test -p scd-sim --test warm_replay`.
+#[test]
+fn golden_split_window_estimates() {
+    const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/split_windows.txt");
+    let plan = SamplingPlan::parse("4k:600/BTB=1k,PRED=1500:800").unwrap();
+    let mut flushed = SimConfig::embedded_a5();
+    flushed.scd.flush_interval = Some(2_000);
+    let cases = [
+        ("dispatcher", SimConfig::embedded_a5(), dispatcher_program(3_000)),
+        ("dispatcher+flush", flushed, dispatcher_program(3_000)),
+        ("strider", SimConfig::embedded_a5(), strider_program(200, 16)),
+    ];
+    let mut text = String::new();
+    for (name, cfg, p) in &cases {
+        let mut runs = Vec::new();
+        for forced in [false, true] {
+            let mut m = machine(cfg, p);
+            if forced {
+                m.force_replay();
+            } else {
+                m.set_replay(false);
+            }
+            let (_, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
+            runs.push((format!("{report:?}"), format!("{:?}", m.stats)));
+        }
+        assert_eq!(runs[0], runs[1], "{name}: engines disagree");
+        text.push_str(&format!("{name} report: {}\n{name} stats: {}\n", runs[0].0, runs[0].1));
+    }
+    if std::env::var_os("SCD_BLESS").is_some() {
+        std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().unwrap()).unwrap();
+        std::fs::write(GOLDEN, &text).expect("write golden");
+        return;
+    }
+    let committed = std::fs::read_to_string(GOLDEN).expect("golden committed (SCD_BLESS=1)");
+    assert_eq!(text, committed, "split-window estimates moved");
+}
