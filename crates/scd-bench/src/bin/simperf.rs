@@ -8,30 +8,22 @@
 //! cargo run --release -p scd-bench --bin simperf -- --quick         # CI-sized
 //! cargo run --release -p scd-bench --bin simperf -- --ref old.json  # embed speedups
 //! cargo run --release -p scd-bench --bin simperf -- --quick --check BENCH_simperf.json
-//! cargo run --release -p scd-bench --bin simperf -- --interleaved   # reference loop
 //! ```
 //!
 //! The matrix is the golden-stats trio (fibo / random / spectral-norm)
 //! x both VMs x all three dispatch schemes x {embedded-a5, fpga-rocket}
 //! — 36 cells. Each cell loads a fresh session, disables the invariant
-//! checker and runs *untraced* under a fixed retired-instruction budget,
-//! so host wall time is the only free variable. Untraced runs take the
-//! execute-ahead replay loop by default; `--interleaved` pins the
-//! interleaved reference loop instead (the pre-replay measurement mode,
-//! kept for apples-to-apples comparisons). Output goes to
-//! `BENCH_simperf.json` (hand-rolled JSON, schema in EXPERIMENTS.md).
+//! checker and runs *untraced* (the machine's fast loop) under a fixed
+//! retired-instruction budget, so host wall time is the only free
+//! variable. Output goes to `BENCH_simperf.json` (hand-rolled JSON,
+//! schema in EXPERIMENTS.md).
 //!
-//! After the detailed matrix, the warming engines are measured on the
-//! same trio (embedded-a5, LVM, SCD). Four cells per benchmark:
-//! "drain" (the replay warming consumer alone, all structures on — its
-//! marginal cost on a pipelining host), "drain-gated" (the consumer on
-//! a split-window leg, cache on only for the last fifth), "replay"
-//! (the engine end-to-end: producer + consumer, which a 1-CPU host
-//! serializes) and "detailed" (the `WARMING=true` interleaved loop the
-//! engine replaced). The v3 record carries the drain geomean as
-//! `warming_mips` — `--check` holds it to the same regression floor as
-//! the detailed cells, so a slow warming engine cannot quietly eat the
-//! sampled sweep's duty-cycle budget.
+//! After the detailed matrix, the warming loop (`Machine::run_warming`,
+//! the sampled scheduler's warm leg) is timed on the same trio
+//! (embedded-a5, LVM, SCD), one cell per benchmark. The record carries
+//! their geomean as `warming_mips` — `--check` holds it to the same
+//! regression floor as the detailed cells, so a slow warming loop
+//! cannot quietly eat the sampled sweep's duty-cycle budget.
 //!
 //! Each cell also times the fast-forward engine: `RefCore::run` from the
 //! cell's initial state (snapshotted before the detailed run) under the
@@ -97,12 +89,9 @@ impl Cell {
     }
 }
 
-/// One warming-engine measurement: the same benchmark warmed by one of
-/// the replay-consumer configurations, the end-to-end replay engine, or
-/// the detailed-loop warmer.
+/// One warming-loop measurement.
 struct WarmCell {
     bench: &'static str,
-    engine: &'static str,
     insts: u64,
     wall_s: f64,
 }
@@ -123,29 +112,19 @@ fn main() {
             .cloned()
     };
     let quick = has("--quick");
-    let interleaved = has("--interleaved");
     let budget = if quick { QUICK_BUDGET } else { FULL_BUDGET };
     let reference = arg_of("--ref").map(|p| load_record(&p));
     let check = arg_of("--check").map(|p| load_record(&p));
 
     let configs = [SimConfig::embedded_a5(), SimConfig::fpga_rocket()];
     let mut cells = Vec::new();
-    // Which engine the untraced fast path actually resolves to on this
-    // host (ReplayMode::Auto consults host parallelism), recorded so a
-    // throughput record names the loop that produced it.
-    let mut replay_mode = "unknown";
     // A broken cell must not torpedo the cells already measured: record
     // the failure, finish the matrix so the full picture is reported,
     // then exit non-zero.
     let mut failures: Vec<String> = Vec::new();
     eprintln!(
-        "simperf: {} cells, {budget} insts each{}",
-        configs.len() * 2 * 3 * BENCHES.len(),
-        if interleaved {
-            " (interleaved reference loop)"
-        } else {
-            ""
-        }
+        "simperf: {} cells, {budget} insts each",
+        configs.len() * 2 * 3 * BENCHES.len()
     );
     for cfg in &configs {
         for vm in Vm::ALL {
@@ -173,8 +152,6 @@ fn main() {
                     };
                     // Untraced, uninstrumented: the release fast path.
                     session.machine.disable_invariants();
-                    session.machine.set_replay(!interleaved);
-                    replay_mode = session.machine.replay_engine();
                     let mut core = lockstep::snapshot_core(&session.machine);
                     let started = Instant::now();
                     match session.machine.run(budget) {
@@ -218,92 +195,48 @@ fn main() {
         }
     }
 
-    // Warming-engine throughput: the replay-driven warmer vs the
-    // detailed-loop warmer it replaced, on the embedded-a5 / LVM / SCD
-    // corner of the trio. Both warm the same structures to the same
-    // bits (tests/warm_replay.rs holds them identical); the ratio is
-    // the duty-cycle headroom sampled sweeps get back.
+    // Warming-loop throughput on the embedded-a5 / LVM / SCD corner of
+    // the trio: the rate of the sampled scheduler's warm legs.
     let mut warm_cells: Vec<WarmCell> = Vec::new();
-    eprintln!("simperf: warming engines, {budget} insts each");
+    eprintln!("simperf: warming loop, {budget} insts each");
     for name in BENCHES {
         let b = BENCHMARKS
             .iter()
             .find(|b| b.name == name)
             .expect("pinned benchmark");
-        for engine in ["drain", "drain-gated", "replay", "detailed"] {
-            let key = format!("embedded-a5/lvm/{name}/scd warming/{engine}");
-            let mut session = match Session::from_source(
-                SimConfig::embedded_a5(),
-                Vm::Lvm,
-                b.source,
-                &[("N", b.sim_arg)],
-                Scheme::Scd,
-                GuestOptions::default(),
-            ) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("  {key}: FAILED to load: {e}");
-                    failures.push(format!("{key}: {e}"));
-                    continue;
-                }
-            };
-            session.machine.disable_invariants();
-            let started = Instant::now();
-            // "drain" times the warming consumer alone via the
-            // measurement hook — the leg's marginal cost on a
-            // pipelining host, where producer fill overlaps the
-            // fast-forward work the schedule owes anyway.
-            // "drain-gated" is the same consumer on a split-window
-            // leg (cache on only for the last fifth, BTB/predictors
-            // the whole leg): the shape a predictor-conservative plan
-            // takes, and what per-structure windows make cheap.
-            // "replay" is the engine end-to-end (producer + drain,
-            // serialized on a 1-CPU host); "detailed" is the
-            // WARMING=true interleaved loop both replaced.
-            let (insts, wall_s) = match engine {
-                "drain" | "drain-gated" => {
-                    let windows = if engine == "drain-gated" {
-                        (budget / 5, u64::MAX, u64::MAX)
-                    } else {
-                        (u64::MAX, u64::MAX, u64::MAX)
-                    };
-                    match session.machine.warm_bench(0, budget, windows) {
-                        Ok((n, drain_s)) => (n, drain_s),
-                        Err(e) => {
-                            eprintln!("  {key}: FAILED: {e}");
-                            failures.push(format!("{key}: {e}"));
-                            continue;
-                        }
-                    }
-                }
-                _ => {
-                    let r = match engine {
-                        "replay" => session.machine.run_warming_replay(budget),
-                        _ => session.machine.run_warming(budget),
-                    };
-                    match r {
-                        Ok(_) | Err(SimError::InstLimit { .. }) => {}
-                        Err(e) => {
-                            eprintln!("  {key}: FAILED: {e}");
-                            failures.push(format!("{key}: {e}"));
-                            continue;
-                        }
-                    }
-                    (
-                        session.machine.stats.instructions,
-                        started.elapsed().as_secs_f64(),
-                    )
-                }
-            };
-            let cell = WarmCell {
-                bench: name,
-                engine,
-                insts,
-                wall_s,
-            };
-            eprintln!("  {key:<44} {:>8.2} Minst/s", cell.mips());
-            warm_cells.push(cell);
+        let key = format!("embedded-a5/lvm/{name}/scd warming");
+        let mut session = match Session::from_source(
+            SimConfig::embedded_a5(),
+            Vm::Lvm,
+            b.source,
+            &[("N", b.sim_arg)],
+            Scheme::Scd,
+            GuestOptions::default(),
+        ) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("  {key}: FAILED to load: {e}");
+                failures.push(format!("{key}: {e}"));
+                continue;
+            }
+        };
+        session.machine.disable_invariants();
+        let started = Instant::now();
+        match session.machine.run_warming(budget) {
+            Ok(_) | Err(SimError::InstLimit { .. }) => {}
+            Err(e) => {
+                eprintln!("  {key}: FAILED: {e}");
+                failures.push(format!("{key}: {e}"));
+                continue;
+            }
         }
+        let cell = WarmCell {
+            bench: name,
+            insts: session.machine.stats.instructions,
+            wall_s: started.elapsed().as_secs_f64(),
+        };
+        eprintln!("  {key:<44} {:>8.2} Minst/s", cell.mips());
+        warm_cells.push(cell);
     }
 
     if !failures.is_empty() {
@@ -322,13 +255,8 @@ fn main() {
     eprintln!("simperf: geomean {g:.2} Minst/s over {} cells", cells.len());
     let ref_mips = ref_geomean(&cells);
     eprintln!("simperf: RefCore fast-forward geomean {ref_mips:.2} Minst/s");
-    let warming_mips = warm_geomean(&warm_cells, "drain");
-    let warming_detailed = warm_geomean(&warm_cells, "detailed");
-    eprintln!(
-        "simperf: warming geomean {warming_mips:.2} Minst/s drain vs \
-         {warming_detailed:.2} detailed ({:.2}x)",
-        warming_mips / warming_detailed.max(1e-12)
-    );
+    let warming_mips = warm_geomean(&warm_cells);
+    eprintln!("simperf: warming geomean {warming_mips:.2} Minst/s");
 
     if let Some(baseline) = check {
         exit(run_check(&cells, warming_mips, ref_mips, &baseline));
@@ -339,7 +267,6 @@ fn main() {
         &warm_cells,
         quick,
         budget,
-        replay_mode,
         reference.as_ref().map(|r| r.cells.as_slice()),
     );
     scd_bench::write_artifact(OUT, &json);
@@ -355,23 +282,19 @@ fn ref_geomean(cells: &[Cell]) -> f64 {
     })
 }
 
-/// Geomean throughput of one warming engine's cells.
-fn warm_geomean(cells: &[WarmCell], engine: &str) -> f64 {
-    let mips: Vec<f64> = cells
-        .iter()
-        .filter(|c| c.engine == engine)
-        .map(WarmCell::mips)
-        .collect();
+/// Geomean throughput of the warming-loop cells.
+fn warm_geomean(cells: &[WarmCell]) -> f64 {
+    let mips: Vec<f64> = cells.iter().map(WarmCell::mips).collect();
     geomean(&mips).unwrap_or_else(|| {
-        eprintln!("simperf: no {engine} warming measurements — cannot compute geomean");
+        eprintln!("simperf: no warming measurements — cannot compute geomean");
         exit(1);
     })
 }
 
 /// Compares this run against a committed record; only regressions fail.
-/// The drain-rate warming geomean and the RefCore fast-forward geomean
-/// are held to the same floor as the detailed cells (a baseline older
-/// than v3 / v4 lacks the field, and that leg is skipped).
+/// The warming-loop geomean and the RefCore fast-forward geomean are
+/// held to the same floor as the detailed cells (a baseline that lacks
+/// the field skips that leg).
 fn run_check(cells: &[Cell], warming_mips: f64, ref_mips: f64, baseline: &Record) -> i32 {
     const TOLERANCE: f64 = 0.70;
     let mut bad = 0u32;
@@ -396,7 +319,7 @@ fn run_check(cells: &[Cell], warming_mips: f64, ref_mips: f64, baseline: &Record
         return 1;
     }
     for (what, now, base) in [
-        ("warming engine", warming_mips, baseline.warming_mips),
+        ("warming loop", warming_mips, baseline.warming_mips),
         ("RefCore fast-forward", ref_mips, baseline.ref_mips),
     ] {
         if let Some(base) = base {
@@ -422,27 +345,21 @@ fn render_json(
     warm_cells: &[WarmCell],
     quick: bool,
     budget: u64,
-    replay_mode: &str,
     reference: Option<&[(String, f64)]>,
 ) -> String {
-    // v2 added "host_cpus" and "replay_mode": throughput numbers are
-    // meaningless without knowing how parallel the host was and which
-    // run loop (replay vs interleaved) produced them. v3 adds the
-    // warming-engine leg: "warming_mips" (the drain-rate geomean — the
-    // consumer's marginal cost, and the --check floor), its
-    // detailed-loop counterpart and the per-cell "warming" array
-    // (which also carries the gated-drain and end-to-end rates). v4 adds
-    // the RefCore fast-forward rate: per-cell "refcore_mips", their
-    // geomean "ref_mips" (a --check floor), and renames the per-cell
-    // --ref field to "base_mips" so "ref" means RefCore throughout.
+    // v2 added "host_cpus". v4 added the RefCore fast-forward rate:
+    // per-cell "refcore_mips", their geomean "ref_mips" (a --check
+    // floor), and the per-cell --ref field "base_mips". v5 drops the
+    // threaded replay engine: no "replay_mode", and the "warming" array
+    // and its "warming_mips" geomean (a --check floor) time the one
+    // warming loop.
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"scd-simperf-v4\",");
+    let _ = writeln!(s, "  \"schema\": \"scd-simperf-v5\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"budget_insts\": {budget},");
     let _ = writeln!(s, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(s, "  \"replay_mode\": \"{replay_mode}\",");
     let mips: Vec<f64> = cells.iter().map(Cell::mips).collect();
     // A record with a zero geomean would make a later `--check` or
     // `--ref` comparison pass or fail spuriously: refuse to write one.
@@ -452,15 +369,7 @@ fn render_json(
     });
     let _ = writeln!(s, "  \"geomean_mips\": {g:.3},");
     let _ = writeln!(s, "  \"ref_mips\": {:.3},", ref_geomean(cells));
-    let warming = warm_geomean(warm_cells, "drain");
-    let warming_detailed = warm_geomean(warm_cells, "detailed");
-    let _ = writeln!(s, "  \"warming_mips\": {warming:.3},");
-    let _ = writeln!(s, "  \"warming_detailed_mips\": {warming_detailed:.3},");
-    let _ = writeln!(
-        s,
-        "  \"warming_speedup\": {:.3},",
-        warming / warming_detailed.max(1e-12)
-    );
+    let _ = writeln!(s, "  \"warming_mips\": {:.3},", warm_geomean(warm_cells));
     let mut speedups = Vec::new();
     if let Some(r) = reference {
         for c in cells {
@@ -482,10 +391,8 @@ fn render_json(
     for (i, c) in warm_cells.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"bench\": \"{}\", \"engine\": \"{}\", \"insts\": {}, \
-             \"wall_ms\": {:.3}, \"warm_mips\": {:.3}}}",
+            "    {{\"bench\": \"{}\", \"insts\": {}, \"wall_ms\": {:.3}, \"warm_mips\": {:.3}}}",
             c.bench,
-            c.engine,
             c.insts,
             c.wall_s * 1e3,
             c.mips(),
@@ -532,7 +439,7 @@ fn render_json(
 struct Record {
     /// `(key, mips)` per detailed cell.
     cells: Vec<(String, f64)>,
-    /// Drain-rate warming geomean (v3 and later).
+    /// Warming-loop geomean.
     warming_mips: Option<f64>,
     /// RefCore fast-forward geomean (v4 and later).
     ref_mips: Option<f64>,
@@ -541,7 +448,7 @@ struct Record {
 /// Minimal reader for this tool's own output format: pulls
 /// `(key, mips)` pairs out of the `"cells"` array, one cell per line,
 /// plus the top-level `warming_mips` and `ref_mips` geomeans (absent
-/// from pre-v3 / pre-v4 records, in which case that floor is skipped).
+/// from older records, in which case that floor is skipped).
 /// Only a line *starting* with a top-level field counts: v3 cells
 /// written with `--ref` carry a per-cell `ref_mips` of another meaning.
 /// Not a JSON parser — it only needs to round-trip what

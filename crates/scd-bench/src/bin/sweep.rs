@@ -9,7 +9,6 @@
 //! cargo run --release -p scd-bench --bin sweep -- --quick         # tiny inputs
 //! cargo run --release -p scd-bench --bin sweep -- --smoke         # CI drift gate
 //! cargo run --release -p scd-bench --bin sweep -- --smoke --bless # re-pin goldens
-//! cargo run --release -p scd-bench --bin sweep -- --interleaved   # reference loop
 //! cargo run --release -p scd-bench --bin sweep -- --cache DIR     # persistent results
 //! cargo run --release -p scd-bench --bin sweep -- --sample 1M:100k:50k  # interval sampling
 //! cargo run --release -p scd-bench --bin sweep -- --sample default # qualified default plan
@@ -26,8 +25,7 @@
 //! recovered) to stderr.
 //!
 //! With `--sample PERIOD:WARMUP[/BTB=N,PRED=N]:MEASURE`, every cell
-//! runs under interval sampling with replay-driven warming (see
-//! EXPERIMENTS.md): cycle counts become statistical estimates, so the
+//! runs under interval sampling (see EXPERIMENTS.md): cycle counts become statistical estimates, so the
 //! rendered tables are fast previews written to `results/sampled/`
 //! (never the committed `results/` files), and the host-performance
 //! record goes to `BENCH_sweep_sampled.json` — including the speedup
@@ -36,10 +34,8 @@
 //! (the one `--sample-gate` holds to ≤1% headline drift). Traced
 //! reports (fig7, fig10) are skipped: their cells must run full detail
 //! anyway, which would cap the sweep speedup well below its target.
-//! Sampled cells cache under distinct keys; `--sample` composes with
-//! `--interleaved` (which pins the interleaved warming engine — sampled
-//! results are engine-invariant) but is still rejected alongside
-//! `--smoke` (the golden gate pins full-detail bytes).
+//! Sampled cells cache under distinct keys; `--sample` is rejected
+//! alongside `--smoke` (the golden gate pins full-detail bytes).
 //!
 //! `--sample-gate` is the CI accuracy gate for the sampling machinery:
 //! it runs the Table IV/V headline matrix twice — full detail and
@@ -47,14 +43,8 @@
 //! by more than 1% relative, reporting the measured simulation speedup
 //! alongside.
 //!
-//! Untraced cells run on the execute-ahead replay loop by default;
-//! `--interleaved` pins every cell to the interleaved reference loop
-//! with the invariant checker armed (the pre-replay behavior). Stats
-//! are bit-identical either way.
-//!
 //! Without `--smoke`, every selected report is rendered to stdout and
-//! `results/<name>.txt` (exactly the bytes the per-figure binaries
-//! produce), and host-performance accounting is written to
+//! `results/<name>.txt`, and host-performance accounting is written to
 //! `BENCH_sweep.json` (see EXPERIMENTS.md for the schema).
 //!
 //! With `--smoke`, a small fixed report subset runs on tiny inputs and
@@ -152,7 +142,6 @@ fn main() {
     }
 
     let mut m = RunMatrix::new();
-    m.set_interleaved(has("--interleaved"));
     m.set_sample(sample);
     if let Some(p) = &sample {
         eprintln!(

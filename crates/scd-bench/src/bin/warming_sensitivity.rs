@@ -28,10 +28,7 @@
 //! BTB and direction/indirect predictors retrain so fast on
 //! interpreter dispatch loops that even 1k windows add no measurable
 //! drift. The default plan therefore keeps uniform windows sized for
-//! the cache class — and conversely, a conservative plan that holds
-//! predictors warm for a long leg can lean on the gated replay
-//! consumer, which makes the predictor-only span cheap (see
-//! `BENCH_simperf.json`'s warming section).
+//! the cache class.
 
 use luma::scripts::BENCHMARKS;
 use scd_bench::write_artifact;

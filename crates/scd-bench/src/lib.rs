@@ -10,11 +10,9 @@
 //! cargo run --release -p scd-bench --bin sweep -- --smoke       # CI drift gate
 //! ```
 //!
-//! The per-figure binaries (`fig2` ... `table5`, `ablation`) still
-//! exist, but each is now a thin alias for `sweep --only <name>`: the
-//! cells it needs are planned into a [`RunMatrix`](sweep::RunMatrix),
-//! executed in parallel, and rendered by the same code path the sweep
-//! uses (see [`figures`]).
+//! One figure is `sweep --only <name>`: the cells it needs are planned
+//! into a [`RunMatrix`](sweep::RunMatrix), executed in parallel, and
+//! rendered by the per-figure renderers in [`figures`].
 //!
 //! This library holds the shared machinery: the deduplicating run-matrix
 //! builder and parallel executor ([`sweep`]), the per-figure planners
@@ -34,7 +32,7 @@ pub use sweep::{
     MatrixPlan, MatrixRow, RunMatrix, SweepError, SweepResults,
 };
 
-/// Invariant-checkpoint stride for harness runs. Figure binaries run in
+/// Invariant-checkpoint stride for harness runs. Figure sweeps run in
 /// release, so the self-check is explicitly enabled here: every figure
 /// is produced from a run whose counters passed the cross-checks.
 pub(crate) const INVARIANT_STRIDE: u64 = 1 << 16;
@@ -270,28 +268,6 @@ pub fn threads_from_cli() -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Entry point shared by the per-figure binaries: plan the named
-/// report's cells, execute them in parallel, render, and emit the
-/// report. Honors `--quick` (tiny inputs) and `--threads N`.
-///
-/// # Panics
-/// Panics when `name` is not a registered report.
-pub fn run_report_cli(name: &str) {
-    let report = figures::report(name).unwrap_or_else(|| panic!("unknown report `{name}`"));
-    let scale = arg_scale_from_cli(report.default_scale);
-    let threads = threads_from_cli();
-    let mut m = RunMatrix::new();
-    m.set_interleaved(std::env::args().any(|a| a == "--interleaved"));
-    let plan = (report.plan)(&mut m, scale);
-    eprintln!(
-        "{name}: {} unique cells ({} requested), {threads} thread(s)",
-        m.len(),
-        m.requested()
-    );
-    let results = m.run(threads, true);
-    emit_report(name, &plan.render(&results));
 }
 
 #[cfg(test)]

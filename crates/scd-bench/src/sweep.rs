@@ -17,17 +17,16 @@
 //! 3. figures render from the shared [`SweepResults`] via stable
 //!    [`CellId`] handles.
 //!
-//! Untraced cells run uninstrumented on the execute-ahead replay loop
-//! (bit-identical stats, PR 6's golden guarantee; oracle checksum
-//! validation still gates every cell). Traced cells carry a
+//! Untraced cells run uninstrumented on the machine's fast loop (oracle
+//! checksum validation still gates every cell), or under interval
+//! sampling when the matrix has a plan. Traced cells carry a
 //! [`CycleBreakdown`] sink and the invariant checker armed at
-//! [`INVARIANT_STRIDE`](crate), exactly as the sequential binaries did —
-//! observers force the interleaved loop. The trace layer is
-//! stat-invariant (PR 1's golden guarantee), so a cell shared between a
+//! [`INVARIANT_STRIDE`](crate), which selects the observed loop. The
+//! two loops produce bit-identical statistics (`tests/golden_stats.rs`)
+//! and the trace layer is stat-invariant, so a cell shared between a
 //! traced and an untraced consumer is run once, traced, and both read
-//! identical statistics. [`RunMatrix::set_interleaved`] pins *every*
-//! cell to the interleaved loop with invariants armed (the pre-replay
-//! behavior), for apples-to-apples timing or debugging.
+//! identical statistics. Each cell is one thread: a sweep at
+//! `--threads N` keeps at most `N` CPUs busy.
 
 use crate::{ArgScale, Variant, INVARIANT_STRIDE};
 use luma::scripts::{Benchmark, BENCHMARKS};
@@ -99,8 +98,6 @@ pub struct RunMatrix {
     /// How many times each unique cell was requested.
     hits: Vec<usize>,
     index: HashMap<String, usize>,
-    /// Pin every cell to the interleaved loop with invariants armed.
-    interleaved: bool,
     /// Run every *untraced* cell under interval sampling with this plan.
     sample: Option<SamplingPlan>,
 }
@@ -125,15 +122,6 @@ impl RunMatrix {
     /// [`RunMatrix::len`] is the work the shared matrix saves.
     pub fn requested(&self) -> usize {
         self.hits.iter().sum()
-    }
-
-    /// Pins every cell — traced or not — to the interleaved reference
-    /// loop with the invariant checker armed, instead of letting
-    /// untraced cells take the execute-ahead replay loop. Stats are
-    /// identical either way; this trades speed for continuous invariant
-    /// checking.
-    pub fn set_interleaved(&mut self, interleaved: bool) {
-        self.interleaved = interleaved;
     }
 
     /// Runs every *untraced* cell under interval sampling with `plan`:
@@ -227,10 +215,9 @@ impl RunMatrix {
         let started = Instant::now();
         let total = self.cells.len();
         let done = AtomicUsize::new(0);
-        let interleaved = self.interleaved;
         let sample = self.sample;
         let outs = try_parallel_map(&self.cells, threads, interrupt, |spec| {
-            let out = run_cell(spec, interleaved, sample.as_ref(), cache);
+            let out = run_cell(spec, sample.as_ref(), cache);
             if progress {
                 let d = done.fetch_add(1, Ordering::Relaxed) + 1;
                 let status = match &out {
@@ -296,12 +283,11 @@ impl std::fmt::Display for SweepError {
 impl std::error::Error for SweepError {}
 
 /// Runs one cell, oracle-validated, through the optional persistent
-/// cache. Traced (or `interleaved`) cells run the interleaved loop with
-/// invariants armed; untraced cells run uninstrumented on the replay
-/// fast path, or under interval sampling when the matrix has a plan.
+/// cache. Traced cells run the observed loop with invariants armed;
+/// untraced cells run uninstrumented on the fast loop, or under
+/// interval sampling when the matrix has a plan.
 fn run_cell(
     spec: &CellSpec,
-    interleaved: bool,
     sample: Option<&SamplingPlan>,
     cache: Option<&Cache>,
 ) -> Result<CellOut, String> {
@@ -321,11 +307,9 @@ fn run_cell(
         .scheme(spec.scheme)
         .opts(spec.opts)
         .sample(sample.cloned());
-    // `interleaved` is deliberately absent from the key: it pins the
-    // reference loop, but stats are bit-identical either way (PR 6's
-    // golden guarantee), so both modes share one cache entry. The
-    // sampling plan *is* in the key (via the request manifest): sampled
-    // cycle counts are estimates and must never masquerade as exact.
+    // The sampling plan is in the key (via the request manifest):
+    // sampled cycle counts are estimates and must never masquerade as
+    // exact.
     let key = cache.map(|_| Cache::key(&manifest_for(&req, spec.traced)));
     if let (Some(c), Some(key)) = (cache, key.as_deref()) {
         if let Some(bytes) = c.load(key) {
@@ -351,11 +335,11 @@ fn run_cell(
     }
     let mut run = req
         .run_with(|m| {
-            if spec.traced || interleaved {
+            if spec.traced {
                 m.enable_invariants(INVARIANT_STRIDE);
             } else {
-                // Let the execute-ahead replay loop engage (debug builds
-                // otherwise auto-arm the invariant observer).
+                // The fast loop (debug builds otherwise auto-arm the
+                // invariant observer).
                 m.disable_invariants();
             }
             if spec.traced {

@@ -5,7 +5,7 @@
 //! scd run <script.luma> [--vm lvm|svm] [--scheme baseline|threaded|scd]
 //!         [--config a5|rocket|a8] [--vbbi|--ittage] [--arg NAME=VALUE]...
 //!         [--trace out.jsonl] [--fault-plan NAME[@SEED]]
-//!         [--cycle-budget N] [--wall-budget SECS] [--interleaved]
+//!         [--cycle-budget N] [--wall-budget SECS]
 //!         [--checkpoint-every N] [--checkpoint-file F] [--resume F]
 //!         [--sample default | PERIOD:WARMUP[/BTB=N,PRED=N]:MEASURE]
 //! scd disasm <script.luma> [--vm lvm|svm]
@@ -42,7 +42,7 @@ fn usage() -> ! {
         "usage:\n  scd run <script.luma> [--vm lvm|svm] [--scheme baseline|threaded|scd]\n\
          \x20         [--config a5|rocket|a8] [--vbbi|--ittage] [--arg NAME=VALUE]...\n\
          \x20         [--trace out.jsonl] [--fault-plan jte-corruption|btb-flush-storm|memory-system[@SEED]]\n\
-         \x20         [--cycle-budget N] [--wall-budget SECS] [--interleaved]\n\
+         \x20         [--cycle-budget N] [--wall-budget SECS]\n\
          \x20         [--checkpoint-every N] [--checkpoint-file F] [--resume F]\n\
          \x20         [--sample default | PERIOD:WARMUP[/BTB=N,PRED=N]:MEASURE]\n\
          \x20 scd disasm <script.luma> [--vm lvm|svm]\n\
@@ -73,7 +73,6 @@ struct Opts {
     checkpoint_every: Option<u64>,
     checkpoint_file: String,
     resume: Option<String>,
-    interleaved: bool,
     sample: Option<SamplingPlan>,
 }
 
@@ -104,7 +103,6 @@ fn parse_opts(mut argv: impl Iterator<Item = String>) -> Opts {
         checkpoint_every: None,
         checkpoint_file: "scd.ckpt".to_string(),
         resume: None,
-        interleaved: false,
         sample: None,
     };
     while let Some(a) = argv.next() {
@@ -163,7 +161,6 @@ fn parse_opts(mut argv: impl Iterator<Item = String>) -> Opts {
                 o.checkpoint_file = argv.next().unwrap_or_else(|| usage());
             }
             "--resume" => o.resume = Some(argv.next().unwrap_or_else(|| usage())),
-            "--interleaved" => o.interleaved = true,
             "--sample" => {
                 let spec = argv.next().unwrap_or_else(|| usage());
                 o.sample = Some(if spec == "default" {
@@ -261,8 +258,6 @@ fn cmd_run(o: Opts) {
     {
         // Sampled runs forbid per-retirement observers, and the mode
         // seams make mid-run checkpoints meaningless to a resumer.
-        // `--interleaved` is fine: it pins the interleaved warming
-        // engine, and sampled results are engine-invariant.
         eprintln!(
             "--sample is incompatible with --trace, --fault-plan, --checkpoint-every \
              and --resume"
@@ -292,9 +287,6 @@ fn cmd_run(o: Opts) {
     if let Some(plan) = o.fault_plan.clone() {
         eprintln!("fault plan: {}", plan.name());
         session.machine.set_fault_plan(plan);
-    }
-    if o.interleaved {
-        session.machine.set_replay(false);
     }
     if let Some(c) = o.cycle_budget {
         session.machine.set_cycle_budget(c);

@@ -5,7 +5,7 @@
 //! A timing-free reference ISS for the scd-isa subset: no pipeline, no
 //! caches, no predictors. It runs two ways over one set of semantics:
 //! [`RefCore::step`] executes one instruction and reports its
-//! architectural effects (the lockstep and replay drivers), and
+//! architectural effects (the lockstep driver), and
 //! [`RefCore::run`] executes the guest as threaded code — pre-decoded
 //! straight runs chained by index, see [`Text`] — for standalone runs
 //! and fast-forward. Every data result comes from the same
@@ -200,13 +200,6 @@ pub enum BopHint {
     Hit,
     /// The DUT observed a miss (or fall-through); the oracle falls through.
     Miss,
-    /// The DUT observed a JTE hit and resolved this target; the oracle
-    /// follows it without consulting its own JTE map. Used by the
-    /// execute-ahead replay driver, whose core may have been seeded from
-    /// a mid-run checkpoint where the architectural map trained before
-    /// the snapshot is unavailable (the cycle model's BTB-resident JTEs
-    /// are a lossy cache of it, so it cannot be reconstructed).
-    Target(u64),
 }
 
 /// The timing-free reference core.
@@ -326,8 +319,8 @@ impl RefCore {
     }
 
     /// Builds a core around a shared pre-decoded [`Text`] and *moved-in*
-    /// segments (the text segment included). The execute-ahead replay
-    /// producer and the sampled fast-forward use this to take ownership
+    /// segments (the text segment included). The sampled fast-forward
+    /// uses this to take ownership
     /// of the DUT's guest memory for the duration of a run — a 200 MB
     /// heap must not be cloned per run — and hand it back via
     /// [`RefCore::into_segments`]. The `Text` is built once per program
@@ -369,17 +362,14 @@ impl RefCore {
     }
 
     /// Consumes the core and returns its segments in construction order.
-    /// The counterpart of [`RefCore::from_owned_state`]: the replay
-    /// driver moves the guest memory back into the DUT when the run ends.
+    /// The counterpart of [`RefCore::from_owned_state`]: the fast-forward
+    /// leg moves the guest memory back into the DUT when the leg ends.
     pub fn into_segments(self) -> Vec<Segment> {
         self.segs
     }
 
     /// What a [`BopHint::Auto`] `bop` on `bid` would resolve to right
-    /// now: `Some(target)` for a hit, `None` for a fall-through. The
-    /// replay producer uses this to *speculate* past `bop`s (recording
-    /// the predicted outcome for the timing model to verify) instead of
-    /// stopping at every one.
+    /// now: `Some(target)` for a hit, `None` for a fall-through.
     #[inline]
     pub fn bop_auto_target(&self, bid: u8) -> Option<u64> {
         let bid = self.bid(bid);
@@ -388,21 +378,6 @@ impl RefCore {
         } else {
             None
         }
-    }
-
-    /// Reads `size` bytes little-endian at `addr`, or `None` when the
-    /// range is unmapped. The replay producer snapshots the old bytes of
-    /// every store (an undo log) so a mis-speculated or interrupted
-    /// batch can be rolled back to the consumer's exact point.
-    pub fn read_mem(&mut self, addr: u64, size: u64) -> Option<u64> {
-        self.read(addr, size)
-    }
-
-    /// Writes `size` bytes little-endian at `addr`; panics if unmapped
-    /// (undo entries are pre-validated by construction).
-    pub fn write_mem(&mut self, addr: u64, size: u64, v: u64) {
-        self.write(addr, size, v)
-            .expect("undo entry targets mapped memory");
     }
 
     /// Maps an additional zero-filled segment (stacks, heap, fuzz data).
@@ -423,22 +398,14 @@ impl RefCore {
     /// Seeds one SCD register set from externally captured architectural
     /// state. [`RefCore::from_state`] zeroes the SCD registers, which is
     /// only correct when the snapshot was taken before the first
-    /// retirement; a driver resuming from a mid-run checkpoint (the
-    /// execute-ahead replay path) must carry `Rop`/`Rmask` over or its
+    /// retirement; a driver resuming from a mid-run state (the sampled
+    /// fast-forward leg) must carry `Rop`/`Rmask` over or its
     /// `load_op` results and `jru` training would diverge from the DUT.
     pub fn seed_scd(&mut self, bid: usize, rop_v: bool, rop_d: u64, rmask: u64) {
         let s = &mut self.scd[bid % self.nbids.max(1)];
         s.rop_v = rop_v;
         s.rop_d = rop_d;
         s.rmask = rmask;
-    }
-
-    /// The masked opcode value `Rop[bid].d` (already `& Rmask[bid]`).
-    /// The replay producer records it after each `load_op` because the
-    /// register-file writeback alone loses the loaded value when the
-    /// destination is `x0`.
-    pub fn rop_d(&self, bid: usize) -> u64 {
-        self.scd[bid % self.nbids.max(1)].rop_d
     }
 
     /// The full architectural SCD register view `(rop_v, rop_d, rmask)`
@@ -713,7 +680,6 @@ impl RefCore {
                         )?)
                     }
                     BopHint::Miss => None,
-                    BopHint::Target(t) => Some(t),
                 };
                 if let Some(t) = target {
                     next_pc = t;

@@ -278,7 +278,7 @@ fn compute_job(job: &JobSpec, timeout: Option<Duration>) -> Result<CachedRun, Jo
             m.enable_invariants(INVARIANT_STRIDE);
             m.set_trace_sink(Box::new(CycleBreakdown::default()));
         } else {
-            // Uninstrumented: let the execute-ahead replay loop engage.
+            // Uninstrumented: the fast loop.
             m.disable_invariants();
         }
         if let Some(t) = timeout {

@@ -298,8 +298,8 @@ mod tests {
                     write: store
                 }
             );
-            // Traced (interleaved loop, oracle in lockstep) and untraced
-            // (default engine) runs of the cycle model.
+            // Traced (observed loop, oracle in lockstep) and untraced
+            // (fast loop) runs of the cycle model.
             for traced in [true, false] {
                 let mut m = Machine::new(SimConfig::embedded_a5(), &p);
                 if traced {

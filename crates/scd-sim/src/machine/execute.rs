@@ -7,7 +7,7 @@
 //! prediction and redirect charging to [`super::frontend`]; loads and
 //! stores charge the data side through [`super::memory`].
 
-use super::{Machine, SimError, StaticInfo};
+use super::{Machine, SimError, StaticInfo, WarmGates};
 use crate::btb::{BtbKey, EntryKind};
 use crate::config::ScdConfig;
 use crate::mem::MemFault;
@@ -68,6 +68,11 @@ impl Machine {
     /// specific timing (branch resolution, data access, long-latency
     /// results). Returns the next PC and any pending halt.
     ///
+    /// Under `WARMING`, `gates` withholds the cache, BTB or predictor
+    /// *touches* of a structure class whose warm window has not opened
+    /// yet; architectural effects (registers, memory, counters,
+    /// scoreboard stamps, SCD state, JTE training) always apply.
+    ///
     /// # Errors
     /// [`SimError::Mem`] on a faulting access, [`SimError::Break`] on
     /// `ebreak` or an unknown `ecall` service.
@@ -77,6 +82,7 @@ impl Machine {
         pc: u64,
         nbids: usize,
         scd_cfg: &ScdConfig,
+        gates: WarmGates,
     ) -> Result<StepOut, SimError> {
         let mut next_pc = pc + 4;
         let mut exit_code: Option<u64> = None;
@@ -98,19 +104,21 @@ impl Machine {
                 next_pc = target;
                 // Direct jumps: BTB-predicted in fetch; miss costs a
                 // decode-stage redirect.
-                let pred = self.btb.lookup_leveled(BtbKey::Pc(pc));
-                self.charge_l1_late_target::<WARMING>(pred.is_some_and(|(_, l1)| l1));
-                let hit = pred.map(|(t, _)| t) == Some(target);
-                if !hit {
-                    let out = self.btb.insert(BtbKey::Pc(pc), target);
-                    self.note_insert::<OBSERVED>(EntryKind::Pc, out);
-                    self.redirect::<OBSERVED, WARMING>(
-                        RedirectCause::JalMiss,
-                        self.cfg.jal_redirect_penalty,
-                    );
+                if !WARMING || gates.btb {
+                    let pred = self.btb.lookup_leveled(BtbKey::Pc(pc));
+                    self.charge_l1_late_target::<WARMING>(pred.is_some_and(|(_, l1)| l1));
+                    let hit = pred.map(|(t, _)| t) == Some(target);
+                    if !hit {
+                        let out = self.btb.insert(BtbKey::Pc(pc), target);
+                        self.note_insert::<OBSERVED>(EntryKind::Pc, out);
+                        self.redirect::<OBSERVED, WARMING>(
+                            RedirectCause::JalMiss,
+                            self.cfg.jal_redirect_penalty,
+                        );
+                    }
+                    self.note_branch::<OBSERVED>(BranchClass::Direct, !hit);
                 }
-                self.note_branch::<OBSERVED>(BranchClass::Direct, !hit);
-                if rd == Reg::RA {
+                if (!WARMING || gates.pred) && rd == Reg::RA {
                     self.ras.push(pc + 4);
                 }
             }
@@ -119,7 +127,9 @@ impl Machine {
                 self.wx(rd, pc + 4);
                 self.xready[rd.index()] = self.cycle + 1;
                 next_pc = target;
-                self.account_indirect::<OBSERVED, WARMING>(pc, rd, rs1, target);
+                if !WARMING || gates.pred {
+                    self.account_indirect::<OBSERVED, WARMING>(pc, rd, rs1, target);
+                }
             }
             Inst::Branch {
                 op,
@@ -131,6 +141,23 @@ impl Machine {
                 let b = self.regs[rs2.index()];
                 let taken = exec::branch_taken(op, a, b);
                 let target = pc.wrapping_add(offset as u64);
+                if WARMING && !(gates.btb && gates.pred) {
+                    // Split warm windows: train each open structure
+                    // alone, with the same update rules as the full arm.
+                    if gates.pred {
+                        self.direction.update(pc, taken);
+                    }
+                    if gates.btb {
+                        let pred = self.btb.lookup_leveled(BtbKey::Pc(pc));
+                        if taken && pred.map(|(t, _)| t) != Some(target) {
+                            let _ = self.btb.insert(BtbKey::Pc(pc), target);
+                        }
+                    }
+                    if taken {
+                        next_pc = target;
+                    }
+                    return Ok(StepOut { next_pc, exit_code });
+                }
                 // Effective front-end prediction: taken only when the
                 // direction predictor says taken AND the BTB supplies
                 // the target.
@@ -173,7 +200,9 @@ impl Machine {
                 let v = self.exec_load(op, addr).map_err(merr)?;
                 self.wx(rd, v);
                 self.stats.loads += 1;
-                self.data_timing::<OBSERVED, WARMING>(addr, false);
+                if !WARMING || gates.cache {
+                    self.data_timing::<OBSERVED, WARMING>(addr, false);
+                }
                 self.xready[rd.index()] = self.cycle + 1 + self.cfg.load_use_penalty;
             }
             Inst::Store {
@@ -190,7 +219,9 @@ impl Machine {
                 }
                 self.exec_store(op, addr, v).map_err(merr)?;
                 self.stats.stores += 1;
-                self.data_timing::<OBSERVED, WARMING>(addr, true);
+                if !WARMING || gates.cache {
+                    self.data_timing::<OBSERVED, WARMING>(addr, true);
+                }
             }
             Inst::OpImm { op, rd, rs1, imm } => {
                 let v = alu(op, self.regs[rs1.index()], imm as u64);
@@ -219,7 +250,9 @@ impl Machine {
                 let v = self.mem.read_u64(addr).map_err(merr)?;
                 self.fregs[rd.index()] = v;
                 self.stats.loads += 1;
-                self.data_timing::<OBSERVED, WARMING>(addr, false);
+                if !WARMING || gates.cache {
+                    self.data_timing::<OBSERVED, WARMING>(addr, false);
+                }
                 self.fready[rd.index()] = self.cycle + 1 + self.cfg.load_use_penalty;
             }
             Inst::Fsd { rs2, rs1, offset } => {
@@ -232,7 +265,9 @@ impl Machine {
                     .write_u64(addr, self.fregs[rs2.index()])
                     .map_err(merr)?;
                 self.stats.stores += 1;
-                self.data_timing::<OBSERVED, WARMING>(addr, true);
+                if !WARMING || gates.cache {
+                    self.data_timing::<OBSERVED, WARMING>(addr, true);
+                }
             }
             Inst::FOp { op, rd, rs1, rs2 } => {
                 self.fregs[rd.index()] =
@@ -289,7 +324,13 @@ impl Machine {
                 self.exec_bop::<OBSERVED, WARMING>(bid, pc, &mut next_pc, scd_cfg, nbids);
             }
             Inst::Jru { bid, rs1 } => {
-                next_pc = self.exec_jru::<OBSERVED, WARMING>(bid, rs1, pc, scd_cfg, nbids);
+                // With the predictor window closed the JTE overlay still
+                // trains; only the ITTAGE/BTB indirect traffic waits.
+                next_pc = if !WARMING || gates.pred {
+                    self.exec_jru::<OBSERVED, WARMING>(bid, rs1, pc, scd_cfg, nbids)
+                } else {
+                    self.exec_jru_train_only(bid, rs1, scd_cfg, nbids)
+                };
             }
             Inst::JteFlush => {
                 let flushed = self.jte_flush();
@@ -310,7 +351,9 @@ impl Machine {
                 let v = self.exec_load(op, addr).map_err(merr)?;
                 self.wx(rd, v);
                 self.stats.loads += 1;
-                self.data_timing::<OBSERVED, WARMING>(addr, false);
+                if !WARMING || gates.cache {
+                    self.data_timing::<OBSERVED, WARMING>(addr, false);
+                }
                 let ready = self.cycle + 1 + self.cfg.load_use_penalty;
                 self.xready[rd.index()] = ready;
                 let s = &mut self.scd[bid];

@@ -359,17 +359,15 @@ impl Machine {
         target
     }
 
-    /// `exec_jru` with the indirect-predictor traffic withheld: the
-    /// replay warm leg uses this while its predictor window is still
-    /// closed, because the JTE overlay must keep training (it backs the
-    /// producer's `bop` speculation and the `jru_executed`/insert
-    /// counters stay architecturally exact) even when ITTAGE/BTB warming
-    /// hasn't started.
+    /// `exec_jru` with the indirect-predictor traffic withheld: a warm
+    /// leg uses this while its predictor window is still closed, because
+    /// the JTE overlay must keep training (`bop` resolution reads it, and
+    /// the `jru_executed`/insert counters stay exact) even when
+    /// ITTAGE/BTB warming hasn't started.
     pub(super) fn exec_jru_train_only(
         &mut self,
         bid: u8,
         rs1: Reg,
-        _pc: u64,
         scd_cfg: &ScdConfig,
         nbids: usize,
     ) -> u64 {

@@ -28,22 +28,33 @@
 //! * [`retire`](self) — per-retirement statistics, trace-event emission,
 //!   the stat-invariant checkpoint, and fault-injection hooks;
 //! * [`state`](self) — run/exit types, guest annotations, profiling,
-//!   and checkpoint snapshot/restore.
+//!   and checkpoint snapshot/restore;
+//! * [`sampling`](self) — the sampled scheduler: fast-forward on the
+//!   `scd-ref` reference core, gated functional warming, measurement.
 //!
 //! Each retirement flows frontend → execute (→ memory for loads/stores)
 //! → retire; [`Machine::run`] is the loop that sequences the stages.
 //! The decomposition is purely structural: stage boundaries change
 //! neither cycle charging order nor statistics (enforced bit-for-bit by
 //! `tests/golden_stats.rs`).
+//!
+//! # One timing model
+//!
+//! There is exactly one copy of the per-instruction timing arms
+//! (`execute_inst`) and one loop (`run_loop`), monomorphized three
+//! ways: the fast loop for untraced runs, the observed loop when a
+//! tracer, the invariant checker, profiling or a fault plan is
+//! attached, and the warming loop ([`Machine::run_warming`]) that
+//! updates structures with the clock frozen. The only other engine is
+//! the reference core's fast-forward, which is timing-free. A
+//! predictor, BTB or cache change is therefore written once.
 
 mod execute;
 mod frontend;
 mod memory;
-mod replay;
 mod retire;
 mod sampling;
 mod state;
-mod warm;
 #[cfg(test)]
 mod tests;
 
@@ -68,31 +79,28 @@ use std::sync::Arc;
 /// Maximum number of SCD branch IDs supported by the model.
 pub const MAX_BRANCH_IDS: usize = 4;
 
-/// Which run loop untraced machines take (observed machines always run
-/// interleaved — their per-retirement hooks need functional execution
-/// in-line with timing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplayMode {
-    /// Pin the interleaved reference loop.
-    Off,
-    /// Execute-ahead replay when the host has ≥ 2 hardware threads,
-    /// interleaved otherwise. The decoupled engine buys its speed from
-    /// overlapping the functional producer with the timing consumer; on
-    /// a single-hardware-thread host the two serialize into fill +
-    /// drain — strictly more work than the fused loop — so falling back
-    /// is the faster choice. Either loop yields bit-identical
-    /// [`SimStats`](crate::SimStats).
-    Auto,
-    /// Execute-ahead replay unconditionally (the bit-identity tests use
-    /// this so the real engine is exercised even on one-CPU hosts).
-    Force,
+/// Which structure classes a warming retirement updates. The sampled
+/// scheduler's warm leg opens each class only for the tail of the leg
+/// its [`SamplingPlan`](crate::SamplingPlan) window spans; detailed
+/// runs pass [`WarmGates::ALL`], and the `!WARMING ||` guards compile
+/// every check away there.
+#[derive(Debug, Clone, Copy)]
+struct WarmGates {
+    /// I$/I-TLB fetch touches and D$/D-TLB/L2 data touches.
+    cache: bool,
+    /// PC-indexed BTB entries (direct jumps, conditional-branch targets).
+    btb: bool,
+    /// Direction predictor, ITTAGE, RAS and indirect (`jalr`/`jru`)
+    /// prediction traffic.
+    pred: bool,
 }
 
-/// Whether the host can actually overlap the replay producer and
-/// consumer threads (cached: the answer cannot change mid-process).
-fn host_can_pipeline() -> bool {
-    static CAN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *CAN.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
+impl WarmGates {
+    const ALL: WarmGates = WarmGates {
+        cache: true,
+        btb: true,
+        pred: true,
+    };
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -115,10 +123,6 @@ pub struct Machine {
     /// Per-instruction static metadata, parallel to `insts`; rebuilt by
     /// [`Machine::set_annotations`]. See [`StaticInfo`].
     static_info: Vec<StaticInfo>,
-    /// Compact per-instruction dispatch table for the warming consumer,
-    /// parallel to `insts`; rebuilt with `static_info`. See
-    /// [`warm::WarmInfo`].
-    warm_info: Vec<warm::WarmInfo>,
     text_base: u64,
     text_end: u64,
 
@@ -171,13 +175,6 @@ pub struct Machine {
     fault_plan: Option<FaultPlan>,
     cycle_budget: Option<u64>,
     wall_budget: Option<std::time::Duration>,
-    /// Untraced runs take the execute-ahead replay loop (see
-    /// [`replay`](self)) when the host can pipeline it; see
-    /// [`Machine::set_replay`] / [`Machine::force_replay`].
-    replay: ReplayMode,
-    /// Test hook: make the replay producer thread panic mid-fill, so the
-    /// panic-containment path (`SimError::ProducerPanic`) is testable.
-    test_producer_panic: bool,
 
     /// Fetch-streak fast path (untraced loops only): the I-cache block
     /// of the most recent fetch, and how many subsequent same-block
@@ -190,9 +187,9 @@ pub struct Machine {
     fetch_streak: u64,
 
     /// The reference core's pre-decoded threaded text, built on first
-    /// use and shared by every fast-forward leg and replay producer, so
-    /// hundreds of legs per run don't rebuild it from `insts`. Pure
-    /// derived cache: never snapshotted.
+    /// use and shared by every fast-forward leg, so hundreds of legs per
+    /// run don't rebuild it from `insts`. Pure derived cache: never
+    /// snapshotted.
     ff_text: Option<Arc<scd_ref::Text>>,
 
     /// Run statistics.
@@ -355,8 +352,6 @@ impl Machine {
             fault_plan: None,
             cycle_budget: None,
             wall_budget: None,
-            replay: ReplayMode::Auto,
-            test_producer_panic: false,
             fetch_blk: u64::MAX,
             fetch_streak: 0,
             ff_text: None,
@@ -367,7 +362,6 @@ impl Machine {
             mem,
             insts: Arc::clone(&program.insts),
             static_info: Vec::new(),
-            warm_info: Vec::new(),
             text_base: program.text_base,
             text_end: program.text_end(),
             cfg,
@@ -408,12 +402,6 @@ impl Machine {
                     .map(|j| self.ann.vbbi_hints[j]);
                 si
             })
-            .collect();
-        self.warm_info = self
-            .insts
-            .iter()
-            .zip(&info)
-            .map(|(inst, si)| warm::WarmInfo::of(inst, si.in_dispatch, &self.cfg))
             .collect();
         self.static_info = info;
     }
@@ -523,60 +511,22 @@ impl Machine {
         self.wall_budget = Some(budget);
     }
 
-    /// Selects the run loop for untraced machines: `true` (the default)
-    /// takes the execute-ahead replay path on hosts with at least two
-    /// hardware threads (on a single-CPU host the producer/consumer
-    /// pair cannot overlap, so the interleaved loop — bit-identical by
-    /// construction — is the faster engine and is substituted
-    /// silently); `false` pins the interleaved reference loop.
-    /// Irrelevant once any observer (tracer, invariants, profiling,
-    /// fault plan) is attached — observers always run interleaved,
-    /// since their per-retirement hooks need functional execution
-    /// in-line with timing.
-    pub fn set_replay(&mut self, replay: bool) {
-        self.replay = if replay {
-            ReplayMode::Auto
-        } else {
-            ReplayMode::Off
-        };
-    }
-
-    /// Like [`Machine::set_replay`]`(true)`, minus the single-CPU
-    /// fallback: the threaded execute-ahead engine runs even when the
-    /// host cannot overlap the two threads. The bit-identity tests use
-    /// this so the real engine is exercised on any host.
-    pub fn force_replay(&mut self) {
-        self.replay = ReplayMode::Force;
-    }
-
-    /// Which engine an *untraced* `run` on this machine resolves to
-    /// right now: `"replay"` (the execute-ahead producer/consumer pair)
-    /// or `"interleaved"` (the fused reference loop, either pinned or
-    /// the automatic single-CPU fallback). Perf records store this next
-    /// to the host CPU count so cross-box numbers are interpretable —
-    /// the two engines have very different throughput profiles.
-    /// Machines with an observer attached always run interleaved
-    /// regardless of what this reports.
-    pub fn replay_engine(&self) -> &'static str {
-        let pipelined = match self.replay {
-            ReplayMode::Off => false,
-            ReplayMode::Auto => host_can_pipeline(),
-            ReplayMode::Force => true,
-        };
-        if pipelined {
-            "replay"
-        } else {
-            "interleaved"
-        }
-    }
-
-    /// Makes the next execute-ahead replay producer thread panic while
-    /// filling its first batch. Exists solely so tests can prove the
-    /// containment contract of [`SimError::ProducerPanic`](crate::SimError);
-    /// it has no effect on the interleaved loop.
+    /// Compatibility entry point with no effect: every run takes the
+    /// interleaved loop. Kept only for callers written against the
+    /// former threaded replay engine.
     #[doc(hidden)]
-    pub fn inject_replay_producer_panic(&mut self) {
-        self.test_producer_panic = true;
+    pub fn set_replay(&mut self, _replay: bool) {}
+
+    /// Compatibility entry point with no effect; see
+    /// [`Machine::set_replay`].
+    #[doc(hidden)]
+    pub fn force_replay(&mut self) {}
+
+    /// The engine an untraced `run` takes: always `"interleaved"`.
+    /// Compatibility entry point for perf records that name the engine.
+    #[doc(hidden)]
+    pub fn replay_engine(&self) -> &'static str {
+        "interleaved"
     }
 
     /// Bytes the guest has written through the putchar `ecall` so far.
@@ -611,12 +561,6 @@ impl Machine {
             || self.fault_plan.is_some();
         if observed {
             self.run_impl::<true>(max_insts)
-        } else if match self.replay {
-            ReplayMode::Off => false,
-            ReplayMode::Auto => host_can_pipeline(),
-            ReplayMode::Force => true,
-        } {
-            self.run_replay(max_insts)
         } else {
             self.run_impl::<false>(max_insts)
         }
@@ -626,7 +570,7 @@ impl Machine {
         // Every exit (exit ecall, limit, watchdog, PC/memory error)
         // funnels through here so a pending fetch streak is always
         // materialized before the caller can observe stats or state.
-        let r = self.run_loop::<OBSERVED, false>(max_insts);
+        let r = self.run_loop::<OBSERVED, false>(max_insts, WarmGates::ALL);
         self.flush_fetch_streak();
         r
     }
@@ -643,7 +587,14 @@ impl Machine {
     /// Same contract as [`Machine::run`]; `max_insts` is the same
     /// absolute retirement count.
     pub fn run_warming(&mut self, max_insts: u64) -> Result<Exit, SimError> {
-        let r = self.run_loop::<false, true>(max_insts);
+        self.run_warming_gated(max_insts, WarmGates::ALL)
+    }
+
+    /// [`Machine::run_warming`] with only the structure classes `gates`
+    /// opens receiving updates; architectural state, counters, SCD
+    /// state and the JTE overlay always update.
+    fn run_warming_gated(&mut self, max_insts: u64, gates: WarmGates) -> Result<Exit, SimError> {
+        let r = self.run_loop::<false, true>(max_insts, gates);
         self.flush_fetch_streak();
         r
     }
@@ -651,6 +602,7 @@ impl Machine {
     fn run_loop<const OBSERVED: bool, const WARMING: bool>(
         &mut self,
         max_insts: u64,
+        gates: WarmGates,
     ) -> Result<Exit, SimError> {
         let scd_cfg: ScdConfig = self.cfg.scd;
         let nbids = scd_cfg.branch_ids.min(MAX_BRANCH_IDS);
@@ -695,7 +647,7 @@ impl Machine {
             let cycle_before = self.cycle;
             if OBSERVED {
                 self.fetch_timing::<OBSERVED, WARMING>(pc);
-            } else {
+            } else if !WARMING || gates.cache {
                 self.fetch_fast::<WARMING>(pc);
             }
             if !WARMING {
@@ -706,7 +658,7 @@ impl Machine {
             self.begin_retirement::<OBSERVED>(si.in_dispatch, &scd_cfg);
 
             // ---- execute (functional semantics + per-class timing) ----
-            let step = self.execute_inst::<OBSERVED, WARMING>(&inst, pc, nbids, &scd_cfg)?;
+            let step = self.execute_inst::<OBSERVED, WARMING>(&inst, pc, nbids, &scd_cfg, gates)?;
 
             if OBSERVED {
                 if let Some(prof) = &mut self.profile {

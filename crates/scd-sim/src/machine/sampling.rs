@@ -5,21 +5,14 @@
 //!
 //! Mode seams:
 //!
-//! * *fast-forward* hands the guest to the `scd-ref` reference core
-//!   (built like the execute-ahead replay producer, sharing its
-//!   threaded text) and syncs the architectural state back at the leg
-//!   boundary;
-//! * *warming* updates caches, TLBs, predictors and the JTE overlay
-//!   while the clock stands still, in one of two bit-identical engines
-//!   picked once per run in [`Machine::run_sampled`]. The replay drain
-//!   (`warm.rs`, via `warm_leg`) fuses the leg: the producer's core
-//!   runs the fast-forward span record-free, then streams the warm
-//!   span's retirements for the drain to apply. It takes every plan
-//!   with per-structure windows, and uniform plans when the host can
-//!   pipeline (`ReplayMode::Auto` with a spare CPU, or `Force`). On a
-//!   single CPU or with replay off, uniform plans run
-//!   `run_fastforward` followed by the interleaved loop monomorphized
-//!   with `WARMING = true` ([`Machine::run_warming`]);
+//! * *fast-forward* hands the guest (its memory moved, not copied) to
+//!   the `scd-ref` reference core, which runs its pre-decoded threaded
+//!   text, and syncs the architectural state back at the leg boundary;
+//! * *warming* is the interleaved loop monomorphized with
+//!   `WARMING = true`: caches, TLBs, predictors and the JTE overlay
+//!   update while the clock stands still. A plan with per-structure
+//!   windows runs its warm leg as up to three `run_warming` segments,
+//!   one per window opening, each with the matching [`WarmGates`];
 //! * *measure* is the stock detailed interleaved loop; its counter
 //!   deltas feed the [`SampleAccum`](crate::SampleAccum).
 //!
@@ -29,13 +22,108 @@
 //! both the architectural (`Rop.v` clear) and micro-architectural (JTE
 //! flush) effects exactly where the detailed loop would have.
 
-use super::{Exit, Machine, ReplayMode, SimError};
+use super::{Exit, Machine, SimError, WarmGates};
 use crate::config::ScdConfig;
+use crate::mem::MemFault;
 use crate::sampling::{SampleAccum, SampleReport, SamplingPlan};
 use crate::snapshot::Snapshot;
 use crate::stats::SimStats;
+use scd_isa::{exec, Inst};
+use scd_ref::{RefCore, RefError, Segment};
+use std::sync::Arc;
 
 impl Machine {
+    /// A reference core at the machine's architectural state, owning the
+    /// *moved* guest memory and sharing the threaded text (built on
+    /// first use); [`Machine::take_back_core`] returns the memory.
+    fn make_ref_core(&mut self) -> RefCore {
+        let scd_cfg: ScdConfig = self.cfg.scd;
+        let nbids = scd_cfg.branch_ids.min(super::MAX_BRANCH_IDS);
+        let segments: Vec<Segment> = self
+            .mem
+            .take_all_data()
+            .into_iter()
+            .map(|(name, base, data)| Segment {
+                name: name.to_string(),
+                base,
+                data,
+            })
+            .collect();
+        let (text_base, insts) = (self.text_base, &self.insts);
+        let text = self.ff_text.get_or_insert_with(|| {
+            Arc::new(scd_ref::Text::new(
+                text_base,
+                insts.iter().copied().map(Some).collect(),
+            ))
+        });
+        let mut core = RefCore::from_owned_state(
+            Arc::clone(text),
+            segments,
+            self.regs,
+            self.fregs,
+            self.pc,
+            scd_cfg.enabled,
+            scd_cfg.branch_ids,
+        );
+        // Only the first `nbids` SCD register sets are architecturally
+        // live; seeding the dormant tail would alias into live slots
+        // through the oracle's `bid % nbids` reduction.
+        for (bid, s) in self.scd.iter().take(nbids).enumerate() {
+            core.seed_scd(bid, s.rop_v, s.rop_d, s.rmask);
+        }
+        core
+    }
+
+    /// Takes the guest memory back from a finished reference core.
+    fn take_back_core(&mut self, core: RefCore) {
+        let hws = core.seg_high_waters().to_vec();
+        self.mem
+            .put_back_data(core.into_segments().into_iter().map(|s| s.data).zip(hws));
+    }
+
+    /// Reproduces a reference-core guest error with the detailed loop's
+    /// exact partial charging: the bounds check precedes any timing, and
+    /// a memory fault or trap retires its instruction (fetch + issue +
+    /// `begin_retirement`) before erroring out of the execute stage.
+    fn replicate_error(&mut self, e: RefError, scd_cfg: &ScdConfig) -> SimError {
+        let retire_faulting = |m: &mut Machine, pc: u64| {
+            let idx = ((pc - m.text_base) / 4) as usize;
+            let si = m.static_info[idx];
+            m.fetch_fast::<false>(pc);
+            m.issue(&si);
+            m.begin_retirement::<false>(si.in_dispatch, scd_cfg);
+            idx
+        };
+        match e {
+            RefError::PcOutOfRange { pc } => SimError::PcOutOfRange { pc },
+            RefError::Mem { pc, addr, write } => {
+                let idx = retire_faulting(self, pc);
+                let size = match self.insts[idx] {
+                    Inst::Load { op, .. } | Inst::LoadOp { op, .. } => exec::load_width(op),
+                    Inst::Store { op, .. } => exec::store_width(op),
+                    Inst::Fld { .. } | Inst::Fsd { .. } => 8,
+                    _ => unreachable!("memory fault on a non-memory instruction"),
+                };
+                SimError::Mem {
+                    pc,
+                    fault: MemFault { addr, size, write },
+                }
+            }
+            RefError::Break { pc } => {
+                retire_faulting(self, pc);
+                SimError::Break { pc }
+            }
+            // `from_owned_state` reuses the machine's own decoded
+            // instructions and `run` resolves `bop`s itself, so these
+            // are internal contract violations, not guest errors.
+            RefError::BadInst { pc } => unreachable!("reference core failed to decode pc {pc:#x}"),
+            RefError::BopUntrained { .. } | RefError::BopNotValid { .. } => {
+                unreachable!("fast-forward resolves bops itself")
+            }
+            RefError::InstLimit { .. } => unreachable!("leg budget is not an error"),
+        }
+    }
+
     /// Runs `insts` instructions in pure architectural fast-forward on
     /// the reference core, then syncs registers, PC, SCD state, guest
     /// output and memory back into the machine. Charges no cycles and
@@ -56,9 +144,6 @@ impl Machine {
         let base = self.stats.instructions;
         let target = base + insts;
 
-        // Same construction as the replay producer: move the guest
-        // memory into the core, seed the live SCD register sets, share
-        // the threaded text.
         let mut core = self.make_ref_core();
 
         // Run in chunks bounded by the flush quantum. `begin_retirement`
@@ -111,7 +196,7 @@ impl Machine {
 
         match fault {
             Some(e) => {
-                let err = self.replicate_error::<false>(e, &scd_cfg);
+                let err = self.replicate_error(e, &scd_cfg);
                 self.flush_fetch_streak();
                 Err(err)
             }
@@ -162,72 +247,32 @@ impl Machine {
         let mut warm_insts = 0u64;
         let mut exit: Option<Exit> = None;
 
-        // The warm leg's engine. Per-structure windows always take the
-        // gated replay consumer — it is the only engine that implements
-        // them (inline via `warm_leg_sync` on hosts with no core to
-        // spare). Uniform plans take it only where it wins: when the
-        // producer thread can overlap the leg's fast-forward span with
-        // the previous drain (`Force`, or `Auto` on a pipelining host).
-        // On a single CPU the producer and drain serialize and the
-        // `run_fastforward` + `run_warming` cadence is cheaper, so
-        // `Auto` falls back to it — the two cadences are bit-identical
-        // either way, which `tests/warm_replay.rs` holds.
-        let split_windows = plan.btb_warmup != plan.warmup || plan.pred_warmup != plan.warmup;
-        let replay_warm = plan.warm_len() > 0
-            && (split_windows
-                || match self.replay {
-                    ReplayMode::Off => false,
-                    ReplayMode::Auto => super::host_can_pipeline(),
-                    ReplayMode::Force => true,
-                });
-
         while exit.is_none() && self.stats.instructions < max_insts {
             // --- fast-forward to the next interval's warm point ---
             let ff = plan.skip().min(max_insts - self.stats.instructions);
-            if replay_warm {
-                // --- fused fast-forward + replay-driven warming ---
-                let n0 = self.stats.instructions;
-                let warm_end = (n0 + ff).saturating_add(plan.warm_len()).min(max_insts);
-                let out = self.warm_leg(
-                    ff,
-                    warm_end,
-                    (plan.warmup, plan.btb_warmup, plan.pred_warmup),
-                )?;
-                ff_insts += out.ff_retired;
-                warm_insts += out.warm_retired;
-                if let Some(e) = out.exit {
-                    exit = Some(e);
+            if ff > 0 {
+                let before = self.stats.instructions;
+                let code = self.run_fastforward(ff)?;
+                ff_insts += self.stats.instructions - before;
+                if let Some(code) = code {
+                    exit = Some(Exit {
+                        code,
+                        output: std::mem::take(&mut self.output),
+                    });
                     break;
                 }
-            } else {
-                if ff > 0 {
-                    let before = self.stats.instructions;
-                    let code = self.run_fastforward(ff)?;
-                    ff_insts += self.stats.instructions - before;
-                    if let Some(code) = code {
-                        exit = Some(Exit {
-                            code,
-                            output: std::mem::take(&mut self.output),
-                        });
-                        break;
-                    }
-                }
+            }
 
-                // --- interleaved functional warming ---
-                if plan.warmup > 0 && self.stats.instructions < max_insts {
-                    let before = self.stats.instructions;
-                    let until = (before + plan.warmup).min(max_insts);
-                    match self.run_warming(until) {
-                        Ok(e) => {
-                            warm_insts += self.stats.instructions - before;
-                            exit = Some(e);
-                            break;
-                        }
-                        Err(SimError::InstLimit { .. }) => {
-                            warm_insts += self.stats.instructions - before;
-                        }
-                        Err(e) => return Err(e),
-                    }
+            // --- functional warming ---
+            if plan.warm_len() > 0 && self.stats.instructions < max_insts {
+                let before = self.stats.instructions;
+                let warm_end = (before + plan.warm_len()).min(max_insts);
+                let windows = [plan.warmup, plan.btb_warmup, plan.pred_warmup];
+                let res = self.warm_leg(warm_end, windows);
+                warm_insts += self.stats.instructions - before;
+                if let Some(e) = res? {
+                    exit = Some(e);
+                    break;
                 }
             }
             if self.stats.instructions >= max_insts {
@@ -300,6 +345,65 @@ impl Machine {
                 Err(SimError::InstLimit { limit: max_insts })
             }
         }
+    }
+
+    /// Warms up to the absolute retirement count `warm_end` under the
+    /// per-structure `[cache, btb, pred]` windows, each measured back
+    /// from `warm_end`: a structure class updates only for the leg's
+    /// last `window` retirements. The gates change only where a window
+    /// opens, so the leg runs as one `run_warming` segment per opening
+    /// (one segment for a uniform plan). Returns the guest's exit if it
+    /// halted.
+    fn warm_leg(&mut self, warm_end: u64, windows: [u64; 3]) -> Result<Option<Exit>, SimError> {
+        let opens = windows.map(|w| warm_end.saturating_sub(w));
+        loop {
+            let n = self.stats.instructions;
+            let gates = WarmGates {
+                cache: n >= opens[0],
+                btb: n >= opens[1],
+                pred: n >= opens[2],
+            };
+            let until = opens
+                .into_iter()
+                .filter(|&o| o > n)
+                .fold(warm_end, u64::min);
+            match self.run_warming_gated(until, gates) {
+                Ok(e) => return Ok(Some(e)),
+                Err(SimError::InstLimit { .. }) if until < warm_end => {}
+                Err(SimError::InstLimit { .. }) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Compatibility entry point for the benchmark harness, which timed
+    /// the former replay-driven warm drain through it. It now times the
+    /// one warming loop: fast-forwards `ff` retirements, then warms up
+    /// to `warm_end` total retirements with per-structure windows
+    /// `(cache, btb, pred)` measured back from `warm_end`, and reports
+    /// `(warm_retired, warm_seconds)`: the warm leg's own retirements
+    /// and wall time.
+    ///
+    /// # Errors
+    /// Propagates watchdog/guest errors; reaching `warm_end` is the
+    /// normal outcome and returns `Ok` (as does an early guest exit,
+    /// with fewer retirements).
+    #[doc(hidden)]
+    pub fn warm_bench(
+        &mut self,
+        ff: u64,
+        warm_end: u64,
+        windows: (u64, u64, u64),
+    ) -> Result<(u64, f64), SimError> {
+        if self.run_fastforward(ff)?.is_some() {
+            return Ok((0, 0.0));
+        }
+        let n0 = self.stats.instructions;
+        let t = std::time::Instant::now();
+        if n0 < warm_end {
+            self.warm_leg(warm_end, [windows.0, windows.1, windows.2])?;
+        }
+        Ok((self.stats.instructions - n0, t.elapsed().as_secs_f64()))
     }
 
     /// The `self_check` paranoia pass: restore the pre-window snapshot,

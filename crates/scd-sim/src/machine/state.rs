@@ -84,17 +84,6 @@ pub enum SimError {
         /// Simulated cycles elapsed when the watchdog fired.
         cycles: u64,
     },
-    /// The execute-ahead replay producer thread panicked. The panic is
-    /// contained on the producer thread and surfaced here as a typed
-    /// error instead of re-panicking in the consumer's join, so one bad
-    /// cell cannot abort a whole batch driver. The producer owned the
-    /// guest memory when it died, so the machine's memory contents are
-    /// lost: discard the machine and rebuild; only `stats` (finalized
-    /// for the partial run) remain meaningful.
-    ProducerPanic {
-        /// The producer's panic payload, when it was a string.
-        message: String,
-    },
 }
 
 /// Which watchdog budget expired.
@@ -132,9 +121,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "{kind} watchdog fired after {instructions} instructions / {cycles} cycles"
             ),
-            SimError::ProducerPanic { message } => {
-                write!(f, "execute-ahead replay producer panicked: {message}")
-            }
         }
     }
 }

@@ -471,79 +471,6 @@ fn checkpoint_resume_reproduces_run_exactly() {
     assert_eq!(whole.stats, m.stats);
 }
 
-/// A checkpoint taken mid-run in replay mode, at an instruction count
-/// that is *not* a multiple of [`replay::REPLAY_BATCH`], must restore
-/// and continue to the same exit and bit-identical `SimStats` as the
-/// uninterrupted run. The stop point lands just past a batch boundary,
-/// so the producer is abandoned mid-batch and rebuilt from the restored
-/// architectural state — the contract that makes snapshots compose with
-/// execute-ahead.
-#[test]
-fn checkpoint_across_replay_batch_boundary() {
-    let mut a = Asm::new(0x1_0000);
-    build_dispatcher(&mut a);
-    let p = a.finish().expect("assemble");
-
-    let replay_machine = |p| {
-        let mut m = dispatcher_machine(p);
-        m.disable_invariants();
-        m.force_replay();
-        m
-    };
-
-    // Reference: the uninterrupted replay run.
-    let mut whole = replay_machine(&p);
-    let exit_whole = whole.run(1_000_000).expect("run");
-
-    // Interrupted: stop just past the first replay-batch boundary
-    // (1024 records), snapshot through the byte codec, restore into a
-    // fresh machine, finish.
-    let stop = replay::REPLAY_BATCH as u64 + 50;
-    let mut m = replay_machine(&p);
-    match m.run(stop) {
-        Err(SimError::InstLimit { .. }) => {}
-        other => panic!("the dispatcher must outlive the stop point, got {other:?}"),
-    }
-    assert_eq!(m.stats.instructions, stop);
-    let bytes = m.snapshot().to_bytes();
-    let snap = Snapshot::from_bytes(&bytes).expect("decode");
-    let mut resumed = replay_machine(&p);
-    resumed.restore(&snap).expect("restore");
-    let exit_resumed = resumed.run(1_000_000).expect("resumed run");
-
-    assert_eq!(exit_whole.code, exit_resumed.code);
-    assert_eq!(exit_whole.output, exit_resumed.output);
-    assert_eq!(whole.stats, resumed.stats);
-}
-
-/// Regression: a panic on the execute-ahead producer thread used to
-/// re-panic in the consumer's `thread.join().expect(..)`, crossing the
-/// API boundary as an unwind. It must surface as the typed
-/// [`SimError::ProducerPanic`] instead, with the payload preserved, and
-/// the partial stats finalized.
-#[test]
-fn replay_producer_panic_is_a_typed_error() {
-    let mut a = Asm::new(0x1_0000);
-    build_dispatcher(&mut a);
-    let p = a.finish().expect("assemble");
-    let mut m = dispatcher_machine(&p);
-    m.disable_invariants();
-    m.force_replay();
-    m.inject_replay_producer_panic();
-    match m.run(1_000_000) {
-        Err(SimError::ProducerPanic { message }) => {
-            assert!(
-                message.contains("test-injected"),
-                "panic payload should survive the join: {message}"
-            );
-        }
-        other => panic!("expected ProducerPanic, got {other:?}"),
-    }
-    // The error path finalized the partial run instead of leaving the
-    // stats mid-flight; a dead producer means nothing retired.
-    assert_eq!(m.stats.instructions, 0);
-}
-
 /// Regression: a checkpoint whose *byte framing* is intact but whose
 /// word stream is short (truncated words, passing fingerprint) used to
 /// panic inside `Cursor::next` during restore. It must surface as the

@@ -206,14 +206,13 @@ impl Memory {
             .map(|s| (s.name, s.base, s.data.as_slice()))
     }
 
-    // ---- execute-ahead replay (crate::machine::replay) ----
+    // ---- fast-forward hand-off (crate::machine::sampling) ----
 
     /// Moves the backing bytes of every segment out (leaving empty
-    /// vectors behind), for the replay producer to own during a run.
-    /// The machine's memory is unusable until [`Memory::put_back_data`]
-    /// restores it — the replay consumer never touches memory (loads
-    /// come from the record stream, stores were already applied by the
-    /// producer), so nothing observes the gap.
+    /// vectors behind), for the reference core to own during a
+    /// fast-forward leg. The machine's memory is unusable until
+    /// [`Memory::put_back_data`] restores it; nothing runs on the
+    /// machine in between.
     pub(crate) fn take_all_data(&mut self) -> Vec<(&'static str, u64, Vec<u8>)> {
         self.segments
             .iter_mut()
@@ -236,7 +235,7 @@ impl Memory {
         assert_eq!(
             n,
             self.segments.len(),
-            "replay returned a different segment count"
+            "fast-forward returned a different segment count"
         );
     }
 

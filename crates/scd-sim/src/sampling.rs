@@ -23,15 +23,9 @@
 //!   the issue scoreboard is bypassed. Repairs the micro-architectural
 //!   state the fast-forward leg left stale, so measurement does not
 //!   start from misleadingly cold (or misleadingly stale) structures.
-//!   Two engines implement it and leave bit-identical structures
-//!   (`tests/warm_replay.rs`): the replay-driven drain in
-//!   `machine/warm.rs`, which applies only the structure updates from
-//!   the reference core's retirement stream, and the interleaved loop
-//!   monomorphized with `WARMING = true` ([`Machine::run_warming`]).
-//!   Plans with per-structure windows always take the drain (only it
-//!   implements them); uniform plans take it when the host can overlap
-//!   the producer thread with the drain, and the `WARMING = true` loop
-//!   otherwise (one CPU, or replay turned off).
+//!   It is the detailed loop monomorphized with `WARMING = true`
+//!   ([`Machine::run_warming`]); per-structure windows hold a
+//!   structure class's updates back until its window opens.
 //!
 //! [`Machine::run_warming`]: crate::Machine::run_warming
 //! * [`ExecMode::Detailed`] — the full cycle-approximate model; the
@@ -47,9 +41,7 @@ pub enum ExecMode {
     Detailed,
     /// Functional execution that updates micro-architectural state
     /// (caches, TLBs, predictors, JTEs) but charges no cycles: the
-    /// `machine/warm.rs` replay drain, or the `WARMING = true`
-    /// interleaved loop where the host cannot pipeline (see the module
-    /// docs for the choice).
+    /// `WARMING = true` interleaved loop.
     Warming,
     /// Pure architectural execution on the reference core.
     FastForward,
@@ -77,9 +69,9 @@ impl ExecMode {
 /// `results/warming_sensitivity.txt` — is that caches/TLBs need the
 /// longest window while the predictors retrain almost instantly on
 /// the hot dispatch loop; other workloads can invert that, which is
-/// why the windows are per-class rather than hard-coded.) The
-/// replay-driven warming engine turns each structure class on only for
-/// the last `N` instructions of the warm leg:
+/// why the windows are per-class rather than hard-coded.) The warm leg
+/// spans the longest window and turns each structure class on only for
+/// its last `N` instructions:
 ///
 /// * `warmup` — caches and TLBs (I$/D$/L2, I-TLB/D-TLB), and the base
 ///   warming length the other windows default to;
@@ -88,8 +80,9 @@ impl ExecMode {
 /// * `pred_warmup` — direction predictor, ITTAGE, RAS and the indirect
 ///   (`jalr`) BTB traffic.
 ///
-/// JTE training and `bop` resolution are architecturally coupled to the
-/// record stream and always run for the whole warm leg.
+/// JTE training and `bop` resolution are architecturally coupled (a
+/// `bop`'s outcome depends on the JTE overlay) and always run for the
+/// whole warm leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPlan {
     /// Instructions per sampling interval.

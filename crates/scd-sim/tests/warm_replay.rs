@@ -1,13 +1,8 @@
-//! Bit-identity of the replay-driven warming engine: the gated record
-//! consumer must leave byte-for-byte the machine state of the
-//! interleaved `WARMING = true` loop — caches, TLBs, BTB/JTE overlay,
-//! direction predictor/ITTAGE, RAS, SCD registers, scoreboard stamps
-//! and counters, all carried by the `SCDCKPT2` snapshot codec — on both
-//! the threaded (execute-ahead) and inline single-CPU engines. On top
-//! of that, sampled runs must not care which warming engine ran: the
-//! result cache does not key on the engine, so `run_sampled` under
-//! `--interleaved`, the automatic host policy, and forced replay must
-//! all produce identical estimates.
+//! Functional warming and its seams: warming in segments composes
+//! exactly with warming in one go (the per-structure-window warm leg
+//! relies on it), a warmed machine continues into detailed timing
+//! exactly, sampled runs attribute every retirement across the warm
+//! legs, and split-window estimates stay pinned to a golden.
 
 use proptest::prelude::*;
 use scd_isa::{Asm, Inst, LoadOp, Program, Reg};
@@ -72,8 +67,7 @@ fn dispatcher_program(n: i64) -> Program {
 
 /// A plain (SCD-less) guest: nested loops over a strided buffer with a
 /// call/return pair per iteration — exercises the D-side, direct and
-/// indirect branches and the RAS without any `bop`/`jru` traffic, so
-/// warming replay is covered off the speculation fast path too.
+/// indirect branches and the RAS without any `bop`/`jru` traffic.
 fn strider_program(rows: i64, stride: i64) -> Program {
     let mut a = Asm::new(0x1_0000);
     a.li(Reg::S1, 0x10_0000);
@@ -113,84 +107,17 @@ fn hit_limit(r: Result<scd_sim::Exit, SimError>) -> bool {
     matches!(r, Err(SimError::InstLimit { .. }))
 }
 
-/// Drives warming to `limit` on four machines — the interleaved
-/// reference warmer and replay warming under each engine policy — and
-/// asserts full-snapshot byte equality, then that a detailed measured
-/// window from the warmed state stays byte-identical too.
-fn assert_warm_identity(cfg: &SimConfig, p: &Program, limit: u64, measure: u64) {
-    let mut reference = machine(cfg, p);
-    let r0 = reference.run_warming(limit);
-
-    type EnginePin = fn(&mut Machine);
-    let engines: [(&str, EnginePin); 3] = [
-        ("interleaved-inline", |m| m.set_replay(false)),
-        ("auto", |_| {}),
-        ("forced-threaded", Machine::force_replay),
-    ];
-    for (name, pin) in engines {
-        let mut m = machine(cfg, p);
-        pin(&mut m);
-        let r = m.run_warming_replay(limit);
-        assert_eq!(
-            format!("{r:?}"),
-            format!("{:?}", &r0),
-            "warming outcome diverged under {name}"
-        );
-        assert_eq!(
-            m.snapshot().to_bytes(),
-            reference.snapshot().to_bytes(),
-            "post-warming snapshot diverged under {name}"
-        );
-        if measure > 0 && r.is_err() {
-            // The warmed structures must behave identically under
-            // detailed timing, not just encode identically.
-            let mut mm = m;
-            let mut rr = machine(cfg, p);
-            rr.restore(&reference.snapshot()).expect("restore");
-            let a = mm.run(limit + measure);
-            let b = rr.run(limit + measure);
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "measured exit ({name})");
-            assert_eq!(mm.stats, rr.stats, "measured stats ({name})");
-        }
-    }
-}
-
-#[test]
-fn warm_replay_matches_interleaved_warmer() {
-    let p = dispatcher_program(4000);
-    let cfg = SimConfig::embedded_a5();
-    assert_warm_identity(&cfg, &p, 30_000, 5_000);
-}
-
-#[test]
-fn warm_replay_matches_under_flush_quantum() {
-    // JTE flushes mid-warming force bop mispredictions and producer
-    // rollbacks; identity must survive the rollback protocol.
-    let p = dispatcher_program(4000);
-    let mut cfg = SimConfig::embedded_a5();
-    cfg.scd.flush_interval = Some(2_000);
-    assert_warm_identity(&cfg, &p, 30_000, 5_000);
-}
-
-#[test]
-fn warm_replay_matches_on_guest_exit() {
-    // Budget far past the guest's end: warming replay must surface the
-    // exit exactly like the interleaved warmer.
-    let p = dispatcher_program(300);
-    let cfg = SimConfig::embedded_a5();
-    assert_warm_identity(&cfg, &p, 10_000_000, 0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Arbitrary guests, warming budgets and flush quanta: the replay
-    /// warming engine (both engine policies) leaves bit-identical
-    /// snapshots to `run_warming`.
+    /// Arbitrary guests, budgets, split points and flush quanta:
+    /// stopping a warming run at `split` and resuming it leaves the
+    /// bit-identical snapshot of one uninterrupted warming run.
     #[test]
-    fn warm_replay_bit_identical(
+    fn segmented_warming_matches_one_run(
         dispatches in 200i64..3_000,
         limit in 1_000u64..40_000,
+        split_permille in 1u64..1_000,
         flush_raw in 0u64..5_000,
         strided in 0u8..2,
         rows in 2i64..40,
@@ -205,65 +132,23 @@ proptest! {
         // Below 1k the raw draw means "no flush quantum".
         cfg.scd.flush_interval = (flush_raw >= 1_000).then_some(flush_raw);
 
-        let mut reference = machine(&cfg, &p);
-        let r0 = reference.run_warming(limit);
-        let want = reference.snapshot().to_bytes();
+        let mut whole = machine(&cfg, &p);
+        let r0 = whole.run_warming(limit);
 
-        for forced in [false, true] {
-            let mut m = machine(&cfg, &p);
-            if forced {
-                m.force_replay();
-            } else {
-                m.set_replay(false);
-            }
-            let r = m.run_warming_replay(limit);
-            prop_assert_eq!(format!("{r:?}"), format!("{:?}", &r0));
-            prop_assert_eq!(m.snapshot().to_bytes(), want.clone());
-        }
-    }
-
-    /// Sampled runs are engine-invariant: the same plan under the
-    /// interleaved warmer, inline replay warming and forced threaded
-    /// replay warming produces identical exits, reports and estimates —
-    /// the invariant the content-addressed result cache relies on.
-    #[test]
-    fn sampled_run_is_engine_invariant(
-        dispatches in 500i64..4_000,
-        period in 3_000u64..10_000,
-        warm_permille in 100u64..400,
-        measure_permille in 100u64..400,
-        flush_raw in 0u64..8_000,
-    ) {
-        let flush = (flush_raw >= 2_000).then_some(flush_raw);
-        let warmup = (period * warm_permille / 1000).max(1);
-        let measure = (period * measure_permille / 1000).max(1);
-        let plan = SamplingPlan::new(period, warmup, measure).unwrap();
-        let p = dispatcher_program(dispatches);
-        let mut cfg = SimConfig::embedded_a5();
-        cfg.scd.flush_interval = flush;
-
-        let mut runs = Vec::new();
-        for mode in 0..3u8 {
-            let mut m = machine(&cfg, &p);
-            match mode {
-                0 => m.set_replay(false),
-                1 => {}
-                _ => m.force_replay(),
-            }
-            let r = m.run_sampled(10_000_000, &plan);
-            runs.push((format!("{r:?}"), m.stats.clone()));
-        }
-        prop_assert_eq!(&runs[0].0, &runs[1].0);
-        prop_assert_eq!(&runs[0].0, &runs[2].0);
-        prop_assert_eq!(&runs[0].1, &runs[1].1);
-        prop_assert_eq!(&runs[0].1, &runs[2].1);
+        let mut m = machine(&cfg, &p);
+        let r = match m.run_warming(limit * split_permille / 1_000) {
+            Err(SimError::InstLimit { .. }) => m.run_warming(limit),
+            done => done,
+        };
+        prop_assert_eq!(format!("{r:?}"), format!("{r0:?}"));
+        prop_assert_eq!(m.snapshot().to_bytes(), whole.snapshot().to_bytes());
     }
 }
 
-/// Golden sampled run whose guest halts *inside* a warm leg (after
-/// measured intervals have accumulated): the warming/measure boundary
-/// bookkeeping must attribute every retirement, and the replay engine
-/// must agree with the interleaved warmer down to the estimate.
+/// Sampled run whose guest halts *inside* a warm leg (after measured
+/// intervals have accumulated): the warming/measure boundary
+/// bookkeeping must attribute every retirement and the architectural
+/// result must equal the full-detail run's.
 #[test]
 fn golden_sampled_exit_crosses_warming_boundary() {
     let p = dispatcher_program(2_000);
@@ -282,34 +167,23 @@ fn golden_sampled_exit_crosses_warming_boundary() {
     assert!(into > 600, "guest length {total} must overshoot the skip");
     let plan = SamplingPlan::new(period, into.saturating_sub(200), 200).unwrap();
 
-    let mut runs = Vec::new();
-    for forced in [false, true] {
-        let mut m = machine(&cfg, &p);
-        if forced {
-            m.force_replay();
-        } else {
-            m.set_replay(false);
-        }
-        let (e, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
-        assert_eq!(e.code, e_full.code, "exit code (forced={forced})");
-        assert_eq!(e.output, e_full.output, "guest output (forced={forced})");
-        assert!(!report.exact_fallback);
-        assert!(report.intervals >= 1);
-        // Every retirement is attributed to exactly one leg.
-        assert_eq!(
-            report.total_insts,
-            report.ff_insts + report.warm_insts + report.measured_insts
-        );
-        runs.push((report, m.stats.clone()));
-    }
-    assert_eq!(format!("{:?}", runs[0].0), format!("{:?}", runs[1].0));
-    assert_eq!(runs[0].1, runs[1].1);
+    let mut m = machine(&cfg, &p);
+    let (e, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
+    assert_eq!(e.code, e_full.code, "exit code");
+    assert_eq!(e.output, e_full.output, "guest output");
+    assert!(!report.exact_fallback);
+    assert!(report.intervals >= 1);
+    // Every retirement is attributed to exactly one leg.
+    assert_eq!(
+        report.total_insts,
+        report.ff_insts + report.warm_insts + report.measured_insts
+    );
 }
 
 /// Per-structure windows: a split plan (short cache window, longer
-/// BTB/predictor windows) runs the whole leg under the replay engine on
-/// every host, keeps architectural results exact, and collapses to the
-/// uniform plan when the windows are equal.
+/// BTB/predictor windows) warms for the longest window, keeps
+/// architectural results exact, and collapses to the uniform plan when
+/// the windows are equal.
 #[test]
 fn split_windows_run_and_stay_architecturally_exact() {
     let p = dispatcher_program(3_000);
@@ -320,21 +194,14 @@ fn split_windows_run_and_stay_architecturally_exact() {
 
     let plan = SamplingPlan::parse("4k:600/BTB=1k,PRED=1500:800").unwrap();
     assert_eq!(plan.warm_len(), 1_500);
-    for forced in [false, true] {
-        let mut m = machine(&cfg, &p);
-        if forced {
-            m.force_replay();
-        } else {
-            m.set_replay(false);
-        }
-        let (e, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
-        assert_eq!(e.code, e_full.code);
-        assert_eq!(e.output, e_full.output);
-        assert!(!report.exact_fallback);
-        assert!(report.intervals >= 2, "intervals: {}", report.intervals);
-        // The warm legs span the longest window.
-        assert!(report.warm_insts >= report.intervals * 1_400);
-    }
+    let mut m = machine(&cfg, &p);
+    let (e, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
+    assert_eq!(e.code, e_full.code);
+    assert_eq!(e.output, e_full.output);
+    assert!(!report.exact_fallback);
+    assert!(report.intervals >= 2, "intervals: {}", report.intervals);
+    // The warm legs span the longest window.
+    assert!(report.warm_insts >= report.intervals * 1_400);
 
     // Uniform overrides are the plain plan: same parse, same cadence,
     // same estimate.
@@ -349,10 +216,9 @@ fn split_windows_run_and_stay_architecturally_exact() {
     assert_eq!(a.stats, b.stats);
 }
 
-/// Warming proceeds in detailed-replay style too: after replay warming,
-/// continuing in *detailed* mode from the warmed state must match the
-/// interleaved continuation — i.e. the warm seam composes with ordinary
-/// runs, not just with sampled legs.
+/// The warm → detailed seam composes: warming to 8k in two segments
+/// and then running detailed reaches the same exit, stats and snapshot
+/// as warming in one go.
 #[test]
 fn warm_then_detailed_seam_composes() {
     let p = strider_program(60, 16);
@@ -363,8 +229,8 @@ fn warm_then_detailed_seam_composes() {
     let ea = a.run(20_000);
 
     let mut b = machine(&cfg, &p);
-    b.force_replay();
-    assert!(hit_limit(b.run_warming_replay(8_000)));
+    assert!(hit_limit(b.run_warming(3_000)));
+    assert!(hit_limit(b.run_warming(8_000)));
     let eb = b.run(20_000);
 
     assert_eq!(format!("{ea:?}"), format!("{eb:?}"));
@@ -379,30 +245,34 @@ fn warm_then_detailed_seam_composes() {
 /// `SCD_BLESS=1 cargo test -p scd-sim --test warm_replay`.
 #[test]
 fn golden_split_window_estimates() {
-    const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/split_windows.txt");
+    const GOLDEN: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/split_windows.txt"
+    );
     let plan = SamplingPlan::parse("4k:600/BTB=1k,PRED=1500:800").unwrap();
     let mut flushed = SimConfig::embedded_a5();
     flushed.scd.flush_interval = Some(2_000);
     let cases = [
-        ("dispatcher", SimConfig::embedded_a5(), dispatcher_program(3_000)),
+        (
+            "dispatcher",
+            SimConfig::embedded_a5(),
+            dispatcher_program(3_000),
+        ),
         ("dispatcher+flush", flushed, dispatcher_program(3_000)),
-        ("strider", SimConfig::embedded_a5(), strider_program(200, 16)),
+        (
+            "strider",
+            SimConfig::embedded_a5(),
+            strider_program(200, 16),
+        ),
     ];
     let mut text = String::new();
     for (name, cfg, p) in &cases {
-        let mut runs = Vec::new();
-        for forced in [false, true] {
-            let mut m = machine(cfg, p);
-            if forced {
-                m.force_replay();
-            } else {
-                m.set_replay(false);
-            }
-            let (_, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
-            runs.push((format!("{report:?}"), format!("{:?}", m.stats)));
-        }
-        assert_eq!(runs[0], runs[1], "{name}: engines disagree");
-        text.push_str(&format!("{name} report: {}\n{name} stats: {}\n", runs[0].0, runs[0].1));
+        let mut m = machine(cfg, p);
+        let (_, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
+        text.push_str(&format!(
+            "{name} report: {report:?}\n{name} stats: {:?}\n",
+            m.stats
+        ));
     }
     if std::env::var_os("SCD_BLESS").is_some() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().unwrap()).unwrap();

@@ -125,60 +125,6 @@ fn fast_and_observed_loops_agree_bit_for_bit() {
     }
 }
 
-/// The execute-ahead replay loop (functional execution batched ahead by
-/// the reference core, timing replayed from the retirement stream) must
-/// produce `SimStats` bit-identical to the interleaved loop that
-/// executes and times each instruction in one pass. This is the
-/// tentpole contract of the replay split: the fast path is a pure
-/// reorganization of *when* semantics run, never of *what* the timing
-/// model observes. Covers all three dispatch schemes on both pinned
-/// hardware presets.
-#[test]
-fn replay_and_interleaved_agree_bit_for_bit() {
-    for cfg in configs() {
-        for scheme in Scheme::ALL {
-            let b = BENCHMARKS.iter().find(|b| b.name == "fibo").expect("pinned benchmark");
-            let key = format!("{}/{}", cfg.name, scheme.name());
-            let build = || {
-                Session::from_source(
-                    cfg.clone(),
-                    Vm::ALL[0],
-                    b.source,
-                    &[("N", b.tiny_arg)],
-                    scheme,
-                    GuestOptions::default(),
-                )
-                .unwrap_or_else(|e| panic!("{key}: {e}"))
-            };
-
-            // Replay path: untraced, uninstrumented. Forced, so the
-            // threaded engine is exercised even on one-CPU hosts where
-            // the default would fall back to the interleaved loop.
-            let mut rep = build();
-            rep.machine.disable_invariants();
-            rep.machine.force_replay();
-            let rep_run =
-                rep.machine.run(u64::MAX).unwrap_or_else(|e| panic!("{key} replay: {e}"));
-            let rep_stats = rep.machine.stats.clone();
-
-            // Interleaved path: identical observer set, replay pinned off.
-            let mut ilv = build();
-            ilv.machine.disable_invariants();
-            ilv.machine.set_replay(false);
-            let ilv_run =
-                ilv.machine.run(u64::MAX).unwrap_or_else(|e| panic!("{key} interleaved: {e}"));
-            let ilv_stats = ilv.machine.stats.clone();
-
-            assert_eq!(rep_run, ilv_run, "{key}: exit state diverged");
-            assert_eq!(
-                format!("{rep_stats:?}"),
-                format!("{ilv_stats:?}"),
-                "{key}: replay-loop SimStats diverged from interleaved loop"
-            );
-        }
-    }
-}
-
 fn check_golden(golden_path: &str, current: &str) {
     if std::env::var_os("SCD_BLESS").is_some() {
         std::fs::create_dir_all(std::path::Path::new(golden_path).parent().unwrap())
@@ -278,52 +224,3 @@ fn two_level_btb_stats_are_deterministic() {
     check_golden(GOLDEN_TWO_LEVEL, &current);
 }
 
-/// The replay/interleaved bit-identity contract extends to the
-/// two-level organization: its extra timing (promotions, demotions,
-/// L1-late targets) must be charged identically by both loops.
-#[test]
-fn two_level_replay_and_interleaved_agree_bit_for_bit() {
-    let cfg = SimConfig::embedded_a5().with_two_level_btb(TwoLevelBtbConfig::arm_like());
-    for scheme in Scheme::ALL {
-        let b = BENCHMARKS.iter().find(|b| b.name == "fibo").expect("pinned benchmark");
-        let key = format!("{}+two-level/{}", cfg.name, scheme.name());
-        let build = || {
-            Session::from_source(
-                cfg.clone(),
-                Vm::ALL[0],
-                b.source,
-                &[("N", b.tiny_arg)],
-                scheme,
-                GuestOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{key}: {e}"))
-        };
-
-        let mut rep = build();
-        rep.machine.disable_invariants();
-        rep.machine.force_replay();
-        let rep_run = rep.machine.run(u64::MAX).unwrap_or_else(|e| panic!("{key} replay: {e}"));
-        let rep_stats = rep.machine.stats.clone();
-        let rep_tl = rep.machine.btb().two_level_stats();
-
-        let mut ilv = build();
-        ilv.machine.disable_invariants();
-        ilv.machine.set_replay(false);
-        let ilv_run =
-            ilv.machine.run(u64::MAX).unwrap_or_else(|e| panic!("{key} interleaved: {e}"));
-        let ilv_stats = ilv.machine.stats.clone();
-        let ilv_tl = ilv.machine.btb().two_level_stats();
-
-        assert_eq!(rep_run, ilv_run, "{key}: exit state diverged");
-        assert_eq!(
-            format!("{rep_stats:?}"),
-            format!("{ilv_stats:?}"),
-            "{key}: replay-loop SimStats diverged from interleaved loop"
-        );
-        assert_eq!(
-            format!("{rep_tl:?}"),
-            format!("{ilv_tl:?}"),
-            "{key}: two-level motion counters diverged between loops"
-        );
-    }
-}

@@ -70,46 +70,33 @@ fn pinned_corpus_replays_lockstep_clean() {
     }
 }
 
-/// Revalidates the whole reproducer corpus through the execute-ahead
-/// replay loop: every program that once exposed a simulator/oracle
-/// divergence must finish with the same outcome and bit-identical
-/// `SimStats` on the replay path as on the interleaved reference loop.
-/// The corpus is exactly the set of programs that historically found
-/// edge cases, which makes it the sharpest input set for the replay
-/// split too (bop barriers, faults, watchdog limits).
+/// The corpus through both monomorphizations of the run loop: every
+/// program that once exposed a simulator/oracle divergence (bop
+/// barriers, faults, watchdog limits) must finish with the same outcome
+/// and bit-identical `SimStats` on the fast loop as on the observed
+/// loop.
 #[test]
-fn pinned_corpus_replay_matches_interleaved() {
+fn pinned_corpus_fast_matches_observed() {
     for path in &corpus_paths() {
         let text = std::fs::read_to_string(path).expect("readable reproducer");
         let repro =
             corpus::load(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         for (variant, cfg) in variant_configs() {
-            let run_mode = |replay: bool| {
+            let run_mode = |observed: bool| {
                 let mut m = Machine::new(cfg.clone(), &repro.program);
                 m.map("fuzzdata", repro.data_base, repro.data_size);
-                m.disable_invariants();
-                // Forced, so the threaded engine is exercised even on
-                // one-CPU hosts where Auto falls back to interleaved.
-                if replay {
-                    m.force_replay();
+                if observed {
+                    m.enable_invariants(4096);
                 } else {
-                    m.set_replay(false);
+                    m.disable_invariants();
                 }
                 let run = m.run(2_000_000);
                 (format!("{run:?}"), format!("{:?}", m.stats))
             };
-            let (rep_run, rep_stats) = run_mode(true);
-            let (ilv_run, ilv_stats) = run_mode(false);
             assert_eq!(
-                rep_run,
-                ilv_run,
-                "{} [{variant}]: replay outcome diverged from interleaved",
-                path.display()
-            );
-            assert_eq!(
-                rep_stats,
-                ilv_stats,
-                "{} [{variant}]: replay SimStats diverged from interleaved",
+                run_mode(false),
+                run_mode(true),
+                "{} [{variant}]: fast loop diverged from observed loop",
                 path.display()
             );
         }
