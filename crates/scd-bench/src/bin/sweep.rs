@@ -24,7 +24,7 @@
 //! end-of-run counter summary (hits/misses/stores/quarantined/
 //! recovered) to stderr.
 //!
-//! With `--sample PERIOD:WARMUP[/BTB=N,PRED=N]:MEASURE`, every cell
+//! With `--sample PERIOD:WARMUP:MEASURE`, every cell
 //! runs under interval sampling (see EXPERIMENTS.md): cycle counts become statistical estimates, so the
 //! rendered tables are fast previews written to `results/sampled/`
 //! (never the committed `results/` files), and the host-performance
@@ -382,9 +382,8 @@ fn parse_sample(argv: &[String], quick: bool) -> Option<SamplingPlan> {
 /// `--sample-gate` runs when no explicit plan is given): scaled to the
 /// guest lengths of each input scale so the measured fraction stays
 /// small enough to demonstrate a real speedup while keeping enough
-/// intervals for tight estimates. The windows are grounded in the
-/// per-structure sensitivity study — see
-/// [`SamplingPlan::qualified_default`].
+/// intervals for tight estimates. The warm window is grounded in the
+/// warming sensitivity study — see [`SamplingPlan::qualified_default`].
 fn default_gate_plan(quick: bool) -> SamplingPlan {
     SamplingPlan::qualified_default(quick)
 }

@@ -1,6 +1,5 @@
-//! Per-structure warming-window sensitivity: how short can each
-//! structure class's warm window get before the sampled estimate
-//! drifts?
+//! Warming-window sensitivity: how short can the functional-warming
+//! window get before the sampled estimate drifts?
 //!
 //! ```text
 //! cargo run --release -p scd-bench --bin warming_sensitivity            # committed scale
@@ -10,25 +9,15 @@
 //! Two structurally diverse benchmarks (fibo: recursion + dispatch
 //! pressure; spectral-norm: FP + array traffic) run on the embedded-a5
 //! / LVM / SCD corner, full detail first (the reference cycle count at
-//! a fixed instruction budget), then sampled under a grid of plans:
-//!
-//! * uniform windows — the whole warm leg warms everything, the PR 8
-//!   baseline cadence;
-//! * one structure class swept while the other two are held at the
-//!   longest window in the grid, isolating that class's own
-//!   requirement (`CACHE` sweeps the cache/TLB window, `BTB` the
-//!   PC-entry BTB window, `PRED` the direction/ITTAGE/RAS/indirect
-//!   window).
+//! a fixed instruction budget), then sampled under a grid of warm
+//! windows. Each window warms every structure (caches, TLBs, BTB,
+//! predictors, JTE overlay) for its whole length.
 //!
 //! Each row reports the estimated-cycles drift against the full-detail
 //! reference. The committed `results/warming_sensitivity.txt` is the
-//! qualification evidence behind the default `--sample default` plan.
-//! Its headline: the cache/TLB hierarchy is the *only* class with a
-//! real window requirement (~20k retirements before drift flattens);
-//! BTB and direction/indirect predictors retrain so fast on
-//! interpreter dispatch loops that even 1k windows add no measurable
-//! drift. The default plan therefore keeps uniform windows sized for
-//! the cache class.
+//! qualification evidence behind the default `--sample default` plan:
+//! drift flattens once the window reaches ~20k retirements, so the
+//! default plan warms for 20k.
 
 use luma::scripts::BENCHMARKS;
 use scd_bench::write_artifact;
@@ -41,18 +30,14 @@ use std::process::exit;
 const BENCHES: [&str; 2] = ["fibo", "spectral-norm"];
 
 /// Swept window lengths, shortest first.
-const WINDOWS: [u64; 5] = [1_000, 5_000, 10_000, 20_000, 50_000];
-
-/// The hold-at-max window for the two classes not being swept (also the
-/// top of the uniform sweep).
-const HOLD: u64 = 100_000;
+const WINDOWS: [u64; 6] = [1_000, 5_000, 10_000, 20_000, 50_000, 100_000];
 
 const OUT: &str = "results/warming_sensitivity.txt";
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // Quick mode shrinks the budget, not the grid: the point of the CI
-    // run is exercising every plan shape, not reproducing the numbers.
+    // run is exercising every window, not reproducing the numbers.
     let (budget, period, measure) = if quick {
         (4_000_000, 250_000, 10_000)
     } else {
@@ -62,8 +47,8 @@ fn main() {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Per-structure warming-window sensitivity [embedded-a5, LVM, scd scheme]\n\
-         budget {budget} insts, period {period}, measure {measure}, hold-at-max {HOLD}\n\
+        "Warming-window sensitivity [embedded-a5, LVM, scd scheme]\n\
+         budget {budget} insts, period {period}, measure {measure}\n\
          drift = |estimated - full-detail cycles| / full-detail cycles\n"
     );
 
@@ -87,29 +72,9 @@ fn main() {
             "sweep", "window", "cycles-est", "drift%"
         );
 
-        // Uniform windows: the PR 8 cadence, for scale.
-        for w in WINDOWS.into_iter().chain([HOLD]) {
+        for w in WINDOWS {
             let plan = SamplingPlan::new(period, w, measure).unwrap_or_else(|e| die(&e));
-            row(&mut out, "uniform", w, run(&req, Some(plan)), full);
-        }
-        // One class swept, the other two held at the grid maximum.
-        for w in WINDOWS {
-            let plan = SamplingPlan::new(period, w, measure)
-                .and_then(|p| p.with_windows(HOLD, HOLD))
-                .unwrap_or_else(|e| die(&e));
-            row(&mut out, "CACHE", w, run(&req, Some(plan)), full);
-        }
-        for w in WINDOWS {
-            let plan = SamplingPlan::new(period, HOLD, measure)
-                .and_then(|p| p.with_windows(w, HOLD))
-                .unwrap_or_else(|e| die(&e));
-            row(&mut out, "BTB", w, run(&req, Some(plan)), full);
-        }
-        for w in WINDOWS {
-            let plan = SamplingPlan::new(period, HOLD, measure)
-                .and_then(|p| p.with_windows(HOLD, w))
-                .unwrap_or_else(|e| die(&e));
-            row(&mut out, "PRED", w, run(&req, Some(plan)), full);
+            row(&mut out, w, run(&req, Some(plan)), full);
         }
         out.push('\n');
     }
@@ -134,9 +99,10 @@ fn run(req: &RunRequest<'_>, plan: Option<SamplingPlan>) -> u64 {
     r.stats.cycles
 }
 
-fn row(out: &mut String, sweep: &str, window: u64, est: u64, full: u64) {
+/// One table row; every window warms all structures, hence `uniform`.
+fn row(out: &mut String, window: u64, est: u64, full: u64) {
     let drift = 100.0 * (est as f64 - full as f64).abs() / full as f64;
-    let _ = writeln!(out, "  {sweep:<12}{window:>10}{est:>16}{drift:>10.3}");
+    let _ = writeln!(out, "  {:<12}{window:>10}{est:>16}{drift:>10.3}", "uniform");
 }
 
 fn die(msg: &str) -> ! {

@@ -7,7 +7,7 @@
 //!         [--trace out.jsonl] [--fault-plan NAME[@SEED]]
 //!         [--cycle-budget N] [--wall-budget SECS]
 //!         [--checkpoint-every N] [--checkpoint-file F] [--resume F]
-//!         [--sample default | PERIOD:WARMUP[/BTB=N,PRED=N]:MEASURE]
+//!         [--sample default | PERIOD:WARMUP:MEASURE]
 //! scd disasm <script.luma> [--vm lvm|svm]
 //! scd listing [--scheme baseline|threaded|scd]     # guest interpreter asm
 //! scd bench list                                    # benchmark corpus
@@ -44,7 +44,7 @@ fn usage() -> ! {
          \x20         [--trace out.jsonl] [--fault-plan jte-corruption|btb-flush-storm|memory-system[@SEED]]\n\
          \x20         [--cycle-budget N] [--wall-budget SECS]\n\
          \x20         [--checkpoint-every N] [--checkpoint-file F] [--resume F]\n\
-         \x20         [--sample default | PERIOD:WARMUP[/BTB=N,PRED=N]:MEASURE]\n\
+         \x20         [--sample default | PERIOD:WARMUP:MEASURE]\n\
          \x20 scd disasm <script.luma> [--vm lvm|svm]\n\
          \x20 scd listing [--scheme baseline|threaded|scd] [--vm lvm|svm]\n\
          \x20 scd bench list\n\

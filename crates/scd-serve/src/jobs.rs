@@ -406,6 +406,10 @@ mod tests {
                 "bad plan",
             ),
             (
+                r#"{"src": "x", "vm": "lvm", "scheme": "scd", "sample": "1M:20k/BTB=30k,PRED=80k:20k"}"#,
+                "retired per-structure window syntax",
+            ),
+            (
                 r#"{"src": "x", "vm": "lvm", "scheme": "scd", "sample": "1M:50k:20k", "traced": true}"#,
                 "traced and sampled",
             ),

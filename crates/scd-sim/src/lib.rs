@@ -58,7 +58,7 @@ pub use machine::{
 };
 pub use mem::{MemFault, Memory};
 pub use predictor::{Direction, DirectionConfig, Ras};
-pub use sampling::{mean_ci95, ExecMode, SampleAccum, SampleReport, SamplingPlan};
+pub use sampling::{mean_ci95, SampleAccum, SampleReport, SamplingPlan};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{geomean, AccessCounters, BranchClass, BranchCounters, SimStats};
 pub use tlb::Tlb;

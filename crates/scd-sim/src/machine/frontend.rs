@@ -358,30 +358,6 @@ impl Machine {
         self.account_indirect::<OBSERVED, WARMING>(pc, Reg::ZERO, rs1, target);
         target
     }
-
-    /// `exec_jru` with the indirect-predictor traffic withheld: a warm
-    /// leg uses this while its predictor window is still closed, because
-    /// the JTE overlay must keep training (`bop` resolution reads it, and
-    /// the `jru_executed`/insert counters stay exact) even when
-    /// ITTAGE/BTB warming hasn't started.
-    pub(super) fn exec_jru_train_only(
-        &mut self,
-        bid: u8,
-        rs1: Reg,
-        scd_cfg: &ScdConfig,
-        nbids: usize,
-    ) -> u64 {
-        let bid = bid as usize % nbids.max(1);
-        self.stats.jru_executed += 1;
-        let target = self.regs[rs1.index()] & !1;
-        if scd_cfg.enabled && self.scd[bid].rop_v {
-            let opcode = self.scd[bid].rop_d;
-            let out = self.jte_insert(bid as u8, opcode, target);
-            self.note_insert::<false>(EntryKind::Jte, out);
-            self.scd[bid].rop_v = false;
-        }
-        target
-    }
 }
 
 fn vbbi_mix(pc: u64, hint: u64) -> u64 {

@@ -30,7 +30,7 @@
 //! * [`state`](self) — run/exit types, guest annotations, profiling,
 //!   and checkpoint snapshot/restore;
 //! * [`sampling`](self) — the sampled scheduler: fast-forward on the
-//!   `scd-ref` reference core, gated functional warming, measurement.
+//!   `scd-ref` reference core, functional warming, measurement.
 //!
 //! Each retirement flows frontend → execute (→ memory for loads/stores)
 //! → retire; [`Machine::run`] is the loop that sequences the stages.
@@ -78,30 +78,6 @@ use std::sync::Arc;
 
 /// Maximum number of SCD branch IDs supported by the model.
 pub const MAX_BRANCH_IDS: usize = 4;
-
-/// Which structure classes a warming retirement updates. The sampled
-/// scheduler's warm leg opens each class only for the tail of the leg
-/// its [`SamplingPlan`](crate::SamplingPlan) window spans; detailed
-/// runs pass [`WarmGates::ALL`], and the `!WARMING ||` guards compile
-/// every check away there.
-#[derive(Debug, Clone, Copy)]
-struct WarmGates {
-    /// I$/I-TLB fetch touches and D$/D-TLB/L2 data touches.
-    cache: bool,
-    /// PC-indexed BTB entries (direct jumps, conditional-branch targets).
-    btb: bool,
-    /// Direction predictor, ITTAGE, RAS and indirect (`jalr`/`jru`)
-    /// prediction traffic.
-    pred: bool,
-}
-
-impl WarmGates {
-    const ALL: WarmGates = WarmGates {
-        cache: true,
-        btb: true,
-        pred: true,
-    };
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ScdRegs {
@@ -570,16 +546,15 @@ impl Machine {
         // Every exit (exit ecall, limit, watchdog, PC/memory error)
         // funnels through here so a pending fetch streak is always
         // materialized before the caller can observe stats or state.
-        let r = self.run_loop::<OBSERVED, false>(max_insts, WarmGates::ALL);
+        let r = self.run_loop::<OBSERVED, false>(max_insts);
         self.flush_fetch_streak();
         r
     }
 
-    /// Runs in [`ExecMode::Warming`](crate::ExecMode): the interleaved
-    /// loop with the cycle clock frozen. Caches, TLBs, predictors, the
-    /// BTB/JTE overlay and every statistics counter update exactly as in
-    /// detailed mode, but no cycles are charged and the issue scoreboard
-    /// is bypassed. The sampled scheduler uses this to repair
+    /// Runs in warming mode: the interleaved loop with the cycle clock
+    /// frozen. Caches, TLBs, predictors, the BTB/JTE overlay and every
+    /// statistics counter update exactly as in detailed mode, but no
+    /// cycles are charged and the issue scoreboard is bypassed. The sampled scheduler uses this to repair
     /// micro-architectural state after a fast-forward leg; the counters
     /// it accumulates here are later overwritten by the scaled estimate.
     ///
@@ -587,14 +562,7 @@ impl Machine {
     /// Same contract as [`Machine::run`]; `max_insts` is the same
     /// absolute retirement count.
     pub fn run_warming(&mut self, max_insts: u64) -> Result<Exit, SimError> {
-        self.run_warming_gated(max_insts, WarmGates::ALL)
-    }
-
-    /// [`Machine::run_warming`] with only the structure classes `gates`
-    /// opens receiving updates; architectural state, counters, SCD
-    /// state and the JTE overlay always update.
-    fn run_warming_gated(&mut self, max_insts: u64, gates: WarmGates) -> Result<Exit, SimError> {
-        let r = self.run_loop::<false, true>(max_insts, gates);
+        let r = self.run_loop::<false, true>(max_insts);
         self.flush_fetch_streak();
         r
     }
@@ -602,7 +570,6 @@ impl Machine {
     fn run_loop<const OBSERVED: bool, const WARMING: bool>(
         &mut self,
         max_insts: u64,
-        gates: WarmGates,
     ) -> Result<Exit, SimError> {
         let scd_cfg: ScdConfig = self.cfg.scd;
         let nbids = scd_cfg.branch_ids.min(MAX_BRANCH_IDS);
@@ -647,7 +614,7 @@ impl Machine {
             let cycle_before = self.cycle;
             if OBSERVED {
                 self.fetch_timing::<OBSERVED, WARMING>(pc);
-            } else if !WARMING || gates.cache {
+            } else {
                 self.fetch_fast::<WARMING>(pc);
             }
             if !WARMING {
@@ -658,7 +625,7 @@ impl Machine {
             self.begin_retirement::<OBSERVED>(si.in_dispatch, &scd_cfg);
 
             // ---- execute (functional semantics + per-class timing) ----
-            let step = self.execute_inst::<OBSERVED, WARMING>(&inst, pc, nbids, &scd_cfg, gates)?;
+            let step = self.execute_inst::<OBSERVED, WARMING>(&inst, pc, nbids, &scd_cfg)?;
 
             if OBSERVED {
                 if let Some(prof) = &mut self.profile {

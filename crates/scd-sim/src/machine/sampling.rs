@@ -10,9 +10,9 @@
 //!   text, and syncs the architectural state back at the leg boundary;
 //! * *warming* is the interleaved loop monomorphized with
 //!   `WARMING = true`: caches, TLBs, predictors and the JTE overlay
-//!   update while the clock stands still. A plan with per-structure
-//!   windows runs its warm leg as up to three `run_warming` segments,
-//!   one per window opening, each with the matching [`WarmGates`];
+//!   update while the clock stands still. The warm leg is one
+//!   `run_warming` call that warms every structure for the plan's
+//!   `warmup` retirements;
 //! * *measure* is the stock detailed interleaved loop; its counter
 //!   deltas feed the [`SampleAccum`](crate::SampleAccum).
 //!
@@ -22,7 +22,7 @@
 //! both the architectural (`Rop.v` clear) and micro-architectural (JTE
 //! flush) effects exactly where the detailed loop would have.
 
-use super::{Exit, Machine, SimError, WarmGates};
+use super::{Exit, Machine, SimError};
 use crate::config::ScdConfig;
 use crate::mem::MemFault;
 use crate::sampling::{SampleAccum, SampleReport, SamplingPlan};
@@ -207,10 +207,16 @@ impl Machine {
     /// Runs the guest to completion (or `max_insts`) under `plan`'s
     /// fast-forward → warm → measure cadence, then overwrites
     /// `self.stats` with the measured windows scaled to the exact total
-    /// instruction count. Architectural results (registers, memory,
-    /// guest output, exit code, instruction count) are exact; timing
-    /// counters are estimates whose dispersion the returned
+    /// instruction count. Guest output and exit code match full detail;
+    /// timing counters are estimates whose dispersion the returned
     /// [`SampleReport`] quantifies.
+    ///
+    /// The instruction count is exact only for guests that never take a
+    /// `bop` (SCD disabled). Fast-forward resolves every `bop` without
+    /// the BTB, so it can short-circuit where the detailed core takes the
+    /// `jru` slow path and vice versa: `lvm/binary-trees/9/scd` retires
+    /// 65,579,815 instructions sampled against 65,571,863 in full detail.
+    /// ROADMAP.md open item 1 tracks the fix.
     ///
     /// Requires a fresh, observer-free machine: the per-retirement
     /// observers (tracer, profiler, fault plans) assume they see every
@@ -264,15 +270,17 @@ impl Machine {
             }
 
             // --- functional warming ---
-            if plan.warm_len() > 0 && self.stats.instructions < max_insts {
+            if plan.warmup > 0 && self.stats.instructions < max_insts {
                 let before = self.stats.instructions;
-                let warm_end = (before + plan.warm_len()).min(max_insts);
-                let windows = [plan.warmup, plan.btb_warmup, plan.pred_warmup];
-                let res = self.warm_leg(warm_end, windows);
+                let res = self.run_warming((before + plan.warmup).min(max_insts));
                 warm_insts += self.stats.instructions - before;
-                if let Some(e) = res? {
-                    exit = Some(e);
-                    break;
+                match res {
+                    Ok(e) => {
+                        exit = Some(e);
+                        break;
+                    }
+                    Err(SimError::InstLimit { .. }) => {}
+                    Err(e) => return Err(e),
                 }
             }
             if self.stats.instructions >= max_insts {
@@ -347,42 +355,13 @@ impl Machine {
         }
     }
 
-    /// Warms up to the absolute retirement count `warm_end` under the
-    /// per-structure `[cache, btb, pred]` windows, each measured back
-    /// from `warm_end`: a structure class updates only for the leg's
-    /// last `window` retirements. The gates change only where a window
-    /// opens, so the leg runs as one `run_warming` segment per opening
-    /// (one segment for a uniform plan). Returns the guest's exit if it
-    /// halted.
-    fn warm_leg(&mut self, warm_end: u64, windows: [u64; 3]) -> Result<Option<Exit>, SimError> {
-        let opens = windows.map(|w| warm_end.saturating_sub(w));
-        loop {
-            let n = self.stats.instructions;
-            let gates = WarmGates {
-                cache: n >= opens[0],
-                btb: n >= opens[1],
-                pred: n >= opens[2],
-            };
-            let until = opens
-                .into_iter()
-                .filter(|&o| o > n)
-                .fold(warm_end, u64::min);
-            match self.run_warming_gated(until, gates) {
-                Ok(e) => return Ok(Some(e)),
-                Err(SimError::InstLimit { .. }) if until < warm_end => {}
-                Err(SimError::InstLimit { .. }) => return Ok(None),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Compatibility entry point for the benchmark harness, which timed
     /// the former replay-driven warm drain through it. It now times the
-    /// one warming loop: fast-forwards `ff` retirements, then warms up
-    /// to `warm_end` total retirements with per-structure windows
-    /// `(cache, btb, pred)` measured back from `warm_end`, and reports
+    /// one warming loop: fast-forwards `ff` retirements, then warms
+    /// every structure up to `warm_end` total retirements, and reports
     /// `(warm_retired, warm_seconds)`: the warm leg's own retirements
-    /// and wall time.
+    /// and wall time. `_windows` is ignored; it is kept only for the
+    /// callers' signature.
     ///
     /// # Errors
     /// Propagates watchdog/guest errors; reaching `warm_end` is the
@@ -393,7 +372,7 @@ impl Machine {
         &mut self,
         ff: u64,
         warm_end: u64,
-        windows: (u64, u64, u64),
+        _windows: (u64, u64, u64),
     ) -> Result<(u64, f64), SimError> {
         if self.run_fastforward(ff)?.is_some() {
             return Ok((0, 0.0));
@@ -401,7 +380,10 @@ impl Machine {
         let n0 = self.stats.instructions;
         let t = std::time::Instant::now();
         if n0 < warm_end {
-            self.warm_leg(warm_end, [windows.0, windows.1, windows.2])?;
+            match self.run_warming(warm_end) {
+                Ok(_) | Err(SimError::InstLimit { .. }) => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok((self.stats.instructions - n0, t.elapsed().as_secs_f64()))
     }

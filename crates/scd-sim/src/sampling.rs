@@ -11,89 +11,37 @@
 //!
 //! # The three execution modes
 //!
-//! Every retired instruction runs in exactly one [`ExecMode`]:
+//! Every retired instruction runs in exactly one mode:
 //!
-//! * [`ExecMode::FastForward`] — pure architectural execution on the
-//!   `scd-ref` reference core's threaded-code `run`. No timing model, no
-//!   predictor or cache updates. Fastest; used to skip between sampling
-//!   intervals.
-//! * [`ExecMode::Warming`] — functional execution with the cycle clock
-//!   frozen: I-cache / D-cache / TLB / BTB / ITTAGE / JTE contents are
-//!   updated exactly as in detailed mode, but no cycles are charged and
-//!   the issue scoreboard is bypassed. Repairs the micro-architectural
-//!   state the fast-forward leg left stale, so measurement does not
-//!   start from misleadingly cold (or misleadingly stale) structures.
-//!   It is the detailed loop monomorphized with `WARMING = true`
-//!   ([`Machine::run_warming`]); per-structure windows hold a
-//!   structure class's updates back until its window opens.
+//! * *fast-forward* — pure architectural execution on the `scd-ref`
+//!   reference core's threaded-code `run`. No timing model, no predictor
+//!   or cache updates. Fastest; used to skip between sampling intervals.
+//! * *warming* — functional execution with the cycle clock frozen:
+//!   I-cache / D-cache / TLB / BTB / ITTAGE / JTE contents are updated
+//!   exactly as in detailed mode, but no cycles are charged and the
+//!   issue scoreboard is bypassed. Repairs the micro-architectural state
+//!   the fast-forward leg left stale, so measurement does not start from
+//!   misleadingly cold (or misleadingly stale) structures. It is the
+//!   detailed loop monomorphized with `WARMING = true`
+//!   ([`Machine::run_warming`]), and one window warms every structure.
+//! * *detailed* — the full cycle-approximate model; the only mode that
+//!   contributes to the sampled estimate.
 //!
 //! [`Machine::run_warming`]: crate::Machine::run_warming
-//! * [`ExecMode::Detailed`] — the full cycle-approximate model; the
-//!   only mode that contributes to the sampled estimate.
 
 use crate::stats::SimStats;
 
-/// Which execution mode a stretch of instructions runs under. See the
-/// module docs for what each mode updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Full cycle-approximate timing simulation.
-    Detailed,
-    /// Functional execution that updates micro-architectural state
-    /// (caches, TLBs, predictors, JTEs) but charges no cycles: the
-    /// `WARMING = true` interleaved loop.
-    Warming,
-    /// Pure architectural execution on the reference core.
-    FastForward,
-}
-
-impl ExecMode {
-    /// Stable lowercase name (used in reports and logs).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ExecMode::Detailed => "detailed",
-            ExecMode::Warming => "warming",
-            ExecMode::FastForward => "fast-forward",
-        }
-    }
-}
-
 /// A systematic-sampling schedule: every `period` instructions, warm
-/// for `warm_len()` and measure `measure` in detailed mode;
-/// fast-forward the remaining `period - warm_len() - measure`.
-///
-/// Warming lengths are per structure class: how many instructions a
-/// structure needs to reach steady state differs by class and by
-/// workload, so paying one class's window for another wastes warming
-/// work. (On this repo's interpreter workloads the measured ordering —
-/// `results/warming_sensitivity.txt` — is that caches/TLBs need the
-/// longest window while the predictors retrain almost instantly on
-/// the hot dispatch loop; other workloads can invert that, which is
-/// why the windows are per-class rather than hard-coded.) The warm leg
-/// spans the longest window and turns each structure class on only for
-/// its last `N` instructions:
-///
-/// * `warmup` — caches and TLBs (I$/D$/L2, I-TLB/D-TLB), and the base
-///   warming length the other windows default to;
-/// * `btb_warmup` — PC-indexed BTB entries (direct jumps, conditional
-///   branch targets);
-/// * `pred_warmup` — direction predictor, ITTAGE, RAS and the indirect
-///   (`jalr`) BTB traffic.
-///
-/// JTE training and `bop` resolution are architecturally coupled (a
-/// `bop`'s outcome depends on the JTE overlay) and always run for the
-/// whole warm leg.
+/// every structure for `warmup` and measure `measure` in detailed mode;
+/// fast-forward the remaining `period - warmup - measure`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPlan {
     /// Instructions per sampling interval.
     pub period: u64,
-    /// Cache/TLB warming window (and the default for the per-structure
-    /// windows below).
+    /// Functional-warming window: caches, TLBs, BTB, predictors and the
+    /// JTE overlay all warm for these instructions before each
+    /// measurement.
     pub warmup: u64,
-    /// BTB (PC-entry) warming window.
-    pub btb_warmup: u64,
-    /// Direction/ITTAGE/RAS/indirect warming window.
-    pub pred_warmup: u64,
     /// Detailed instructions measured per interval.
     pub measure: u64,
     /// Paranoia knob: snapshot before each measured window, re-run it
@@ -105,56 +53,31 @@ pub struct SamplingPlan {
 }
 
 impl SamplingPlan {
-    /// Builds a validated plan with uniform per-structure windows.
+    /// Builds a validated plan.
     ///
     /// # Errors
     /// A human-readable message when `measure` is zero or
     /// `warmup + measure` exceeds `period`.
     pub fn new(period: u64, warmup: u64, measure: u64) -> Result<SamplingPlan, String> {
-        SamplingPlan {
-            period,
-            warmup,
-            btb_warmup: warmup,
-            pred_warmup: warmup,
-            measure,
-            self_check: false,
-        }
-        .validated()
-    }
-
-    /// Re-validates `self` after field edits.
-    fn validated(self) -> Result<SamplingPlan, String> {
-        if self.measure == 0 {
+        if measure == 0 {
             return Err("sampling plan: measured window must be at least 1 instruction".into());
         }
-        if self.warm_len().saturating_add(self.measure) > self.period {
+        if warmup.saturating_add(measure) > period {
             return Err(format!(
-                "sampling plan: warmup + measure ({} + {}) exceeds the period ({})",
-                self.warm_len(),
-                self.measure,
-                self.period
+                "sampling plan: warmup + measure ({warmup} + {measure}) exceeds the period \
+                 ({period})"
             ));
         }
-        Ok(self)
+        Ok(SamplingPlan {
+            period,
+            warmup,
+            measure,
+            self_check: false,
+        })
     }
 
-    /// Returns the plan with per-structure BTB / predictor windows.
-    ///
-    /// # Errors
-    /// A human-readable message when the longest window plus `measure`
-    /// exceeds the period.
-    pub fn with_windows(self, btb_warmup: u64, pred_warmup: u64) -> Result<SamplingPlan, String> {
-        SamplingPlan {
-            btb_warmup,
-            pred_warmup,
-            ..self
-        }
-        .validated()
-    }
-
-    /// Parses `"period:warmup[/BTB=..,PRED=..]:measure"` with optional
-    /// `k` (×10³) and `M` (×10⁶) suffixes, e.g. `"1M:50k:20k"` or
-    /// `"1M:20k/BTB=30k,PRED=80k:20k"`.
+    /// Parses `"period:warmup:measure"` with optional `k` (×10³) and
+    /// `M` (×10⁶) suffixes, e.g. `"1M:50k:20k"`.
     ///
     /// # Errors
     /// A human-readable message on malformed input or an invalid plan.
@@ -162,98 +85,40 @@ impl SamplingPlan {
         let parts: Vec<&str> = s.split(':').collect();
         let [p, w, m] = parts.as_slice() else {
             return Err(format!(
-                "sampling plan {s:?}: expected period:warmup[/BTB=..,PRED=..]:measure \
-                 (e.g. 1M:50k:20k)"
+                "sampling plan {s:?}: expected period:warmup:measure (e.g. 1M:50k:20k)"
             ));
         };
-        let (w, windows) = match w.split_once('/') {
-            Some((base, rest)) => (base, Some(rest)),
-            None => (*w, None),
-        };
-        let mut plan = SamplingPlan::new(parse_count(p)?, parse_count(w)?, parse_count(m)?)?;
-        if let Some(rest) = windows {
-            for item in rest.split(',') {
-                let Some((key, val)) = item.split_once('=') else {
-                    return Err(format!(
-                        "sampling plan: bad per-structure window {item:?} \
-                         (expected BTB=.. or PRED=..)"
-                    ));
-                };
-                let val = parse_count(val)?;
-                match key {
-                    "BTB" | "btb" => plan.btb_warmup = val,
-                    "PRED" | "pred" => plan.pred_warmup = val,
-                    _ => {
-                        return Err(format!(
-                            "sampling plan: unknown warm window {key:?} (expected BTB or PRED)"
-                        ))
-                    }
-                }
-            }
-            plan = plan.validated()?;
-        }
-        Ok(plan)
+        SamplingPlan::new(parse_count(p)?, parse_count(w)?, parse_count(m)?)
     }
 
     /// The committed qualified default plan (what `--sample default`
-    /// resolves to in the CLI and the sweep): uniform windows, because
-    /// the per-structure sensitivity study
-    /// (`results/warming_sensitivity.txt`) shows the cache/TLB
-    /// hierarchy is the only structure class with a real warming
-    /// requirement — drift flattens at ~20k retirements — while the
-    /// BTB and predictors retrain within ~1k, so the cache-sized
-    /// window covers everything. `quick` scales the cadence down to
-    /// tiny-input guest lengths for CI.
+    /// resolves to in the CLI and the sweep). The warming sensitivity
+    /// study (`results/warming_sensitivity.txt`) shows the estimate's
+    /// drift flattening once the warm window reaches 20k retirements
+    /// (fibo 0.038%, spectral-norm 0.031%). `quick` scales the cadence
+    /// down to tiny-input guest lengths for CI.
     #[must_use]
     pub fn qualified_default(quick: bool) -> SamplingPlan {
         let spec = if quick { "250k:20k:10k" } else { "1M:20k:20k" };
         SamplingPlan::parse(spec).expect("builtin plan")
     }
 
-    /// Length of the warm leg: the longest per-structure window (each
-    /// structure class activates for the tail of the leg its own window
-    /// spans).
-    pub fn warm_len(&self) -> u64 {
-        self.warmup.max(self.btb_warmup).max(self.pred_warmup)
-    }
-
     /// Instructions fast-forwarded per interval.
     pub fn skip(&self) -> u64 {
-        self.period - self.warm_len() - self.measure
-    }
-
-    /// The warmup field as it appears in `Display` and manifests:
-    /// per-structure overrides are emitted only when they differ from
-    /// the base window, so uniform plans render exactly as before
-    /// per-structure windows existed (keeping their cache manifests —
-    /// and thus cached results — valid).
-    fn warm_field(&self) -> String {
-        let mut s = self.warmup.to_string();
-        let mut over = Vec::new();
-        if self.btb_warmup != self.warmup {
-            over.push(format!("BTB={}", self.btb_warmup));
-        }
-        if self.pred_warmup != self.warmup {
-            over.push(format!("PRED={}", self.pred_warmup));
-        }
-        if !over.is_empty() {
-            s.push('/');
-            s.push_str(&over.join(","));
-        }
-        s
+        self.period - self.warmup - self.measure
     }
 
     /// The line this plan contributes to a result-cache manifest.
     /// `self_check` is excluded: it can only abort, never change a
     /// result, so it must not split cache keys.
     pub fn manifest(&self) -> String {
-        format!("sample {}:{}:{}", self.period, self.warm_field(), self.measure)
+        format!("sample {self}")
     }
 }
 
 impl std::fmt::Display for SamplingPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}:{}", self.period, self.warm_field(), self.measure)
+        write!(f, "{}:{}:{}", self.period, self.warmup, self.measure)
     }
 }
 
@@ -392,37 +257,9 @@ mod tests {
         assert!(SamplingPlan::parse("100:90:20").is_err());
         assert!(SamplingPlan::parse("x:1:1").is_err());
         assert!(SamplingPlan::parse("1M:1k:2k:3k").is_err());
-    }
-
-    #[test]
-    fn parse_per_structure_windows() {
-        let p = SamplingPlan::parse("1M:20k/BTB=30k,PRED=80k:20k").unwrap();
-        assert_eq!(
-            (p.period, p.warmup, p.btb_warmup, p.pred_warmup, p.measure),
-            (1_000_000, 20_000, 30_000, 80_000, 20_000)
-        );
-        // The warm leg spans the longest window; skip shrinks to match.
-        assert_eq!(p.warm_len(), 80_000);
-        assert_eq!(p.skip(), 900_000);
-        // Round-trips through Display.
-        assert_eq!(SamplingPlan::parse(&p.to_string()).unwrap(), p);
-        // A uniform override collapses back to the bare field.
-        let q = SamplingPlan::parse("1M:20k/BTB=20k,PRED=20k:20k").unwrap();
-        assert_eq!(q, SamplingPlan::parse("1M:20k:20k").unwrap());
-    }
-
-    #[test]
-    fn per_structure_windows_reject_invalid() {
-        // The longest window (not the base) bounds warm + measure.
-        assert!(SamplingPlan::parse("100k:10k/PRED=95k:10k").is_err());
-        assert!(SamplingPlan::parse("1M:10k/ITTAGE=5k:10k").is_err());
-        assert!(SamplingPlan::parse("1M:10k/BTB:10k").is_err());
-        let p = SamplingPlan::new(100_000, 10_000, 10_000).unwrap();
-        assert!(p.with_windows(10_000, 95_000).is_err());
-        assert_eq!(
-            p.with_windows(5_000, 50_000).unwrap().warm_len(),
-            50_000
-        );
+        // The retired per-structure window syntax fails loudly instead
+        // of running a different plan.
+        assert!(SamplingPlan::parse("1M:20k/BTB=30k,PRED=80k:20k").is_err());
     }
 
     #[test]
@@ -434,12 +271,6 @@ mod tests {
         let mut q = p;
         q.self_check = true;
         assert_eq!(p.manifest(), q.manifest());
-        // Per-structure overrides do split cache keys — but only when
-        // they actually differ from the base window.
-        let r = SamplingPlan::parse("1M:50k/PRED=80k:20k").unwrap();
-        assert_eq!(r.manifest(), "sample 1000000:50000/PRED=80000:20000");
-        let s = SamplingPlan::parse("1M:50k/PRED=50k,BTB=50k:20k").unwrap();
-        assert_eq!(s.manifest(), p.manifest());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Functional warming and its seams: warming in segments composes
-//! exactly with warming in one go (the per-structure-window warm leg
-//! relies on it), a warmed machine continues into detailed timing
-//! exactly, sampled runs attribute every retirement across the warm
-//! legs, and split-window estimates stay pinned to a golden.
+//! exactly with warming in one go, a warmed machine continues into
+//! detailed timing exactly, and sampled runs attribute every retirement
+//! across the warm legs.
 
 use proptest::prelude::*;
 use scd_isa::{Asm, Inst, LoadOp, Program, Reg};
@@ -180,42 +179,6 @@ fn golden_sampled_exit_crosses_warming_boundary() {
     );
 }
 
-/// Per-structure windows: a split plan (short cache window, longer
-/// BTB/predictor windows) warms for the longest window, keeps
-/// architectural results exact, and collapses to the uniform plan when
-/// the windows are equal.
-#[test]
-fn split_windows_run_and_stay_architecturally_exact() {
-    let p = dispatcher_program(3_000);
-    let cfg = SimConfig::embedded_a5();
-
-    let mut full = machine(&cfg, &p);
-    let e_full = full.run(10_000_000).expect("full run");
-
-    let plan = SamplingPlan::parse("4k:600/BTB=1k,PRED=1500:800").unwrap();
-    assert_eq!(plan.warm_len(), 1_500);
-    let mut m = machine(&cfg, &p);
-    let (e, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
-    assert_eq!(e.code, e_full.code);
-    assert_eq!(e.output, e_full.output);
-    assert!(!report.exact_fallback);
-    assert!(report.intervals >= 2, "intervals: {}", report.intervals);
-    // The warm legs span the longest window.
-    assert!(report.warm_insts >= report.intervals * 1_400);
-
-    // Uniform overrides are the plain plan: same parse, same cadence,
-    // same estimate.
-    let uniform = SamplingPlan::parse("4k:1k/BTB=1k,PRED=1k:800").unwrap();
-    let plain = SamplingPlan::parse("4k:1k:800").unwrap();
-    assert_eq!(uniform.manifest(), plain.manifest());
-    let mut a = machine(&cfg, &p);
-    let mut b = machine(&cfg, &p);
-    let ra = a.run_sampled(10_000_000, &uniform).expect("uniform");
-    let rb = b.run_sampled(10_000_000, &plain).expect("plain");
-    assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
-    assert_eq!(a.stats, b.stats);
-}
-
 /// The warm → detailed seam composes: warming to 8k in two segments
 /// and then running detailed reaches the same exit, stats and snapshot
 /// as warming in one go.
@@ -236,49 +199,4 @@ fn warm_then_detailed_seam_composes() {
     assert_eq!(format!("{ea:?}"), format!("{eb:?}"));
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.snapshot().to_bytes(), b.snapshot().to_bytes());
-}
-
-/// Golden split-window sampled runs: the per-structure gates must keep
-/// producing these exact estimates whichever code implements them. The
-/// committed text holds each case's `SampleReport` and `SimStats`
-/// `Debug` strings; regenerate (only for an intended model change) with
-/// `SCD_BLESS=1 cargo test -p scd-sim --test warm_replay`.
-#[test]
-fn golden_split_window_estimates() {
-    const GOLDEN: &str = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/split_windows.txt"
-    );
-    let plan = SamplingPlan::parse("4k:600/BTB=1k,PRED=1500:800").unwrap();
-    let mut flushed = SimConfig::embedded_a5();
-    flushed.scd.flush_interval = Some(2_000);
-    let cases = [
-        (
-            "dispatcher",
-            SimConfig::embedded_a5(),
-            dispatcher_program(3_000),
-        ),
-        ("dispatcher+flush", flushed, dispatcher_program(3_000)),
-        (
-            "strider",
-            SimConfig::embedded_a5(),
-            strider_program(200, 16),
-        ),
-    ];
-    let mut text = String::new();
-    for (name, cfg, p) in &cases {
-        let mut m = machine(cfg, p);
-        let (_, report) = m.run_sampled(10_000_000, &plan).expect("sampled run");
-        text.push_str(&format!(
-            "{name} report: {report:?}\n{name} stats: {:?}\n",
-            m.stats
-        ));
-    }
-    if std::env::var_os("SCD_BLESS").is_some() {
-        std::fs::create_dir_all(std::path::Path::new(GOLDEN).parent().unwrap()).unwrap();
-        std::fs::write(GOLDEN, &text).expect("write golden");
-        return;
-    }
-    let committed = std::fs::read_to_string(GOLDEN).expect("golden committed (SCD_BLESS=1)");
-    assert_eq!(text, committed, "split-window estimates moved");
 }
