@@ -96,7 +96,7 @@ pub struct Bencher {
 
 impl Bencher {
     /// Measures `f`, doubling the batch size until the batch takes at
-    /// least [`TARGET`] wall-clock time.
+    /// least `TARGET` (20 ms) of wall-clock time.
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         if self.test_mode {
             black_box(f());

@@ -8,7 +8,8 @@ use super::Render;
 use crate::sweep::{CellId, RunMatrix, SweepResults};
 use crate::{ArgScale, Table4Headline, Variant};
 use luma::scripts::BENCHMARKS;
-use scd_guest::{GuestRun, Vm};
+use scd_guest::Vm;
+use scd_serve::CachedRun;
 use scd_sim::SimConfig;
 use std::fmt::Write as _;
 
@@ -60,8 +61,8 @@ impl Render for Plan {
             let jt = r.get(jt_id);
             let scd = r.get(scd_id);
             let isave =
-                |x: &GuestRun| 1.0 - x.stats.instructions as f64 / base.stats.instructions as f64;
-            let spdup = |x: &GuestRun| base.stats.cycles as f64 / x.stats.cycles as f64 - 1.0;
+                |x: &CachedRun| 1.0 - x.stats.instructions as f64 / base.stats.instructions as f64;
+            let spdup = |x: &CachedRun| base.stats.cycles as f64 / x.stats.cycles as f64 - 1.0;
             let _ = writeln!(
                 out,
                 "{:<18}{:>14}{:>14}{:>14}{:>14}{:>14}{:>14}{:>10.2}%{:>10.2}%{:>10.2}%{:>10.2}%",

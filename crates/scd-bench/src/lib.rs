@@ -11,7 +11,7 @@
 //! ```
 //!
 //! One figure is `sweep --only <name>`: the cells it needs are planned
-//! into a [`RunMatrix`](sweep::RunMatrix), executed in parallel, and
+//! into a [`sweep::RunMatrix`], executed in parallel, and
 //! rendered by the per-figure renderers in [`figures`].
 //!
 //! This library holds the shared machinery: the deduplicating run-matrix
@@ -28,14 +28,9 @@ pub mod sweep;
 
 pub use headline::{EdpHeadline, Table4Headline};
 pub use sweep::{
-    parallel_map, plan_matrix, try_parallel_map, CellId, CellOut, CellSpec, MapOutcome, Matrix,
-    MatrixPlan, MatrixRow, RunMatrix, SweepError, SweepResults,
+    parallel_map, plan_matrix, CellId, CellSpec, Matrix, MatrixPlan, MatrixRow, RunMatrix,
+    SweepError, SweepResults,
 };
-
-/// Invariant-checkpoint stride for harness runs. Figure sweeps run in
-/// release, so the self-check is explicitly enabled here: every figure
-/// is produced from a run whose counters passed the cross-checks.
-pub(crate) const INVARIANT_STRIDE: u64 = 1 << 16;
 
 /// The four bars of Fig. 7: three software schemes plus the VBBI
 /// hardware predictor (which runs the *baseline* binary).

@@ -7,36 +7,39 @@
 //! *execution*:
 //!
 //! 1. every figure contributes the cells it needs to one [`RunMatrix`]
-//!    builder, which deduplicates them by their full identity
-//!    (configuration, VM, benchmark, input, scheme, build options);
-//! 2. [`RunMatrix::run`] executes the unique cells on a work-stealing
-//!    pool of plain `std::thread::scope` workers (the `Machine` stack is
-//!    `Send`, asserted at compile time in `scd-sim`), with results
-//!    written into per-cell slots so the reduction order — and therefore
-//!    every rendered byte — is deterministic regardless of thread count;
+//!    builder, which deduplicates them by their full identity — the
+//!    cache manifest of the cell's job, minus the trace flag;
+//! 2. [`RunMatrix::run`] turns each unique cell into an `scd-serve`
+//!    [`JobSpec`] and runs the batch through the serve driver
+//!    ([`run_batch`] with [`simulate_job`] as the runner): the same
+//!    pool, cache lookup, oracle validation, panic isolation and retry
+//!    that `scd serve` uses. Outcomes arrive in planning order, so the
+//!    reduction order — and therefore every rendered byte — is
+//!    deterministic regardless of thread count;
 //! 3. figures render from the shared [`SweepResults`] via stable
 //!    [`CellId`] handles.
 //!
 //! Untraced cells run uninstrumented on the machine's fast loop (oracle
 //! checksum validation still gates every cell), or under interval
 //! sampling when the matrix has a plan. Traced cells carry a
-//! [`CycleBreakdown`] sink and the invariant checker armed at
-//! [`INVARIANT_STRIDE`](crate), which selects the observed loop. The
-//! two loops produce bit-identical statistics (`tests/golden_stats.rs`)
-//! and the trace layer is stat-invariant, so a cell shared between a
-//! traced and an untraced consumer is run once, traced, and both read
-//! identical statistics. Each cell is one thread: a sweep at
-//! `--threads N` keeps at most `N` CPUs busy.
+//! [`CycleBreakdown`] sink and the invariant checker armed, which
+//! selects the observed loop. The two loops produce bit-identical
+//! statistics (`tests/golden_stats.rs`) and the trace layer is
+//! stat-invariant, so a cell shared between a traced and an untraced
+//! consumer is run once, traced, and both read identical statistics.
+//! Each cell is one thread: a sweep at `--threads N` keeps at most `N`
+//! CPUs busy.
 
-use crate::{ArgScale, Variant, INVARIANT_STRIDE};
+use crate::{ArgScale, Variant};
 use luma::scripts::{Benchmark, BENCHMARKS};
-use scd_guest::{GuestOptions, GuestRun, RunRequest, Scheme, Vm};
-use scd_serve::{manifest_for, panic_message, payload, Cache, CachedRun};
+use scd_guest::{GuestOptions, Scheme, Vm};
+use scd_serve::{
+    panic_message, run_batch, simulate_job, Cache, CachedRun, JobDone, JobOutcome, JobSpec,
+};
 use scd_sim::{CycleBreakdown, SamplingPlan, SimConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Stable handle to one cell of a [`RunMatrix`] / [`SweepResults`].
@@ -65,30 +68,42 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// Dedup key: the full cell identity minus `traced` (tracing is
-    /// stat-invariant, so it widens a cell rather than splitting it).
-    fn key(&self) -> String {
+    /// Progress and error label: `bench [vm / scheme]`.
+    fn label(&self) -> String {
         format!(
-            "{:?}|{:?}|{}|{:016x}|{:?}|{:?}",
-            self.cfg,
-            self.vm,
+            "{} [{} / {}]",
             self.bench.name,
-            self.arg.to_bits(),
-            self.scheme,
-            self.opts
+            self.vm.name(),
+            self.scheme.name()
         )
     }
-}
 
-/// One executed cell: the validated run, its optional cycle
-/// decomposition, and how long it took on the host.
-pub struct CellOut {
-    /// The oracle-validated run.
-    pub run: GuestRun,
-    /// Event-derived cycle decomposition (`None` for untraced cells).
-    pub breakdown: Option<CycleBreakdown>,
-    /// Host wall-clock time this cell took to simulate.
-    pub wall: Duration,
+    /// The serve job that runs this cell. A traced cell always runs full
+    /// detail: the cycle breakdown is a per-retirement observation, a
+    /// fragment over a sampled run, and the driver would drop it.
+    fn job(&self, sample: Option<SamplingPlan>) -> JobSpec {
+        JobSpec {
+            id: self.label(),
+            vm: self.vm,
+            scheme: self.scheme,
+            cfg: self.cfg.clone(),
+            src: self.bench.source.to_string(),
+            predefined: vec![("N".to_string(), self.arg)],
+            max_insts: u64::MAX,
+            opts: self.opts,
+            traced: self.traced,
+            sample: if self.traced { None } else { sample },
+        }
+    }
+
+    /// Dedup key: the cell's job manifest with `traced` left out
+    /// (tracing is stat-invariant, so it widens a cell rather than
+    /// splitting it).
+    fn key(&self) -> String {
+        let mut job = self.job(None);
+        job.traced = false;
+        job.cache_manifest()
+    }
 }
 
 /// Deduplicating builder for the evaluation run matrix.
@@ -193,17 +208,17 @@ impl RunMatrix {
     }
 
     /// [`RunMatrix::run`] with the robustness knobs exposed: an optional
-    /// persistent result [`Cache`] (entries are keyed through
-    /// [`manifest_for`], so they interoperate with `scd serve`) and an
-    /// optional interrupt flag. When the flag becomes true, in-flight
-    /// cells finish — and commit their cache entries — but no new cell
-    /// is claimed, and the sweep returns [`SweepError::Interrupted`]; a
+    /// persistent result [`Cache`] (the cells run as serve jobs, so
+    /// their entries interoperate with `scd serve`) and an optional
+    /// interrupt flag. When the flag becomes true, in-flight cells
+    /// finish — and commit their cache entries — but no new cell is
+    /// claimed, and the sweep returns [`SweepError::Interrupted`]; a
     /// rerun against the same cache resumes as hits.
     ///
     /// # Errors
     /// [`SweepError::Cell`] on the first cell that fails to compile,
-    /// validate or persist (including a worker panic, which no longer
-    /// takes the rest of the matrix down with it);
+    /// validate or persist, or whose worker panicked, after the serve
+    /// driver's one retry of panics and I/O failures;
     /// [`SweepError::Interrupted`] when cut short.
     pub fn run_cached(
         self,
@@ -214,42 +229,44 @@ impl RunMatrix {
     ) -> Result<SweepResults, SweepError> {
         let started = Instant::now();
         let total = self.cells.len();
+        let jobs: Vec<JobSpec> = self.cells.iter().map(|c| c.job(self.sample)).collect();
+        // Without a caller's flag nothing ever interrupts the batch, so
+        // Ctrl-C keeps its default kill.
+        let never = AtomicBool::new(false);
         let done = AtomicUsize::new(0);
-        let sample = self.sample;
-        let outs = try_parallel_map(&self.cells, threads, interrupt, |spec| {
-            let out = run_cell(spec, sample.as_ref(), cache);
+        let runner = |job: &JobSpec| {
+            let out = simulate_job(job, cache, None);
             if progress {
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let status = match &out {
-                    Ok(cell) => format!("{:.2}s", cell.wall.as_secs_f64()),
-                    Err(_) => "FAILED".to_string(),
-                };
-                eprintln!(
-                    "  [{d}/{total}] {} [{} / {}] {status}",
-                    spec.bench.name,
-                    spec.vm.name(),
-                    spec.scheme.name(),
-                );
+                match &out {
+                    Ok(d) => {
+                        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+                        eprintln!("  [{n}/{total}] {} {:.2}s", job.id, d.wall.as_secs_f64());
+                    }
+                    Err(e) => eprintln!("  {} FAILED: {}", job.id, e.message()),
+                }
             }
             out
-        });
-        let mut cells = Vec::with_capacity(outs.len());
-        for (i, out) in outs.into_iter().enumerate() {
-            let spec = &self.cells[i];
-            let label = format!(
-                "{} [{} / {}]",
-                spec.bench.name,
-                spec.vm.name(),
-                spec.scheme.name()
-            );
-            match out {
-                MapOutcome::Done(Ok(cell)) => cells.push(cell),
-                MapOutcome::Done(Err(msg)) => return Err(SweepError::Cell(msg)),
-                MapOutcome::Panicked(msg) => {
-                    return Err(SweepError::Cell(format!("{label}: worker panicked: {msg}")))
+        };
+        let mut cells = Vec::with_capacity(total);
+        let mut failure = None;
+        run_batch(
+            &jobs,
+            threads,
+            interrupt.unwrap_or(&never),
+            runner,
+            |_, job, outcome| match outcome {
+                JobOutcome::Done(d) => cells.push((**d).clone()),
+                JobOutcome::Failed { error, .. } => {
+                    let msg = format!("{}: {} failure: {}", job.id, error.kind(), error.message());
+                    failure.get_or_insert(SweepError::Cell(msg));
                 }
-                MapOutcome::Cancelled => return Err(SweepError::Interrupted),
-            }
+                JobOutcome::Cancelled => {
+                    failure.get_or_insert(SweepError::Interrupted);
+                }
+            },
+        );
+        if let Some(e) = failure {
+            return Err(e);
         }
         Ok(SweepResults {
             specs: self.cells,
@@ -282,199 +299,51 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Runs one cell, oracle-validated, through the optional persistent
-/// cache. Traced cells run the observed loop with invariants armed;
-/// untraced cells run uninstrumented on the fast loop, or under
-/// interval sampling when the matrix has a plan.
-fn run_cell(
-    spec: &CellSpec,
-    sample: Option<&SamplingPlan>,
-    cache: Option<&Cache>,
-) -> Result<CellOut, String> {
-    let started = Instant::now();
-    let label = format!(
-        "{} [{} / {}]",
-        spec.bench.name,
-        spec.vm.name(),
-        spec.scheme.name()
-    );
-    let args = [("N", spec.arg)];
-    // Traced cells ignore the matrix sampling plan: the cycle breakdown
-    // is a per-retirement observation, meaningless over a sampled run.
-    let sample = if spec.traced { None } else { sample };
-    let req = RunRequest::new(spec.cfg.clone(), spec.vm, spec.bench.source)
-        .predefined(&args)
-        .scheme(spec.scheme)
-        .opts(spec.opts)
-        .sample(sample.cloned());
-    // The sampling plan is in the key (via the request manifest):
-    // sampled cycle counts are estimates and must never masquerade as
-    // exact.
-    let key = cache.map(|_| Cache::key(&manifest_for(&req, spec.traced)));
-    if let (Some(c), Some(key)) = (cache, key.as_deref()) {
-        if let Some(bytes) = c.load(key) {
-            // Checksum passed but the payload may predate a format
-            // change (or lack the breakdown this consumer needs); any
-            // such mismatch degrades to recompute, never a failure.
-            let decoded = std::str::from_utf8(&bytes)
-                .map_err(|e| e.to_string())
-                .and_then(payload::decode);
-            if let Ok(cached) = decoded {
-                if (!spec.traced || cached.breakdown.is_some())
-                    && sample.is_some() == cached.sample.is_some()
-                {
-                    let breakdown = cached.breakdown;
-                    return Ok(CellOut {
-                        run: cached.to_run(),
-                        breakdown,
-                        wall: started.elapsed(),
-                    });
-                }
-            }
-        }
-    }
-    let mut run = req
-        .run_with(|m| {
-            if spec.traced {
-                m.enable_invariants(INVARIANT_STRIDE);
-            } else {
-                // The fast loop (debug builds otherwise auto-arm the
-                // invariant observer).
-                m.disable_invariants();
-            }
-            if spec.traced {
-                m.set_trace_sink(Box::new(CycleBreakdown::default()));
-            }
-        })
-        .map_err(|e| format!("{label}: {e}"))?;
-    let breakdown = match spec.traced {
-        true => Some(
-            *run.take_sink::<CycleBreakdown>()
-                .ok_or_else(|| format!("{label}: breakdown sink did not come back"))?,
-        ),
-        false => None,
-    };
-    if let (Some(c), Some(key)) = (cache, key.as_deref()) {
-        let text = payload::encode(&CachedRun::from_run(&run, breakdown.as_ref()));
-        c.store(key, text.as_bytes())
-            .map_err(|e| format!("{label}: cache store under {}: {e}", c.root().display()))?;
-    }
-    Ok(CellOut {
-        run,
-        breakdown,
-        wall: started.elapsed(),
-    })
-}
-
-/// What happened to one item of a [`try_parallel_map`].
-#[derive(Debug)]
-pub enum MapOutcome<U> {
-    /// The worker completed and produced a value.
-    Done(U),
-    /// The worker panicked on this item; the panic message is preserved
-    /// and the rest of the map kept running.
-    Panicked(String),
-    /// The item was never claimed because `cancel` became true first.
-    Cancelled,
-}
-
 /// Order-preserving parallel map over a slice using scoped threads: a
-/// shared atomic cursor hands out indices, each worker writes its result
-/// into the slot for the index it claimed, and the output order matches
-/// the input order exactly. With `threads <= 1` it degenerates to a
-/// plain sequential map (no pool, no locks).
-///
-/// Each item is computed under `catch_unwind` *before* its slot mutex
-/// is taken, so a panicking worker yields [`MapOutcome::Panicked`] for
-/// that one item instead of poisoning the slot and aborting the whole
-/// map — the historical failure mode where one bad cell cost the rest
-/// of an hours-long matrix. When `cancel` flips to true, workers stop
-/// claiming and the unclaimed tail comes back [`MapOutcome::Cancelled`];
-/// claims are monotonic, so cancelled items always form a suffix of the
-/// per-worker claim order (with one thread, of the whole output).
-pub fn try_parallel_map<T, U, F>(
-    items: &[T],
-    threads: usize,
-    cancel: Option<&AtomicBool>,
-    f: F,
-) -> Vec<MapOutcome<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::SeqCst));
-    let run_one = |item: &T| match catch_unwind(AssertUnwindSafe(|| f(item))) {
-        Ok(v) => MapOutcome::Done(v),
-        Err(payload) => MapOutcome::Panicked(panic_message(payload)),
-    };
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items
-            .iter()
-            .map(|item| {
-                if cancelled() {
-                    MapOutcome::Cancelled
-                } else {
-                    run_one(item)
-                }
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<MapOutcome<U>>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                if cancelled() {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = run_one(item);
-                match slots[i].lock() {
-                    Ok(mut slot) => *slot = Some(out),
-                    // Unreachable now that nothing panics while holding
-                    // the lock, but if that ever regresses the result
-                    // still lands instead of cascading the poison.
-                    Err(poisoned) => *poisoned.into_inner() = Some(out),
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .unwrap_or(MapOutcome::Cancelled)
-        })
-        .collect()
-}
-
-/// Infallible wrapper over [`try_parallel_map`]: returns the mapped
-/// values in input order.
+/// shared atomic cursor hands out indices, the calling thread works
+/// alongside `threads - 1` spawned ones, and the output order matches
+/// the input order exactly. With `threads <= 1` nothing is spawned.
 ///
 /// # Panics
-/// Re-raises the first worker panic — but only after every other item
-/// has completed, so one bad item no longer discards the rest of the
-/// computation mid-flight.
+/// Each item runs under `catch_unwind`, so one bad item does not stop
+/// the others: the first worker panic (in input order) is re-raised,
+/// with its original message, only after every other item completed.
 pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+        }
+    };
+    let threads = threads.clamp(1, items.len().max(1));
+    let mut done = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in spawned {
+            done.extend(h.join().expect("items panic inside catch_unwind"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
     let mut first_panic = None;
-    let results: Vec<U> = try_parallel_map(items, threads, None, f)
+    let results = done
         .into_iter()
-        .filter_map(|o| match o {
-            MapOutcome::Done(v) => Some(v),
-            MapOutcome::Panicked(msg) => {
-                first_panic.get_or_insert(msg);
+        .filter_map(|(_, out)| match out {
+            Ok(v) => Some(v),
+            Err(payload) => {
+                first_panic.get_or_insert_with(|| panic_message(payload));
                 None
             }
-            MapOutcome::Cancelled => unreachable!("no cancel flag was passed"),
         })
         .collect();
     match first_panic {
@@ -483,12 +352,12 @@ where
     }
 }
 
-/// The executed matrix: one [`CellOut`] per unique planned cell, plus
-/// the wall-clock accounting the sweep driver reports.
+/// The executed matrix: one serve [`JobDone`] per unique planned cell,
+/// plus the wall-clock accounting the sweep driver reports.
 pub struct SweepResults {
     specs: Vec<CellSpec>,
     hits: Vec<usize>,
-    cells: Vec<CellOut>,
+    cells: Vec<JobDone>,
     /// Wall-clock time of the whole (parallel) execution.
     pub wall: Duration,
 }
@@ -505,7 +374,7 @@ impl SweepResults {
     }
 
     /// The validated run of `id`.
-    pub fn get(&self, id: CellId) -> &GuestRun {
+    pub fn get(&self, id: CellId) -> &CachedRun {
         &self.cells[id.0].run
     }
 
@@ -515,6 +384,7 @@ impl SweepResults {
     /// Panics when the cell was planned untraced.
     pub fn breakdown(&self, id: CellId) -> &CycleBreakdown {
         self.cells[id.0]
+            .run
             .breakdown
             .as_ref()
             .expect("cell was planned traced")
@@ -538,7 +408,7 @@ impl SweepResults {
     }
 
     /// Iterates `(spec, times-requested, result)` in planning order.
-    pub fn iter(&self) -> impl Iterator<Item = (&CellSpec, usize, &CellOut)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&CellSpec, usize, &JobDone)> {
         self.specs
             .iter()
             .zip(&self.hits)
@@ -624,7 +494,7 @@ impl<'r> MatrixRow<'r> {
     }
 
     /// The validated run of variant `v`.
-    pub fn get(&self, v: Variant) -> &'r GuestRun {
+    pub fn get(&self, v: Variant) -> &'r CachedRun {
         self.results.get(self.id(v))
     }
 
@@ -680,33 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn try_parallel_map_isolates_worker_panics() {
-        let items: Vec<u64> = (0..16).collect();
-        for threads in [1, 4] {
-            let outs = try_parallel_map(&items, threads, None, |&x| {
-                if x == 7 {
-                    panic!("boom at {x}");
-                }
-                x * 2
-            });
-            assert_eq!(outs.len(), items.len());
-            for (i, o) in outs.iter().enumerate() {
-                match o {
-                    MapOutcome::Done(v) => {
-                        assert_ne!(i, 7, "threads={threads}: item 7 must not succeed");
-                        assert_eq!(*v, items[i] * 2);
-                    }
-                    MapOutcome::Panicked(msg) => {
-                        assert_eq!(i, 7, "threads={threads}: only item 7 panics");
-                        assert!(msg.contains("boom at 7"), "payload preserved: {msg}");
-                    }
-                    MapOutcome::Cancelled => panic!("nothing was cancelled"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_map_finishes_other_items_before_reraising() {
         let items: Vec<u64> = (0..8).collect();
         let completed = AtomicUsize::new(0);
@@ -730,29 +573,6 @@ mod tests {
             7,
             "the other items still ran"
         );
-    }
-
-    #[test]
-    fn cancel_flag_stops_claiming_new_items() {
-        let items: Vec<u64> = (0..6).collect();
-        let cancel = AtomicBool::new(false);
-        let outs = try_parallel_map(&items, 1, Some(&cancel), |&x| {
-            if x == 1 {
-                cancel.store(true, Ordering::SeqCst);
-            }
-            x
-        });
-        assert!(matches!(outs[0], MapOutcome::Done(0)));
-        assert!(
-            matches!(outs[1], MapOutcome::Done(1)),
-            "the in-flight item finishes"
-        );
-        for (i, o) in outs.iter().enumerate().skip(2) {
-            assert!(
-                matches!(o, MapOutcome::Cancelled),
-                "item {i} must be cancelled"
-            );
-        }
     }
 
     /// End-to-end for the persistent cache: a cold sweep populates it, a
@@ -903,6 +723,59 @@ mod tests {
             "every sampled cell must hit"
         );
         assert_eq!(smp, warm);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sweep and `scd serve` share one cache. For a full-detail, a
+    /// traced and a sampled sweep cell, the JSONL job a user would write
+    /// for the same run is answered from the entry the sweep stored,
+    /// equal to the sweep's result field for field.
+    #[test]
+    fn sweep_cache_serves_serve_jobs() {
+        let dir = std::env::temp_dir().join(format!(
+            "scd-sweep-serve-interop-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let a5 = SimConfig::embedded_a5();
+        let b = &BENCHMARKS[0];
+        let cache = Cache::open(&dir).expect("open cache");
+
+        let mut m = RunMatrix::new();
+        let detailed = m.variant(&a5, Vm::Lvm, b, ArgScale::Tiny, Variant::Baseline, false);
+        let traced = m.variant(&a5, Vm::Svm, b, ArgScale::Tiny, Variant::Scd, true);
+        let full = m
+            .run_cached(2, false, Some(&cache), None)
+            .expect("sweep clean");
+        let mut m = RunMatrix::new();
+        m.set_sample(Some(SamplingPlan::parse("60k:10k:6k").expect("valid plan")));
+        let sampled = m.variant(&a5, Vm::Lvm, b, ArgScale::Tiny, Variant::Scd, false);
+        let smp = m
+            .run_cached(1, false, Some(&cache), None)
+            .expect("sweep clean");
+        assert!(full.get(traced).breakdown.is_some());
+        assert!(smp.get(sampled).sample.is_some());
+
+        let (name, arg) = (b.name, ArgScale::Tiny.arg(b));
+        let common = format!(
+            "\"bench\": \"{name}\", \"cfg\": \"embedded_a5\", \"predefined\": {{\"N\": {arg}}}"
+        );
+        let text = format!(
+            "{{{common}, \"vm\": \"lvm\", \"scheme\": \"baseline\"}}\n\
+             {{{common}, \"vm\": \"svm\", \"scheme\": \"scd\", \"traced\": true}}\n\
+             {{{common}, \"vm\": \"lvm\", \"scheme\": \"scd\", \"sample\": \"60k:10k:6k\"}}\n"
+        );
+        let jobs = scd_serve::parse_jobs(&text).expect("jobs parse");
+        let want = [full.get(detailed), full.get(traced), smp.get(sampled)];
+        assert_eq!(jobs.len(), want.len());
+        let serve_cache = Cache::open(&dir).expect("reopen cache");
+        for (job, want) in jobs.iter().zip(want) {
+            let done = simulate_job(job, Some(&serve_cache), None).expect("job runs");
+            assert!(done.cached, "{}: serve must hit the sweep's entry", job.id);
+            assert_eq!(&done.run, want, "{}: cached run differs", job.id);
+        }
+        assert_eq!(serve_cache.stats.misses.load(Ordering::SeqCst), 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

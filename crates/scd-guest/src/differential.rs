@@ -8,7 +8,7 @@
 //! clean and once under a seeded [`FaultPlan`], validates both runs
 //! against the host oracle, and then compares the two machines'
 //! architectural state bit for bit with
-//! [`diff_architectural`](scd_sim::diff_architectural).
+//! [`scd_sim::diff_architectural`].
 //!
 //! On divergence the guard dumps the tail of the faulted run's trace (a
 //! bounded [`RingSink`] window ending at the divergence) to a JSONL file

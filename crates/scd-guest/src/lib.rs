@@ -42,8 +42,5 @@ pub use differential::{differential_check, DifferentialError, DifferentialReport
 pub use layout::{build_lvm_image, build_svm_image, Image};
 pub use lvm::build_lvm_guest;
 pub use oracle::{lockstep_check, LockstepReport};
-pub use runner::{
-    run_lvm, run_lvm_with, run_source, run_source_with, run_svm, run_svm_with, GuestError,
-    GuestRun, RunRequest, Session, Vm,
-};
+pub use runner::{run_source, run_source_with, GuestError, GuestRun, RunRequest, Session, Vm};
 pub use svm::build_svm_guest;

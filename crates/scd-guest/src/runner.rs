@@ -144,29 +144,6 @@ fn build_machine(cfg: SimConfig, guest: &Guest, img: &Image) -> Machine {
     m
 }
 
-fn run_image(
-    cfg: SimConfig,
-    guest: &Guest,
-    img: &Image,
-    max_insts: u64,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<GuestRun, GuestError> {
-    let mut m = build_machine(cfg, guest, img);
-    setup(&mut m);
-    let exit = m.run(max_insts)?;
-    let dispatches = m
-        .mem
-        .read_u64(layout::VMCTL_BASE + layout::CTL_DISPATCH_COUNT as u64)
-        .expect("ctl mapped");
-    Ok(GuestRun {
-        checksum: exit.code,
-        dispatches,
-        stats: m.stats.clone(),
-        sink: m.take_trace_sink(),
-        sample: None,
-    })
-}
-
 /// The compiled guest program plus everything the oracle needs.
 enum Compiled {
     Lvm {
@@ -314,123 +291,15 @@ impl Session {
     }
 }
 
-/// Runs an LVM program on the simulated core under `scheme` and checks
-/// the checksum (and, with production weight, the dispatch count)
-/// against the host oracle.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_lvm(
-    cfg: SimConfig,
-    program: &LvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-) -> Result<GuestRun, GuestError> {
-    run_lvm_with(cfg, program, global_init, scheme, opts, max_insts, |_| {})
-}
-
-/// [`run_lvm`] with a `setup` hook run on the machine just before
-/// execution — the place to install a trace sink or tune the invariant
-/// checker.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_lvm_with(
-    cfg: SimConfig,
-    program: &LvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<GuestRun, GuestError> {
-    let img = layout::build_lvm_image(program, global_init);
-    let guest = crate::lvm::build_lvm_guest(&img, scheme, opts);
-    let run = run_image(cfg, &guest, &img, max_insts, setup)?;
-
-    let oracle = luma::lvm::LvmInterp::new(program, global_init)
-        .run(max_insts)
-        .expect("oracle agrees the program terminates");
-    if oracle.checksum != run.checksum {
-        return Err(GuestError::ChecksumMismatch {
-            guest: run.checksum,
-            oracle: oracle.checksum,
-        });
-    }
-    if opts.production_weight && run.dispatches != oracle.steps {
-        return Err(GuestError::DispatchMismatch {
-            guest: run.dispatches,
-            oracle: oracle.steps,
-        });
-    }
-    Ok(run)
-}
-
-/// Runs an SVM program on the simulated core under `scheme` and checks
-/// it against the host oracle.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_svm(
-    cfg: SimConfig,
-    program: &SvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-) -> Result<GuestRun, GuestError> {
-    run_svm_with(cfg, program, global_init, scheme, opts, max_insts, |_| {})
-}
-
-/// [`run_svm`] with a `setup` hook run on the machine just before
-/// execution — the place to install a trace sink or tune the invariant
-/// checker.
-///
-/// # Errors
-/// Returns [`GuestError`] on simulator faults or oracle mismatches.
-pub fn run_svm_with(
-    cfg: SimConfig,
-    program: &SvmProgram,
-    global_init: &[u64],
-    scheme: Scheme,
-    opts: GuestOptions,
-    max_insts: u64,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<GuestRun, GuestError> {
-    let img = layout::build_svm_image(program, global_init);
-    let guest = crate::svm::build_svm_guest(&img, scheme, opts);
-    let run = run_image(cfg, &guest, &img, max_insts, setup)?;
-
-    let oracle = luma::svm::SvmInterp::new(program, global_init)
-        .run(max_insts)
-        .expect("oracle agrees the program terminates");
-    if oracle.checksum != run.checksum {
-        return Err(GuestError::ChecksumMismatch {
-            guest: run.checksum,
-            oracle: oracle.checksum,
-        });
-    }
-    if opts.production_weight && run.dispatches != oracle.steps {
-        return Err(GuestError::DispatchMismatch {
-            guest: run.dispatches,
-            oracle: oracle.steps,
-        });
-    }
-    Ok(run)
-}
-
 /// Everything that identifies one guest run — one *cell* of the paper's
 /// run matrix: hardware configuration, VM, program, inputs, dispatch
 /// scheme, build options and instruction budget.
 ///
-/// The free functions below ([`run_source`], [`run_lvm`], ...) thread
-/// these through as positional arguments, which was tolerable for two
-/// call sites and is not for a sweep driver that builds hundreds of
-/// cells. A `RunRequest` is the named bundle: build it once, then
-/// [`RunRequest::run`] it, open a [`Session`](RunRequest::session) for
-/// stepwise control, or hand it to
+/// [`run_source`] threads these through as positional arguments, which
+/// was tolerable for two call sites and is not for a sweep driver that
+/// builds hundreds of cells. A `RunRequest` is the named bundle: build
+/// it once, then [`RunRequest::run`] it, open a
+/// [`Session`](RunRequest::session) for stepwise control, or hand it to
 /// [`differential_check`](crate::differential_check) for the fault
 /// guard.
 #[derive(Debug, Clone)]
@@ -571,23 +440,15 @@ impl<'a> RunRequest<'a> {
     /// Returns a string describing parse/compile errors or a
     /// [`GuestError`].
     pub fn run_with(&self, setup: impl FnOnce(&mut Machine)) -> Result<GuestRun, String> {
-        if let Some(plan) = &self.sample {
-            let mut session = self.session()?;
-            setup(&mut session.machine);
-            return session
-                .run_sampled_and_validate(self.max_insts, plan)
-                .map_err(|e| e.to_string());
+        let mut session = self.session()?;
+        setup(&mut session.machine);
+        let mut run = match &self.sample {
+            Some(plan) => session.run_sampled_and_validate(self.max_insts, plan),
+            None => session.run_and_validate(self.max_insts),
         }
-        run_source_with(
-            self.cfg.clone(),
-            self.vm,
-            self.src,
-            self.predefined,
-            self.scheme,
-            self.opts,
-            self.max_insts,
-            setup,
-        )
+        .map_err(|e| e.to_string())?;
+        run.sink = session.machine.take_trace_sink();
+        Ok(run)
     }
 }
 
@@ -624,17 +485,10 @@ pub fn run_source_with(
     max_insts: u64,
     setup: impl FnOnce(&mut Machine),
 ) -> Result<GuestRun, String> {
-    let script = luma::parser::parse(src).map_err(|e| e.to_string())?;
-    match vm {
-        Vm::Lvm => {
-            let (p, init) =
-                luma::lvm::compile_lvm(&script, predefined).map_err(|e| e.to_string())?;
-            run_lvm_with(cfg, &p, &init, scheme, opts, max_insts, setup).map_err(|e| e.to_string())
-        }
-        Vm::Svm => {
-            let (p, init) =
-                luma::svm::compile_svm(&script, predefined).map_err(|e| e.to_string())?;
-            run_svm_with(cfg, &p, &init, scheme, opts, max_insts, setup).map_err(|e| e.to_string())
-        }
-    }
+    RunRequest::new(cfg, vm, src)
+        .predefined(predefined)
+        .scheme(scheme)
+        .opts(opts)
+        .max_insts(max_insts)
+        .run_with(setup)
 }

@@ -2,10 +2,13 @@
 //! outcomes in input order with backpressure, survives worker panics,
 //! retries transient failures once, and drains cleanly on interrupt.
 //!
-//! The pool is deliberately *not* `sweep.rs`'s `parallel_map`: a batch
-//! service streams results as they complete (bounded channel, reorder
-//! buffer) instead of buffering a whole matrix, and it must keep going
-//! when a worker dies. The two properties that make interruption safe:
+//! This is the one pool that runs simulation cells: `scd serve` batches
+//! and the `scd-bench` figure sweep both hand their jobs to [`run_batch`]
+//! with [`simulate_job`] as the runner, so cache lookup, validation,
+//! panic isolation and retry behave the same for both. Results stream
+//! as they complete (bounded channel, reorder buffer), and the pool
+//! keeps going when a worker dies. The two properties that make
+//! interruption safe:
 //!
 //! - workers check the interrupt flag *before* claiming an index, and
 //!   the shared cursor hands indices out monotonically — so the claimed
@@ -18,7 +21,7 @@
 use crate::cache::Cache;
 use crate::jobs::{JobDone, JobError, JobOutcome, JobSpec};
 use crate::payload::{self, CachedRun};
-use scd_guest::RunRequest;
+use scd_guest::GuestError;
 use scd_sim::{downcast_sink, CycleBreakdown, SimError, WatchdogKind};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,28 +29,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Stride for the stat-invariant checker on traced jobs (matches the
-/// sweep driver's release-mode setting).
+/// Stride for the stat-invariant checker on traced jobs, the sweep's
+/// traced figure cells included. Those run in release builds, where the
+/// checker is otherwise off, so every decomposed figure comes from a
+/// run whose counters passed the cross-checks.
 const INVARIANT_STRIDE: u64 = 1 << 16;
-
-/// Knobs for one batch execution.
-#[derive(Debug, Clone)]
-pub struct DriverConfig {
-    /// Worker threads (clamped to at least 1).
-    pub threads: usize,
-    /// Per-job wall-clock watchdog, enforced inside the simulator on
-    /// top of any cycle budget the job itself carries.
-    pub job_timeout: Option<Duration>,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            threads: 1,
-            job_timeout: None,
-        }
-    }
-}
 
 /// What a finished batch looked like.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -68,8 +54,8 @@ impl BatchSummary {
 }
 
 /// Extracts a printable message from a panic payload (the
-/// `catch_unwind` error value). Shared with `scd-bench`'s sweep pool so
-/// both report worker panics the same way.
+/// `catch_unwind` error value). Shared with `scd-bench`'s `parallel_map`
+/// so both report worker panics the same way.
 pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<String>()
@@ -183,16 +169,6 @@ where
     summary
 }
 
-/// The cache manifest for `req` widened with the trace discriminator —
-/// the one canonical key-derivation every cache client (the serve
-/// driver, the sweep) must share so their entries interoperate.
-pub fn manifest_for(req: &RunRequest<'_>, traced: bool) -> String {
-    let mut m = req.cache_manifest();
-    m.push_str("\ntraced ");
-    m.push_str(if traced { "1" } else { "0" });
-    m
-}
-
 /// Runs one job for real: cache lookup, simulate + oracle-validate on
 /// miss, cache store. This is the `runner` the `scd serve` subcommand
 /// passes to [`run_batch`].
@@ -257,46 +233,29 @@ fn compute_job(job: &JobSpec, timeout: Option<Duration>) -> Result<CachedRun, Jo
     job.with_request(|req| {
         let mut session = req.session().map_err(JobError::Compile)?;
         let m = &mut session.machine;
-        if let Some(plan) = &job.sample {
-            // Sampled path: the scheduler forbids per-retirement
-            // observers, so this is always the uninstrumented loop.
-            m.disable_invariants();
-            if let Some(t) = timeout {
-                m.set_wall_budget(t);
-            }
-            let run = match session.run_sampled_and_validate(job.max_insts, plan) {
-                Ok(run) => run,
-                Err(scd_guest::GuestError::Sim(SimError::Watchdog {
-                    kind: WatchdogKind::WallClock,
-                    ..
-                })) => return Err(JobError::Timeout(timeout.unwrap_or_default())),
-                Err(e) => return Err(JobError::Guest(e.to_string())),
-            };
-            return Ok(CachedRun::from_run(&run, None));
-        }
         if job.traced {
             m.enable_invariants(INVARIANT_STRIDE);
             m.set_trace_sink(Box::new(CycleBreakdown::default()));
         } else {
-            // Uninstrumented: the fast loop.
+            // Uninstrumented: the fast loop, or the sampled scheduler,
+            // which forbids per-retirement observers.
             m.disable_invariants();
         }
         if let Some(t) = timeout {
             m.set_wall_budget(t);
         }
-        let exit = match m.run(job.max_insts) {
-            Ok(exit) => exit,
-            Err(SimError::Watchdog {
+        let run = match &job.sample {
+            Some(plan) => session.run_sampled_and_validate(job.max_insts, plan),
+            None => session.run_and_validate(job.max_insts),
+        };
+        let run = match run {
+            Ok(run) => run,
+            Err(GuestError::Sim(SimError::Watchdog {
                 kind: WatchdogKind::WallClock,
                 ..
-            }) => {
-                return Err(JobError::Timeout(timeout.unwrap_or_default()));
-            }
-            Err(e) => return Err(JobError::Guest(format!("simulation error: {e}"))),
+            })) => return Err(JobError::Timeout(timeout.unwrap_or_default())),
+            Err(e) => return Err(JobError::Guest(e.to_string())),
         };
-        let run = session
-            .validate(&exit)
-            .map_err(|e| JobError::Guest(e.to_string()))?;
         let breakdown = if job.traced {
             let sink = session
                 .machine

@@ -183,9 +183,14 @@ impl JobSpec {
 
     /// The cache manifest for this job: the request identity plus the
     /// trace discriminator (a traced entry carries a breakdown the
-    /// untraced one does not, so they address different entries).
+    /// untraced one does not, so they address different entries). This
+    /// is the one key derivation: the sweep's cells are jobs too, so
+    /// sweep and serve entries interoperate.
     pub fn cache_manifest(&self) -> String {
-        self.with_request(|req| crate::driver::manifest_for(req, self.traced))
+        let mut m = self.with_request(|req| req.cache_manifest());
+        m.push_str("\ntraced ");
+        m.push_str(if self.traced { "1" } else { "0" });
+        m
     }
 }
 

@@ -20,10 +20,12 @@
 //!   interrupt so a Ctrl-C'd batch resumes as cache hits.
 //!
 //! The `scd serve --jobs file.jsonl` subcommand is the CLI client; the
-//! sweep driver in `scd-bench` is the library client (opt-in
-//! `--cache DIR`). Both derive keys through [`driver::manifest_for`],
-//! so their entries interoperate: a sweep warms the cache for serve
-//! jobs and vice versa.
+//! sweep driver in `scd-bench` is the library client: it turns every
+//! figure cell into a [`JobSpec`] and runs it through [`run_batch`] and
+//! [`simulate_job`] (with the cache opt-in via `--cache DIR`). Both
+//! derive keys through [`JobSpec::cache_manifest`], so their entries
+//! interoperate: a sweep warms the cache for serve jobs and vice versa
+//! (pinned by `sweep_cache_serves_serve_jobs` in `scd-bench`).
 //!
 //! Everything is hand-rolled on `std` only (the workspace builds
 //! offline): [`sha256`] for keys, [`json`] for job files and payloads,
@@ -38,7 +40,7 @@ pub mod sha256;
 pub mod signal;
 
 pub use cache::{Cache, CacheStats};
-pub use driver::{manifest_for, panic_message, run_batch, simulate_job, BatchSummary, DriverConfig};
+pub use driver::{panic_message, run_batch, simulate_job, BatchSummary};
 pub use jobs::{parse_jobs, render_result, JobDone, JobError, JobOutcome, JobSpec};
 pub use payload::CachedRun;
 pub use signal::{install_sigint_flag, EXIT_SIGINT};

@@ -59,18 +59,6 @@ impl CachedRun {
             sample,
         }
     }
-
-    /// Rebuilds the [`GuestRun`] view (no sink: the breakdown is the
-    /// cached trace product).
-    pub fn to_run(&self) -> GuestRun {
-        GuestRun {
-            checksum: self.checksum,
-            dispatches: self.dispatches,
-            stats: self.stats.clone(),
-            sink: None,
-            sample: self.sample.clone(),
-        }
-    }
 }
 
 fn push_branch(out: &mut String, name: &str, c: &BranchCounters) {

@@ -4,14 +4,15 @@
 //! [`RefCore`] snapshot of the machine's architectural state and steps it
 //! once per retirement event, comparing every retired instruction's
 //! `(pc, next_pc, writeback, effective address, store data)` against the
-//! cycle model's [`ArchInfo`] record. The cycle model *drives*: its
-//! micro-architectural `bop` outcome (hit or miss — legitimately
-//! timing-dependent, Section III of the paper) is replayed into the
-//! oracle as a [`BopHint`], and the oracle independently validates that a
-//! claimed hit is architecturally justified (valid `Rop`, trained
-//! `(bid, Rop) → target` map) and lands on the architecturally correct
-//! target. Everything else — every value, every address, every
-//! non-`bop` control transfer — must match bit for bit.
+//! cycle model's [`ArchInfo`](crate::trace::ArchInfo) record. The cycle
+//! model *drives*: its micro-architectural `bop` outcome (hit or miss —
+//! legitimately timing-dependent, Section III of the paper) is replayed
+//! into the oracle as a [`BopHint`], and the oracle independently
+//! validates that a claimed hit is architecturally justified (valid
+//! `Rop`, trained `(bid, Rop) → target` map) and lands on the
+//! architecturally correct target. Everything else — every value,
+//! every address, every non-`bop` control transfer — must match bit for
+//! bit.
 //!
 //! The sink never aborts the run (sinks are observers); it records the
 //! *first* divergence with a bounded window of preceding events and keeps

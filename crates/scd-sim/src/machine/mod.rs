@@ -525,7 +525,7 @@ impl Machine {
     /// fault plan is attached) carries full per-retirement attribution,
     /// while the fast loop skips every observer-only write. Both charge
     /// identical cycles and statistics — `tests/golden_stats.rs` holds
-    /// the paths to bit-identical [`SimStats`](crate::SimStats).
+    /// the paths to bit-identical [`SimStats`].
     ///
     /// # Errors
     /// Returns [`SimError`] on memory faults, runaway PCs, `ebreak`, or
