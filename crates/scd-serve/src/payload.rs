@@ -315,77 +315,91 @@ mod tests {
     use super::*;
 
     /// Distinct nonzero values in every field, so a swapped pair of
-    /// fields cannot round-trip undetected.
+    /// fields cannot round-trip undetected: the 42 counters are
+    /// numbered 1..=42 in `SimStats::counters()` order, then the
+    /// run-level fields and the breakdown continue the count.
     fn dense_run() -> CachedRun {
-        let mut n = 0u64;
-        let mut next = || {
-            n += 1;
-            n
-        };
-        let mut b = |_: &str| BranchCounters {
-            executed: next(),
-            mispredicted: next(),
-        };
-        let cond = b("cond");
-        let direct = b("direct");
-        let ret = b("ret");
-        let indirect_dispatch = b("id");
-        let indirect_other = b("io");
-        let mut a = |_: &str| AccessCounters {
-            accesses: next(),
-            misses: next(),
-            writebacks: next(),
-        };
-        let icache = a("icache");
-        let dcache = a("dcache");
-        let l2 = a("l2");
-        let itlb = a("itlb");
-        let dtlb = a("dtlb");
-        CachedRun {
-            checksum: next(),
-            dispatches: next(),
-            stats: SimStats {
-                cycles: next(),
-                instructions: next(),
-                dispatch_instructions: next(),
-                loads: next(),
-                stores: next(),
-                cond,
-                direct,
-                ret,
-                indirect_dispatch,
-                indirect_other,
-                bop_executed: next(),
-                bop_hits: next(),
-                bop_misses: next(),
-                bop_stall_cycles: next(),
-                jru_executed: next(),
-                icache,
-                dcache,
-                l2,
-                itlb,
-                dtlb,
-                btb: BtbStats {
-                    jte_inserts: next(),
-                    jte_cap_skips: next(),
-                    btb_evicted_by_jte: next(),
-                    jte_evictions: next(),
-                    btb_blocked_by_jte: next(),
-                    jte_flushes: next(),
-                    jte_flushed: next(),
-                },
+        let stats = SimStats {
+            cycles: 1,
+            instructions: 2,
+            dispatch_instructions: 3,
+            loads: 4,
+            stores: 5,
+            cond: BranchCounters {
+                executed: 6,
+                mispredicted: 7,
             },
+            direct: BranchCounters {
+                executed: 8,
+                mispredicted: 9,
+            },
+            ret: BranchCounters {
+                executed: 10,
+                mispredicted: 11,
+            },
+            indirect_dispatch: BranchCounters {
+                executed: 12,
+                mispredicted: 13,
+            },
+            indirect_other: BranchCounters {
+                executed: 14,
+                mispredicted: 15,
+            },
+            bop_executed: 16,
+            bop_hits: 17,
+            bop_misses: 18,
+            bop_stall_cycles: 19,
+            jru_executed: 20,
+            icache: AccessCounters {
+                accesses: 21,
+                misses: 22,
+                writebacks: 23,
+            },
+            dcache: AccessCounters {
+                accesses: 24,
+                misses: 25,
+                writebacks: 26,
+            },
+            l2: AccessCounters {
+                accesses: 27,
+                misses: 28,
+                writebacks: 29,
+            },
+            itlb: AccessCounters {
+                accesses: 30,
+                misses: 31,
+                writebacks: 32,
+            },
+            dtlb: AccessCounters {
+                accesses: 33,
+                misses: 34,
+                writebacks: 35,
+            },
+            btb: BtbStats {
+                jte_inserts: 36,
+                jte_cap_skips: 37,
+                btb_evicted_by_jte: 38,
+                jte_evictions: 39,
+                btb_blocked_by_jte: 40,
+                jte_flushes: 41,
+                jte_flushed: 42,
+            },
+        };
+        CachedRun {
+            checksum: 43,
+            dispatches: 44,
+            stats,
             breakdown: Some(CycleBreakdown {
-                total: next(),
-                issue: next(),
-                fetch_stall: next(),
-                data_stall: next(),
-                redirect: next(),
-                bop_stall: next(),
-                dispatch_total: next(),
-                dispatch_redirect: next(),
-                dispatch_fetch_stall: next(),
-                events: next(),
+                total: 45,
+                issue: 46,
+                fetch_stall: 47,
+                data_stall: 48,
+                redirect: 49,
+                bop_stall: 50,
+                dispatch_total: 51,
+                dispatch_redirect: 52,
+                dispatch_fetch_stall: 53,
+                events: 54,
             }),
             sample: None,
         }
@@ -409,6 +423,43 @@ mod tests {
             cycles_ci95: 108,
             exact_fallback: false,
         }
+    }
+
+    /// The stored bytes of the three payload shapes, pinned literally:
+    /// cache entries written by any earlier build must keep decoding and
+    /// re-encoding to exactly these bytes.
+    const STATS_JSON: &str = "\"stats\":{\"cycles\":1,\"instructions\":2,\
+        \"dispatch_instructions\":3,\"loads\":4,\"stores\":5,\"cond\":[6,7],\
+        \"direct\":[8,9],\"ret\":[10,11],\"indirect_dispatch\":[12,13],\
+        \"indirect_other\":[14,15],\"bop_executed\":16,\"bop_hits\":17,\
+        \"bop_misses\":18,\"bop_stall_cycles\":19,\"jru_executed\":20,\
+        \"icache\":[21,22,23],\"dcache\":[24,25,26],\"l2\":[27,28,29],\
+        \"itlb\":[30,31,32],\"dtlb\":[33,34,35],\"btb\":[36,37,38,39,40,41,42]}";
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let head = "{\"v\":1,\"checksum\":43,\"dispatches\":44,";
+        let mut run = dense_run();
+        assert_eq!(
+            encode(&run),
+            format!("{head}{STATS_JSON},\"breakdown\":[45,46,47,48,49,50,51,52,53,54]}}")
+        );
+        run.breakdown = None;
+        assert_eq!(
+            encode(&run),
+            format!("{head}{STATS_JSON},\"breakdown\":null}}")
+        );
+        run.sample = Some(dense_sample());
+        assert_eq!(
+            encode(&run),
+            format!(
+                "{head}{STATS_JSON},\"breakdown\":null,\"sample\":{{\"plan\":[1000000,50000,20000],\
+                 \"intervals\":101,\"total_insts\":102,\"measured_insts\":103,\
+                 \"measured_cycles\":104,\"ff_insts\":105,\"warm_insts\":106,\
+                 \"cpi_mean_bits\":4608871268660731704,\"cpi_ci95_bits\":4584664420764045560,\
+                 \"cycles_est\":107,\"cycles_ci95\":108,\"exact_fallback\":false}}}}"
+            )
+        );
     }
 
     #[test]

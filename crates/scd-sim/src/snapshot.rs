@@ -415,6 +415,91 @@ mod tests {
         assert_eq!(c.remaining(), 0);
     }
 
+    /// Checkpoints written by any earlier build must restore unchanged,
+    /// so the word layout of the stats block is pinned literally. Every
+    /// counter is set by name to a distinct value.
+    #[test]
+    fn stats_word_layout_is_pinned() {
+        let s = SimStats {
+            cycles: 101,
+            instructions: 102,
+            dispatch_instructions: 103,
+            loads: 104,
+            stores: 105,
+            cond: crate::BranchCounters {
+                executed: 106,
+                mispredicted: 107,
+            },
+            direct: crate::BranchCounters {
+                executed: 108,
+                mispredicted: 109,
+            },
+            ret: crate::BranchCounters {
+                executed: 110,
+                mispredicted: 111,
+            },
+            indirect_dispatch: crate::BranchCounters {
+                executed: 112,
+                mispredicted: 113,
+            },
+            indirect_other: crate::BranchCounters {
+                executed: 114,
+                mispredicted: 115,
+            },
+            bop_executed: 116,
+            bop_hits: 117,
+            bop_misses: 118,
+            bop_stall_cycles: 119,
+            jru_executed: 120,
+            icache: crate::AccessCounters {
+                accesses: 121,
+                misses: 122,
+                writebacks: 123,
+            },
+            dcache: crate::AccessCounters {
+                accesses: 124,
+                misses: 125,
+                writebacks: 126,
+            },
+            l2: crate::AccessCounters {
+                accesses: 127,
+                misses: 128,
+                writebacks: 129,
+            },
+            itlb: crate::AccessCounters {
+                accesses: 130,
+                misses: 131,
+                writebacks: 132,
+            },
+            dtlb: crate::AccessCounters {
+                accesses: 133,
+                misses: 134,
+                writebacks: 135,
+            },
+            btb: crate::BtbStats {
+                jte_inserts: 136,
+                jte_cap_skips: 137,
+                btb_evicted_by_jte: 138,
+                jte_evictions: 139,
+                btb_blocked_by_jte: 140,
+                jte_flushes: 141,
+                jte_flushed: 142,
+            },
+        };
+        let mut w = vec![7];
+        stats_to_words(&s, &mut w);
+        assert_eq!(
+            w,
+            [
+                7, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116,
+                117, 118, 119, 120, 121, 122, 123, 124, 125, 126, 127, 128, 129, 130, 131, 132,
+                133, 134, 135, 136, 137, 138, 139, 140, 141, 142,
+            ]
+        );
+        let mut c = Cursor::new(&w[1..]);
+        assert_eq!(stats_from_words(&mut c), Ok(s));
+    }
+
     #[test]
     fn exhausted_word_stream_is_a_typed_error() {
         let w = vec![1u64, 2];
