@@ -42,6 +42,7 @@
 use luma::scripts::BENCHMARKS;
 use scd_guest::{GuestOptions, Scheme, Session, Vm};
 use scd_ref::RefError;
+use scd_sim::json::{self, Value};
 use scd_sim::{geomean, lockstep, SimConfig, SimError};
 use std::fmt::Write as _;
 use std::process::exit;
@@ -436,6 +437,7 @@ fn render_json(
 }
 
 /// A committed record, as far as `--ref` and `--check` need it.
+#[derive(Debug)]
 struct Record {
     /// `(key, mips)` per detailed cell.
     cells: Vec<(String, f64)>,
@@ -445,83 +447,92 @@ struct Record {
     ref_mips: Option<f64>,
 }
 
-/// Minimal reader for this tool's own output format: pulls
-/// `(key, mips)` pairs out of the `"cells"` array, one cell per line,
-/// plus the top-level `warming_mips` and `ref_mips` geomeans (absent
-/// from older records, in which case that floor is skipped).
-/// Only a line *starting* with a top-level field counts: v3 cells
-/// written with `--ref` carry a per-cell `ref_mips` of another meaning.
-/// Not a JSON parser — it only needs to round-trip what
-/// [`render_json`] writes (the workspace is serde-free by design).
-///
-/// Strict where it matters: a line that names a cell (`"key"` present)
-/// must carry a well-formed, finite, positive `mips` number. Silently
-/// skipping such a line would shrink the baseline and let a regressed
-/// cell dodge the `--check` gate.
+/// Loads a committed record. An unreadable file exits 70; a malformed
+/// one exits 1.
 fn load_record(path: &str) -> Record {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("simperf: cannot read reference record {path}: {e}");
         exit(70);
     });
-    let top_level = |name: &str| {
-        let pat = format!("\"{name}\": ");
-        text.lines()
-            .map(str::trim_start)
-            .filter(|l| l.starts_with(&pat))
-            .find_map(|l| field_num(l, name))
+    parse_record(&text).unwrap_or_else(|e| {
+        eprintln!("simperf: reference record {path} is malformed: {e}");
+        exit(1);
+    })
+}
+
+/// Reads `(key, mips)` from every entry of the `"cells"` array, plus the
+/// top-level `warming_mips` and `ref_mips` geomeans (absent from older
+/// records, in which case that floor is skipped). Only the top-level
+/// geomeans count: v3 cells written with `--ref` carry a per-cell
+/// `ref_mips` of another meaning.
+///
+/// Strict where it matters: every cell must carry a key and a finite,
+/// positive `mips` number, and there must be at least one cell. Silently
+/// skipping a cell would shrink the baseline and let a regressed cell
+/// dodge the `--check` gate.
+fn parse_record(text: &str) -> Result<Record, String> {
+    let v = json::parse(text)?;
+    let rate = |v: &Value, name: &str| {
+        v.get(name)
+            .and_then(Value::as_f64)
             .filter(|m| m.is_finite() && *m > 0.0)
     };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(key) = field_str(line, "key") else {
-            continue;
-        };
-        // `mips` must be the cell's own measurement, not `base_mips`,
-        // `refcore_mips` or a v3 `ref_mips`.
-        let mips = match field_num(line, "mips") {
-            Some(m) if m.is_finite() && m > 0.0 => m,
-            _ => {
-                eprintln!(
-                    "simperf: reference record {path} is malformed: cell \"{key}\" \
-                     has a missing or invalid \"mips\" field:\n  {line}"
-                );
-                exit(1);
-            }
-        };
-        out.push((key, mips));
+    let cells = v
+        .get("cells")
+        .and_then(Value::as_arr)
+        .ok_or("no \"cells\" array")?
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let key = c
+                .get("key")
+                .and_then(Value::as_str)
+                .ok_or_else(|| format!("cell {i} has no \"key\""))?;
+            // `mips` is the cell's own measurement, not `base_mips`,
+            // `refcore_mips` or a v3 `ref_mips`.
+            let mips = rate(c, "mips")
+                .ok_or_else(|| format!("cell \"{key}\" has a missing or invalid \"mips\" field"))?;
+            Ok((key.to_string(), mips))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if cells.is_empty() {
+        return Err("it contains no cells".to_string());
     }
-    if out.is_empty() {
-        eprintln!("simperf: reference record {path} contains no cells");
-        exit(1);
-    }
-    Record {
-        cells: out,
-        warming_mips: top_level("warming_mips"),
-        ref_mips: top_level("ref_mips"),
-    }
+    Ok(Record {
+        cells,
+        warming_mips: rate(&v, "warming_mips"),
+        ref_mips: rate(&v, "ref_mips"),
+    })
 }
 
-fn field_str(line: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Scans the number following `"name": `. Accepts only the shapes
-/// [`render_json`] emits — an optional minus, digits, an optional
-/// fractional part — and rejects empty or trailing-garbage matches
-/// (`parse` refuses forms like `1.2.3` or `-`), returning `None` so the
-/// caller can treat the record as malformed rather than reading 0.0.
-fn field_num(line: &str, name: &str) -> Option<f64> {
-    let pat = format!("\"{name}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
+    #[test]
+    fn committed_record_parses() {
+        let r = parse_record(include_str!("../../../../BENCH_simperf.json")).expect("parses");
+        assert_eq!(r.cells.len(), 36);
+        assert_eq!(r.ref_mips, Some(218.942));
+        assert_eq!(r.warming_mips, Some(57.463));
+        assert!(r.cells.iter().all(|(k, m)| k.contains('/') && *m > 0.0));
     }
-    rest[..end].parse().ok().filter(|v: &f64| v.is_finite())
+
+    #[test]
+    fn malformed_records_are_rejected() {
+        let ok = r#"{"ref_mips": 2.5, "cells": [{"key": "a/lvm/fibo/scd", "mips": 1.5}]}"#;
+        let r = parse_record(ok).expect("well-formed record");
+        assert_eq!(r.cells, [("a/lvm/fibo/scd".to_string(), 1.5)]);
+        assert_eq!((r.ref_mips, r.warming_mips), (Some(2.5), None));
+        let no_mips = r#"{"cells": [{"key": "a/lvm/fibo/scd", "base_mips": 1.5}]}"#;
+        let no_cells = r#"{"ref_mips": 2.5, "cells": []}"#;
+        for (bad, what) in [
+            (no_mips, "mips"),
+            (no_cells, "no cells"),
+            (&ok[..ok.len() - 3], "expected ','"),
+        ] {
+            let err = parse_record(bad).expect_err(bad);
+            assert!(err.contains(what), "{bad}: {err}");
+        }
+    }
 }

@@ -64,6 +64,7 @@ use scd_bench::{
 };
 use scd_guest::{lockstep_check, RunRequest, Scheme, Vm};
 use scd_serve::{install_sigint_flag, Cache, EXIT_SIGINT};
+use scd_sim::json::{self, Value};
 use scd_sim::{SamplingPlan, SimConfig};
 use std::fmt::Write as _;
 use std::process::exit;
@@ -546,16 +547,16 @@ fn print_first_diff(golden: &str, got: &str) {
     );
 }
 
-/// Reads the top-level `wall_ms` out of a sweep record (the committed
-/// full-detail `BENCH_sweep.json`, or the sampled record a run is about
-/// to replace). Records are hand-emitted JSON with one key per line, so
-/// a line scan is exact: the first `"wall_ms"` key is the top-level one
-/// (the `per_cell` array comes later).
-fn record_wall_ms(text: &str) -> Option<f64> {
-    text.lines()
-        .map(str::trim_start)
-        .find_map(|l| l.strip_prefix("\"wall_ms\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
+/// A sweep record on disk (the committed full-detail `BENCH_sweep.json`,
+/// or the sampled record a run is about to replace), if it exists and
+/// parses.
+fn read_record(path: &str) -> Option<Value> {
+    json::parse(&std::fs::read_to_string(path).ok()?).ok()
+}
+
+/// The record's top-level `wall_ms`.
+fn record_wall(record: &Value) -> Option<f64> {
+    record.get("wall_ms").and_then(Value::as_f64)
 }
 
 /// Host-performance record: what the sweep cost and what sharing one
@@ -607,8 +608,8 @@ fn bench_json(
         // Only full-scale runs are comparable to the committed record:
         // a --quick pass runs tiny inputs and would quote a nonsense
         // thousand-fold "speedup".
-        let full = std::fs::read_to_string("BENCH_sweep.json").unwrap_or_default();
-        if let Some(full_ms) = record_wall_ms(&full).filter(|_| !quick) {
+        let full = read_record("BENCH_sweep.json");
+        if let Some(full_ms) = full.as_ref().and_then(record_wall).filter(|_| !quick) {
             let _ = writeln!(s, "  \"full_detail_wall_ms\": {full_ms:.3},");
             let _ = writeln!(
                 s,
@@ -619,10 +620,19 @@ fn bench_json(
         // The sampled record this run replaces, when it covers the same
         // plan and reports: running the previous build's sweep first on
         // the same host makes this a same-host before/after.
-        let prev = std::fs::read_to_string("BENCH_sweep_sampled.json").unwrap_or_default();
-        let same_shape =
-            prev.contains(&format!("\"sample\": \"{p}\",")) && prev.contains(&reports_line);
-        if let Some(prev_ms) = record_wall_ms(&prev).filter(|_| !quick && same_shape) {
+        let prev = read_record("BENCH_sweep_sampled.json").filter(|prev| {
+            prev.get("sample").and_then(Value::as_str) == Some(p.to_string().as_str())
+                && prev
+                    .get("reports")
+                    .and_then(Value::as_arr)
+                    .is_some_and(|names| {
+                        names
+                            .iter()
+                            .map(Value::as_str)
+                            .eq(reports.iter().map(|r| Some(*r)))
+                    })
+        });
+        if let Some(prev_ms) = prev.as_ref().and_then(record_wall).filter(|_| !quick) {
             let _ = writeln!(s, "  \"previous_wall_ms\": {prev_ms:.3},");
             let _ = writeln!(
                 s,

@@ -325,6 +325,19 @@ mod tests {
     }
 
     #[test]
+    fn sampled_job_times_out() {
+        // Hundreds of millions of guest instructions: the timeout must
+        // fire during the sampled run's fast-forward legs.
+        let mut j = job("long");
+        j.src = "var s = 0; for i = 1, 100000000 { s = s + i % 7; } emit(s);".to_string();
+        j.sample = Some(scd_sim::SamplingPlan::new(1_000_000, 20_000, 20_000).unwrap());
+        match simulate_job(&j, None, Some(Duration::from_millis(50))) {
+            Err(JobError::Timeout(t)) => assert_eq!(t, Duration::from_millis(50)),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn panicking_worker_is_isolated_per_job() {
         let jobs: Vec<JobSpec> = ["a", "bad", "c", "d"].map(job).to_vec();
         for threads in [1, 3] {

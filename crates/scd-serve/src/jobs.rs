@@ -22,9 +22,9 @@
 //! Results stream back as JSONL, one line per job in input order — see
 //! [`render_result`].
 
-use crate::json::{self, push_str_literal, Value};
 use crate::payload::CachedRun;
 use scd_guest::{GuestOptions, RunRequest, Scheme, Vm};
+use scd_sim::json::{self, push_str_literal, Value};
 use scd_sim::{SamplingPlan, SimConfig};
 use std::fmt::Write as _;
 use std::time::Duration;

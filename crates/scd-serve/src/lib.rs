@@ -28,13 +28,15 @@
 //! (pinned by `sweep_cache_serves_serve_jobs` in `scd-bench`).
 //!
 //! Everything is hand-rolled on `std` only (the workspace builds
-//! offline): [`sha256`] for keys, [`json`] for job files and payloads,
-//! [`signal`] for SIGINT-as-a-flag via the already-linked libc.
+//! offline): [`sha256`] for keys, [`signal`] for SIGINT-as-a-flag via
+//! the already-linked libc. Job files and payloads are read with
+//! [`scd_sim::json`], the workspace's one JSON parser, and a payload's
+//! `"stats"` object follows `scd_sim`'s counter table
+//! ([`scd_sim::COUNTER_NAMES`]), so no counter list is kept here.
 
 pub mod cache;
 pub mod driver;
 pub mod jobs;
-pub mod json;
 pub mod payload;
 pub mod sha256;
 pub mod signal;

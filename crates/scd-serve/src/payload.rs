@@ -11,12 +11,11 @@
 //! only trace product the reports consume, and it is small and
 //! deterministic.
 
-use crate::json::{self, Value};
 use scd_guest::GuestRun;
-use scd_sim::{
-    AccessCounters, BranchCounters, BtbStats, CycleBreakdown, SampleReport, SamplingPlan, SimStats,
-};
+use scd_sim::json::{self, Value};
+use scd_sim::{CycleBreakdown, SampleReport, SamplingPlan, SimStats, COUNTER_NAMES};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Payload format version; bump on any layout change so stale entries
 /// decode-fail into quarantine instead of mis-reading.
@@ -61,62 +60,55 @@ impl CachedRun {
     }
 }
 
-fn push_branch(out: &mut String, name: &str, c: &BranchCounters) {
-    let _ = write!(out, "\"{name}\":[{},{}],", c.executed, c.mispredicted);
-}
-
-fn push_access(out: &mut String, name: &str, c: &AccessCounters) {
-    let _ = write!(
-        out,
-        "\"{name}\":[{},{},{}],",
-        c.accesses, c.misses, c.writebacks
-    );
+/// The fields of the `"stats"` object, in counter-table order, as
+/// `(key, counter indices, is_array)`. A plain counter name is a scalar
+/// field; consecutive counters sharing a dotted prefix (`cond.executed`,
+/// `cond.mispredicted`) form one array under the prefix (`"cond"`).
+fn stats_fields() -> impl Iterator<Item = (&'static str, Range<usize>, bool)> {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let start = i;
+        let name = *COUNTER_NAMES.get(i)?;
+        i += 1;
+        let Some((group, _)) = name.split_once('.') else {
+            return Some((name, start..i, false));
+        };
+        while COUNTER_NAMES
+            .get(i)
+            .is_some_and(|n| n.split_once('.').is_some_and(|(g, _)| g == group))
+        {
+            i += 1;
+        }
+        Some((group, start..i, true))
+    })
 }
 
 /// Encodes a [`CachedRun`] as deterministic JSON.
 pub fn encode(run: &CachedRun) -> String {
-    let s = &run.stats;
-    let b = &s.btb;
+    let counters = run.stats.counters();
     let mut out = String::with_capacity(1024);
     let _ = write!(out, "{{\"v\":{VERSION},");
     let _ = write!(out, "\"checksum\":{},", run.checksum);
     let _ = write!(out, "\"dispatches\":{},", run.dispatches);
     out.push_str("\"stats\":{");
-    let _ = write!(out, "\"cycles\":{},", s.cycles);
-    let _ = write!(out, "\"instructions\":{},", s.instructions);
-    let _ = write!(
-        out,
-        "\"dispatch_instructions\":{},",
-        s.dispatch_instructions
-    );
-    let _ = write!(out, "\"loads\":{},", s.loads);
-    let _ = write!(out, "\"stores\":{},", s.stores);
-    push_branch(&mut out, "cond", &s.cond);
-    push_branch(&mut out, "direct", &s.direct);
-    push_branch(&mut out, "ret", &s.ret);
-    push_branch(&mut out, "indirect_dispatch", &s.indirect_dispatch);
-    push_branch(&mut out, "indirect_other", &s.indirect_other);
-    let _ = write!(out, "\"bop_executed\":{},", s.bop_executed);
-    let _ = write!(out, "\"bop_hits\":{},", s.bop_hits);
-    let _ = write!(out, "\"bop_misses\":{},", s.bop_misses);
-    let _ = write!(out, "\"bop_stall_cycles\":{},", s.bop_stall_cycles);
-    let _ = write!(out, "\"jru_executed\":{},", s.jru_executed);
-    push_access(&mut out, "icache", &s.icache);
-    push_access(&mut out, "dcache", &s.dcache);
-    push_access(&mut out, "l2", &s.l2);
-    push_access(&mut out, "itlb", &s.itlb);
-    push_access(&mut out, "dtlb", &s.dtlb);
-    let _ = write!(
-        out,
-        "\"btb\":[{},{},{},{},{},{},{}]",
-        b.jte_inserts,
-        b.jte_cap_skips,
-        b.btb_evicted_by_jte,
-        b.jte_evictions,
-        b.btb_blocked_by_jte,
-        b.jte_flushes,
-        b.jte_flushed
-    );
+    for (k, (key, range, array)) in stats_fields().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{key}\":");
+        if array {
+            out.push('[');
+            for (j, v) in counters[range].iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{v}");
+            }
+            out.push(']');
+        } else {
+            let _ = write!(out, "{}", counters[range.start]);
+        }
+    }
     out.push('}');
     match &run.breakdown {
         None => out.push_str(",\"breakdown\":null"),
@@ -175,38 +167,46 @@ fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or mistyped field '{key}'"))
 }
 
-fn tuple_u64<const N: usize>(v: &Value, key: &str) -> Result<[u64; N], String> {
+/// The array under `key`, which must hold exactly `want` integers.
+fn array_u64(v: &Value, key: &str, want: usize) -> Result<Vec<u64>, String> {
     let arr = v
         .get(key)
         .and_then(Value::as_arr)
         .ok_or_else(|| format!("missing or mistyped field '{key}'"))?;
-    if arr.len() != N {
-        return Err(format!("field '{key}' has {} entries, want {N}", arr.len()));
+    if arr.len() != want {
+        return Err(format!(
+            "field '{key}' has {} entries, want {want}",
+            arr.len()
+        ));
     }
-    let mut out = [0u64; N];
-    for (slot, item) in out.iter_mut().zip(arr) {
-        *slot = item
-            .as_u64()
-            .ok_or_else(|| format!("non-integer entry in '{key}'"))?;
-    }
-    Ok(out)
+    arr.iter()
+        .map(|item| {
+            item.as_u64()
+                .ok_or_else(|| format!("non-integer entry in '{key}'"))
+        })
+        .collect()
 }
 
-fn branch(v: &Value, key: &str) -> Result<BranchCounters, String> {
-    let [executed, mispredicted] = tuple_u64::<2>(v, key)?;
-    Ok(BranchCounters {
-        executed,
-        mispredicted,
-    })
+fn tuple_u64<const N: usize>(v: &Value, key: &str) -> Result<[u64; N], String> {
+    Ok(array_u64(v, key, N)?
+        .try_into()
+        .expect("array_u64 checked the length"))
 }
 
-fn access(v: &Value, key: &str) -> Result<AccessCounters, String> {
-    let [accesses, misses, writebacks] = tuple_u64::<3>(v, key)?;
-    Ok(AccessCounters {
-        accesses,
-        misses,
-        writebacks,
-    })
+/// Inverse of the `"stats"` object [`encode`] writes.
+fn decode_stats(v: &Value) -> Result<SimStats, String> {
+    let mut stats = SimStats::default();
+    let slots = stats.counters_mut();
+    for (key, range, array) in stats_fields() {
+        if array {
+            for (i, x) in range.clone().zip(array_u64(v, key, range.len())?) {
+                *slots[i] = x;
+            }
+        } else {
+            *slots[range.start] = field_u64(v, key)?;
+        }
+    }
+    Ok(stats)
 }
 
 /// Decodes a payload produced by [`encode`]. Strict: version or field
@@ -217,40 +217,7 @@ pub fn decode(text: &str) -> Result<CachedRun, String> {
     if version != VERSION {
         return Err(format!("payload version {version}, want {VERSION}"));
     }
-    let stats_v = v.get("stats").ok_or("missing field 'stats'")?;
-    let [jte_inserts, jte_cap_skips, btb_evicted_by_jte, jte_evictions, btb_blocked_by_jte, jte_flushes, jte_flushed] =
-        tuple_u64::<7>(stats_v, "btb")?;
-    let stats = SimStats {
-        cycles: field_u64(stats_v, "cycles")?,
-        instructions: field_u64(stats_v, "instructions")?,
-        dispatch_instructions: field_u64(stats_v, "dispatch_instructions")?,
-        loads: field_u64(stats_v, "loads")?,
-        stores: field_u64(stats_v, "stores")?,
-        cond: branch(stats_v, "cond")?,
-        direct: branch(stats_v, "direct")?,
-        ret: branch(stats_v, "ret")?,
-        indirect_dispatch: branch(stats_v, "indirect_dispatch")?,
-        indirect_other: branch(stats_v, "indirect_other")?,
-        bop_executed: field_u64(stats_v, "bop_executed")?,
-        bop_hits: field_u64(stats_v, "bop_hits")?,
-        bop_misses: field_u64(stats_v, "bop_misses")?,
-        bop_stall_cycles: field_u64(stats_v, "bop_stall_cycles")?,
-        jru_executed: field_u64(stats_v, "jru_executed")?,
-        icache: access(stats_v, "icache")?,
-        dcache: access(stats_v, "dcache")?,
-        l2: access(stats_v, "l2")?,
-        itlb: access(stats_v, "itlb")?,
-        dtlb: access(stats_v, "dtlb")?,
-        btb: BtbStats {
-            jte_inserts,
-            jte_cap_skips,
-            btb_evicted_by_jte,
-            jte_evictions,
-            btb_blocked_by_jte,
-            jte_flushes,
-            jte_flushed,
-        },
-    };
+    let stats = decode_stats(v.get("stats").ok_or("missing field 'stats'")?)?;
     let breakdown = match v.get("breakdown") {
         Some(Value::Null) => None,
         Some(_) => {
@@ -319,72 +286,10 @@ mod tests {
     /// numbered 1..=42 in `SimStats::counters()` order, then the
     /// run-level fields and the breakdown continue the count.
     fn dense_run() -> CachedRun {
-        let stats = SimStats {
-            cycles: 1,
-            instructions: 2,
-            dispatch_instructions: 3,
-            loads: 4,
-            stores: 5,
-            cond: BranchCounters {
-                executed: 6,
-                mispredicted: 7,
-            },
-            direct: BranchCounters {
-                executed: 8,
-                mispredicted: 9,
-            },
-            ret: BranchCounters {
-                executed: 10,
-                mispredicted: 11,
-            },
-            indirect_dispatch: BranchCounters {
-                executed: 12,
-                mispredicted: 13,
-            },
-            indirect_other: BranchCounters {
-                executed: 14,
-                mispredicted: 15,
-            },
-            bop_executed: 16,
-            bop_hits: 17,
-            bop_misses: 18,
-            bop_stall_cycles: 19,
-            jru_executed: 20,
-            icache: AccessCounters {
-                accesses: 21,
-                misses: 22,
-                writebacks: 23,
-            },
-            dcache: AccessCounters {
-                accesses: 24,
-                misses: 25,
-                writebacks: 26,
-            },
-            l2: AccessCounters {
-                accesses: 27,
-                misses: 28,
-                writebacks: 29,
-            },
-            itlb: AccessCounters {
-                accesses: 30,
-                misses: 31,
-                writebacks: 32,
-            },
-            dtlb: AccessCounters {
-                accesses: 33,
-                misses: 34,
-                writebacks: 35,
-            },
-            btb: BtbStats {
-                jte_inserts: 36,
-                jte_cap_skips: 37,
-                btb_evicted_by_jte: 38,
-                jte_evictions: 39,
-                btb_blocked_by_jte: 40,
-                jte_flushes: 41,
-                jte_flushed: 42,
-            },
-        };
+        let mut stats = SimStats::default();
+        for (n, c) in (1..).zip(stats.counters_mut()) {
+            *c = n;
+        }
         CachedRun {
             checksum: 43,
             dispatches: 44,
@@ -548,6 +453,19 @@ mod tests {
         let wrong_version = text.replacen("\"v\":1", "\"v\":999", 1);
         assert!(decode(&wrong_version).is_err());
         let missing = text.replacen("\"cycles\"", "\"cycles_gone\"", 1);
-        assert!(decode(&missing).is_err());
+        assert_eq!(
+            decode(&missing).unwrap_err(),
+            "missing or mistyped field 'cycles'"
+        );
+        let missing = text.replacen("\"btb\"", "\"btb_gone\"", 1);
+        assert_eq!(
+            decode(&missing).unwrap_err(),
+            "missing or mistyped field 'btb'"
+        );
+        let short = text.replacen("\"cond\":[6,7]", "\"cond\":[6]", 1);
+        assert_eq!(
+            decode(&short).unwrap_err(),
+            "field 'cond' has 1 entries, want 2"
+        );
     }
 }

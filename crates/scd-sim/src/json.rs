@@ -3,8 +3,11 @@
 //! renderers share.
 //!
 //! The workspace is deliberately serde-free (it must build offline), so
-//! job files and cache payloads go through this module. Two properties
-//! matter and shape the design:
+//! every JSON document the workspace reads goes through this one module:
+//! retirement-trace lines ([`crate::TraceEvent::from_json`]), `scd serve`
+//! job files and cache payloads, and the benchmark records the `simperf`
+//! and `sweep` tools compare against. Two properties matter and shape
+//! the design:
 //!
 //! - **u64 exactness.** Simulator counters are `u64` and can exceed
 //!   2^53, where `f64` loses integers. [`Value::Num`] therefore keeps

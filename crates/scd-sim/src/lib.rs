@@ -33,6 +33,7 @@ pub mod cache;
 pub mod config;
 pub mod fault;
 pub mod ittage;
+pub mod json;
 pub mod lockstep;
 pub mod machine;
 pub mod mem;
@@ -60,7 +61,7 @@ pub use mem::{MemFault, Memory};
 pub use predictor::{Direction, DirectionConfig, Ras};
 pub use sampling::{mean_ci95, SampleAccum, SampleReport, SamplingPlan};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use stats::{geomean, AccessCounters, BranchClass, BranchCounters, SimStats};
+pub use stats::{geomean, AccessCounters, BranchClass, BranchCounters, SimStats, COUNTER_NAMES};
 pub use tlb::Tlb;
 pub use trace::{
     diff_stats, downcast_sink, ArchInfo, BopEvent, BopOutcome, BranchEvent, BtbInsertEvent,

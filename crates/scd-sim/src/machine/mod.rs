@@ -150,7 +150,7 @@ pub struct Machine {
 
     fault_plan: Option<FaultPlan>,
     cycle_budget: Option<u64>,
-    wall_budget: Option<std::time::Duration>,
+    deadline: Option<std::time::Instant>,
 
     /// Fetch-streak fast path (untraced loops only): the I-cache block
     /// of the most recent fetch, and how many subsequent same-block
@@ -327,7 +327,7 @@ impl Machine {
             scratch: Scratch::default(),
             fault_plan: None,
             cycle_budget: None,
-            wall_budget: None,
+            deadline: None,
             fetch_blk: u64::MAX,
             fetch_streak: 0,
             ff_text: None,
@@ -481,10 +481,31 @@ impl Machine {
         self.cycle_budget = Some(cycles);
     }
 
-    /// Aborts `run` with a [`SimError::Watchdog`] once `budget` host
-    /// wall-clock time has elapsed (checked every 4096 retirements).
+    /// Sets a host wall-clock deadline `budget` from now. Every later
+    /// `run`, `run_warming` or `run_sampled` call on this machine aborts
+    /// with a [`SimError::Watchdog`] of kind
+    /// [`WatchdogKind::WallClock`] once the deadline has passed, so the
+    /// budget covers the whole run however many calls it takes (the
+    /// chunks of a checkpointed run, the legs of a sampled one). The
+    /// detailed and warming loops check it every 4096 retirements;
+    /// `run_sampled` also checks it before each leg, since fast-forward
+    /// legs never enter those loops.
     pub fn set_wall_budget(&mut self, budget: std::time::Duration) {
-        self.wall_budget = Some(budget);
+        self.deadline = Some(std::time::Instant::now() + budget);
+    }
+
+    /// `Err(Watchdog { kind: WallClock })` once the deadline set by
+    /// [`Machine::set_wall_budget`] has passed.
+    fn check_deadline(&mut self) -> Result<(), SimError> {
+        if self.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+            self.finalize_partial();
+            return Err(SimError::Watchdog {
+                kind: WatchdogKind::WallClock,
+                instructions: self.stats.instructions,
+                cycles: self.cycle,
+            });
+        }
+        Ok(())
     }
 
     /// Compatibility entry point with no effect: every run takes the
@@ -574,8 +595,7 @@ impl Machine {
         let scd_cfg: ScdConfig = self.cfg.scd;
         let nbids = scd_cfg.branch_ids.min(MAX_BRANCH_IDS);
         let cycle_budget = self.cycle_budget;
-        let wall_budget = self.wall_budget;
-        let wall_start = std::time::Instant::now();
+        let deadline = self.deadline;
         loop {
             if self.stats.instructions >= max_insts {
                 self.finalize_partial();
@@ -589,15 +609,8 @@ impl Machine {
                     cycles: self.cycle,
                 });
             }
-            if let Some(wall) = wall_budget {
-                if self.stats.instructions.is_multiple_of(4096) && wall_start.elapsed() >= wall {
-                    self.finalize_partial();
-                    return Err(SimError::Watchdog {
-                        kind: WatchdogKind::WallClock,
-                        instructions: self.stats.instructions,
-                        cycles: self.cycle,
-                    });
-                }
+            if deadline.is_some() && self.stats.instructions.is_multiple_of(4096) {
+                self.check_deadline()?;
             }
             let pc = self.pc;
             if pc < self.text_base || pc >= self.text_end || !pc.is_multiple_of(4) {

@@ -229,6 +229,9 @@ impl Machine {
     /// detail (`exact_fallback` in the report) — a guest that short is
     /// cheaper to simulate than to estimate badly.
     ///
+    /// A wall-clock deadline ([`Machine::set_wall_budget`]) is checked
+    /// before every leg as well as inside the warm and measure loops.
+    ///
     /// # Errors
     /// Same contract as [`Machine::run`]; on `InstLimit` the estimate is
     /// still applied to `self.stats` before the error propagates.
@@ -257,6 +260,7 @@ impl Machine {
             // --- fast-forward to the next interval's warm point ---
             let ff = plan.skip().min(max_insts - self.stats.instructions);
             if ff > 0 {
+                self.check_deadline()?;
                 let before = self.stats.instructions;
                 let code = self.run_fastforward(ff)?;
                 ff_insts += self.stats.instructions - before;
@@ -271,6 +275,7 @@ impl Machine {
 
             // --- functional warming ---
             if plan.warmup > 0 && self.stats.instructions < max_insts {
+                self.check_deadline()?;
                 let before = self.stats.instructions;
                 let res = self.run_warming((before + plan.warmup).min(max_insts));
                 warm_insts += self.stats.instructions - before;
@@ -288,6 +293,7 @@ impl Machine {
             }
 
             // --- detailed measurement ---
+            self.check_deadline()?;
             let until = (self.stats.instructions + plan.measure).min(max_insts);
             let before = self.stats.clone();
             let check = plan.self_check.then(|| self.snapshot());

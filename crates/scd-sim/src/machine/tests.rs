@@ -428,6 +428,40 @@ fn wall_watchdog_fires() {
     ));
 }
 
+#[test]
+fn wall_budget_is_a_deadline_across_calls() {
+    let mut a = Asm::new(0x1_0000);
+    a.label("spin");
+    a.j("spin");
+    let p = a.finish().unwrap();
+    let mut m = Machine::new(SimConfig::embedded_a5(), &p);
+    m.set_wall_budget(std::time::Duration::from_millis(20));
+    assert!(matches!(m.run(4096), Err(SimError::InstLimit { .. })));
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    // A second call does not restart the clock: the deadline has passed.
+    assert!(matches!(
+        m.run(8192),
+        Err(SimError::Watchdog { kind: WatchdogKind::WallClock, instructions: 4096, .. })
+    ));
+}
+
+#[test]
+fn wall_budget_covers_sampled_fast_forward() {
+    let mut a = Asm::new(0x1_0000);
+    a.label("spin");
+    a.j("spin");
+    let p = a.finish().unwrap();
+    let mut m = Machine::new(SimConfig::embedded_a5(), &p);
+    m.set_wall_budget(std::time::Duration::from_millis(10));
+    let plan = crate::SamplingPlan::new(1_000_000, 20_000, 20_000).unwrap();
+    match m.run_sampled(500_000_000, &plan) {
+        Err(SimError::Watchdog { kind: WatchdogKind::WallClock, instructions, .. }) => {
+            assert!(instructions < 500_000_000);
+        }
+        other => panic!("expected the wall-clock watchdog, got {other:?}"),
+    }
+}
+
 // ---- checkpoint / resume ----
 
 fn dispatcher_machine(p: &scd_isa::Program) -> Machine {

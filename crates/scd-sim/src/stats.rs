@@ -105,6 +105,88 @@ pub struct SimStats {
     pub btb: BtbStats,
 }
 
+/// Generates the counter table from one list of counter paths:
+/// [`COUNTER_NAMES`], [`SimStats::counters`] and
+/// [`SimStats::counters_mut`], all in list order.
+macro_rules! counter_table {
+    ($($field:ident $(. $sub:ident)?),+ $(,)?) => {
+        /// Number of raw counters in [`SimStats`].
+        pub const NUM_COUNTERS: usize = [$(stringify!($field)),+].len();
+
+        /// Dotted name of every counter (`cycles`, `cond.executed`,
+        /// `btb.jte_flushed`, ...), in [`SimStats::counters`] order.
+        pub const COUNTER_NAMES: [&str; NUM_COUNTERS] =
+            [$(concat!(stringify!($field) $(, ".", stringify!($sub))?)),+];
+
+        impl SimStats {
+            /// Every raw counter, flattened in one fixed order: the
+            /// counter table. Everything that walks the counters reads
+            /// this order — the interval arithmetic below, the
+            /// checkpoint word layout, the cache payload's `"stats"`
+            /// object and `diff_stats` — so a new counter field is
+            /// added in one place, the `counter_table!` list.
+            pub fn counters(&self) -> [u64; NUM_COUNTERS] {
+                [$(self.$field $(. $sub)?),+]
+            }
+
+            /// Mutable borrows of every counter, in
+            /// [`SimStats::counters`] order.
+            pub fn counters_mut(&mut self) -> [&mut u64; NUM_COUNTERS] {
+                [$(&mut self.$field $(. $sub)?),+]
+            }
+        }
+    };
+}
+
+counter_table!(
+    cycles,
+    instructions,
+    dispatch_instructions,
+    loads,
+    stores,
+    cond.executed,
+    cond.mispredicted,
+    direct.executed,
+    direct.mispredicted,
+    ret.executed,
+    ret.mispredicted,
+    indirect_dispatch.executed,
+    indirect_dispatch.mispredicted,
+    indirect_other.executed,
+    indirect_other.mispredicted,
+    bop_executed,
+    bop_hits,
+    bop_misses,
+    bop_stall_cycles,
+    jru_executed,
+    icache.accesses,
+    icache.misses,
+    icache.writebacks,
+    dcache.accesses,
+    dcache.misses,
+    dcache.writebacks,
+    l2.accesses,
+    l2.misses,
+    l2.writebacks,
+    itlb.accesses,
+    itlb.misses,
+    itlb.writebacks,
+    dtlb.accesses,
+    dtlb.misses,
+    dtlb.writebacks,
+    btb.jte_inserts,
+    btb.jte_cap_skips,
+    btb.btb_evicted_by_jte,
+    btb.jte_evictions,
+    btb.btb_blocked_by_jte,
+    btb.jte_flushes,
+    btb.jte_flushed,
+);
+
+// Every field of `SimStats` is a `u64` counter, so a field missing from
+// the table above shows up as a size mismatch at compile time.
+const _: () = assert!(std::mem::size_of::<SimStats>() == NUM_COUNTERS * 8);
+
 impl SimStats {
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
@@ -176,107 +258,6 @@ impl SimStats {
         } else {
             self.dispatch_instructions as f64 / self.instructions as f64
         }
-    }
-
-    /// Every raw counter, flattened in one fixed order. The interval
-    /// arithmetic below ([`SimStats::delta_since`] /
-    /// [`SimStats::accumulate`] / [`SimStats::scaled`]) iterates this
-    /// array so a new counter field only needs to be added here (and in
-    /// `counters_mut`, kept in the same order) once.
-    fn counters(&self) -> [u64; 42] {
-        [
-            self.cycles,
-            self.instructions,
-            self.dispatch_instructions,
-            self.loads,
-            self.stores,
-            self.cond.executed,
-            self.cond.mispredicted,
-            self.direct.executed,
-            self.direct.mispredicted,
-            self.ret.executed,
-            self.ret.mispredicted,
-            self.indirect_dispatch.executed,
-            self.indirect_dispatch.mispredicted,
-            self.indirect_other.executed,
-            self.indirect_other.mispredicted,
-            self.bop_executed,
-            self.bop_hits,
-            self.bop_misses,
-            self.bop_stall_cycles,
-            self.jru_executed,
-            self.icache.accesses,
-            self.icache.misses,
-            self.icache.writebacks,
-            self.dcache.accesses,
-            self.dcache.misses,
-            self.dcache.writebacks,
-            self.l2.accesses,
-            self.l2.misses,
-            self.l2.writebacks,
-            self.itlb.accesses,
-            self.itlb.misses,
-            self.itlb.writebacks,
-            self.dtlb.accesses,
-            self.dtlb.misses,
-            self.dtlb.writebacks,
-            self.btb.jte_inserts,
-            self.btb.jte_cap_skips,
-            self.btb.btb_evicted_by_jte,
-            self.btb.jte_evictions,
-            self.btb.btb_blocked_by_jte,
-            self.btb.jte_flushes,
-            self.btb.jte_flushed,
-        ]
-    }
-
-    /// Mutable borrows of every counter, in [`SimStats::counters`] order
-    /// (distinct fields, so the simultaneous borrows are fine).
-    fn counters_mut(&mut self) -> [&mut u64; 42] {
-        [
-            &mut self.cycles,
-            &mut self.instructions,
-            &mut self.dispatch_instructions,
-            &mut self.loads,
-            &mut self.stores,
-            &mut self.cond.executed,
-            &mut self.cond.mispredicted,
-            &mut self.direct.executed,
-            &mut self.direct.mispredicted,
-            &mut self.ret.executed,
-            &mut self.ret.mispredicted,
-            &mut self.indirect_dispatch.executed,
-            &mut self.indirect_dispatch.mispredicted,
-            &mut self.indirect_other.executed,
-            &mut self.indirect_other.mispredicted,
-            &mut self.bop_executed,
-            &mut self.bop_hits,
-            &mut self.bop_misses,
-            &mut self.bop_stall_cycles,
-            &mut self.jru_executed,
-            &mut self.icache.accesses,
-            &mut self.icache.misses,
-            &mut self.icache.writebacks,
-            &mut self.dcache.accesses,
-            &mut self.dcache.misses,
-            &mut self.dcache.writebacks,
-            &mut self.l2.accesses,
-            &mut self.l2.misses,
-            &mut self.l2.writebacks,
-            &mut self.itlb.accesses,
-            &mut self.itlb.misses,
-            &mut self.itlb.writebacks,
-            &mut self.dtlb.accesses,
-            &mut self.dtlb.misses,
-            &mut self.dtlb.writebacks,
-            &mut self.btb.jte_inserts,
-            &mut self.btb.jte_cap_skips,
-            &mut self.btb.btb_evicted_by_jte,
-            &mut self.btb.jte_evictions,
-            &mut self.btb.btb_blocked_by_jte,
-            &mut self.btb.jte_flushes,
-            &mut self.btb.jte_flushed,
-        ]
     }
 
     /// Counter-wise `self − base`. Both views must come from the same

@@ -29,7 +29,8 @@
 
 use crate::btb::{EntryKind, InsertOutcome};
 use crate::fault::{FaultEvent, FaultKind};
-use crate::stats::{BranchClass, SimStats};
+use crate::json::{self, Value};
+use crate::stats::{BranchClass, SimStats, COUNTER_NAMES};
 use scd_isa::Inst;
 
 // ---------------------------------------------------------------------
@@ -742,7 +743,7 @@ impl TraceEvent {
     /// Returns a description of the first syntactic or schema problem.
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
         let v = json::parse(line)?;
-        let obj = v.as_obj().ok_or("event must be a JSON object")?;
+        let obj = object(&v, "event")?;
         let class_name = get_str(obj, "class")?;
         let class = InstClass::from_name(class_name)
             .ok_or_else(|| format!("unknown class {class_name:?}"))?;
@@ -752,7 +753,7 @@ impl TraceEvent {
             class,
             cycle: get_num(obj, "cycle")?,
             cycles: get_num(obj, "cycles")?,
-            dispatch: get(obj, "dispatch").map_or(Ok(false), json::Value::as_bool_or_err)?,
+            dispatch: get_flag(obj, "dispatch")?,
             fetch: FetchAccess::default(),
             data: None,
             branch: None,
@@ -763,8 +764,8 @@ impl TraceEvent {
             fault: None,
             arch: None,
         };
-        if let Some(f) = get(obj, "fetch") {
-            let f = f.as_obj().ok_or("fetch must be an object")?;
+        if let Some(f) = obj.get("fetch") {
+            let f = object(f, "fetch")?;
             ev.fetch = FetchAccess {
                 itlb_miss: get_flag(f, "itlb_miss")?,
                 icache_miss: get_flag(f, "icache_miss")?,
@@ -772,8 +773,8 @@ impl TraceEvent {
                 penalty: get_num_or_zero(f, "penalty")?,
             };
         }
-        if let Some(d) = get(obj, "data") {
-            let d = d.as_obj().ok_or("data must be an object")?;
+        if let Some(d) = obj.get("data") {
+            let d = object(d, "data")?;
             ev.data = Some(DataAccess {
                 dtlb_miss: get_flag(d, "dtlb_miss")?,
                 dcache_miss: get_flag(d, "dcache_miss")?,
@@ -782,8 +783,8 @@ impl TraceEvent {
                 penalty: get_num_or_zero(d, "penalty")?,
             });
         }
-        if let Some(b) = get(obj, "branch") {
-            let b = b.as_obj().ok_or("branch must be an object")?;
+        if let Some(b) = obj.get("branch") {
+            let b = object(b, "branch")?;
             let name = get_str(b, "class")?;
             ev.branch = Some(BranchEvent {
                 class: branch_class_from_name(name)
@@ -791,8 +792,8 @@ impl TraceEvent {
                 mispredicted: get_flag(b, "mispredicted")?,
             });
         }
-        if let Some(r) = get(obj, "redirect") {
-            let r = r.as_obj().ok_or("redirect must be an object")?;
+        if let Some(r) = obj.get("redirect") {
+            let r = object(r, "redirect")?;
             let name = get_str(r, "cause")?;
             ev.redirect = Some(RedirectEvent {
                 cause: RedirectCause::from_name(name)
@@ -800,8 +801,8 @@ impl TraceEvent {
                 penalty: get_num_or_zero(r, "penalty")?,
             });
         }
-        if let Some(b) = get(obj, "bop") {
-            let b = b.as_obj().ok_or("bop must be an object")?;
+        if let Some(b) = obj.get("bop") {
+            let b = object(b, "bop")?;
             let name = get_str(b, "outcome")?;
             ev.bop = Some(BopEvent {
                 outcome: BopOutcome::from_name(name)
@@ -809,10 +810,10 @@ impl TraceEvent {
                 stall: get_num_or_zero(b, "stall")?,
             });
         }
-        if let Some(list) = get(obj, "inserts") {
+        if let Some(list) = obj.get("inserts") {
             let list = list.as_arr().ok_or("inserts must be an array")?;
             for item in list {
-                let item = item.as_obj().ok_or("insert must be an object")?;
+                let item = object(item, "insert")?;
                 let key = get_str(item, "key")?;
                 let key = kind_from_name(key).ok_or_else(|| format!("unknown key {key:?}"))?;
                 let outcome = match get_str(item, "outcome")? {
@@ -820,7 +821,7 @@ impl TraceEvent {
                     "cap_skipped" => InsertOutcome::CapSkipped,
                     "blocked" => InsertOutcome::Blocked,
                     "inserted" => InsertOutcome::Inserted {
-                        evicted: match get(item, "evicted") {
+                        evicted: match item.get("evicted") {
                             Some(v) => {
                                 let name = v.as_str().ok_or("evicted must be a string")?;
                                 Some(
@@ -837,15 +838,15 @@ impl TraceEvent {
                 ev.inserts.push(BtbInsertEvent { key, outcome });
             }
         }
-        if let Some(f) = get(obj, "flush") {
-            let f = f.as_obj().ok_or("flush must be an object")?;
+        if let Some(f) = obj.get("flush") {
+            let f = object(f, "flush")?;
             ev.flush = Some(JteFlushEvent {
                 flushes: get_num(f, "flushes")?,
                 flushed: get_num(f, "flushed")?,
             });
         }
-        if let Some(ft) = get(obj, "fault") {
-            let ft = ft.as_obj().ok_or("fault must be an object")?;
+        if let Some(ft) = obj.get("fault") {
+            let ft = object(ft, "fault")?;
             let name = get_str(ft, "kind")?;
             ev.fault = Some(FaultEvent {
                 kind: FaultKind::from_name(name)
@@ -853,8 +854,8 @@ impl TraceEvent {
                 evicted: get_num_or_zero(ft, "evicted")?,
             });
         }
-        if let Some(a) = get(obj, "arch") {
-            let a = a.as_obj().ok_or("arch must be an object")?;
+        if let Some(a) = obj.get("arch") {
+            let a = object(a, "arch")?;
             let pair = |rk: &str, vk: &str| -> Result<Option<(u8, u64)>, String> {
                 match get_opt_num(a, rk)? {
                     None => Ok(None),
@@ -914,244 +915,47 @@ fn json_l2(out: &mut String, first: &mut bool, l2: Option<L2Access>) {
     }
 }
 
-type Obj = [(String, json::Value)];
-
-fn get<'a>(obj: &'a Obj, name: &str) -> Option<&'a json::Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn get_num(obj: &Obj, name: &str) -> Result<u64, String> {
-    get(obj, name)
-        .ok_or_else(|| format!("missing field {name:?}"))?
-        .as_num()
-        .ok_or_else(|| format!("field {name:?} must be a number"))
-}
-
-fn get_num_or_zero(obj: &Obj, name: &str) -> Result<u64, String> {
-    match get(obj, name) {
-        None => Ok(0),
-        Some(v) => v.as_num().ok_or_else(|| format!("field {name:?} must be a number")),
+/// `v` itself when it is a JSON object; `what` names it in the error.
+fn object<'a>(v: &'a Value, what: &str) -> Result<&'a Value, String> {
+    match v {
+        Value::Obj(_) => Ok(v),
+        _ => Err(format!("{what} must be an object")),
     }
 }
 
-fn get_opt_num(obj: &Obj, name: &str) -> Result<Option<u64>, String> {
-    match get(obj, name) {
-        None => Ok(None),
-        Some(v) => {
-            v.as_num().map(Some).ok_or_else(|| format!("field {name:?} must be a number"))
-        }
-    }
+fn get_opt_num(obj: &Value, name: &str) -> Result<Option<u64>, String> {
+    obj.get(name)
+        .map(|v| v.as_u64().ok_or_else(|| format!("field {name:?} must be a number")))
+        .transpose()
 }
 
-fn get_flag(obj: &Obj, name: &str) -> Result<bool, String> {
-    match get(obj, name) {
-        None => Ok(false),
-        Some(v) => v.as_bool().ok_or_else(|| format!("field {name:?} must be a bool")),
-    }
+fn get_num(obj: &Value, name: &str) -> Result<u64, String> {
+    get_opt_num(obj, name)?.ok_or_else(|| format!("missing field {name:?}"))
 }
 
-fn get_str<'a>(obj: &'a Obj, name: &str) -> Result<&'a str, String> {
-    get(obj, name)
+fn get_num_or_zero(obj: &Value, name: &str) -> Result<u64, String> {
+    Ok(get_opt_num(obj, name)?.unwrap_or(0))
+}
+
+fn get_flag(obj: &Value, name: &str) -> Result<bool, String> {
+    obj.get(name).map_or(Ok(false), |v| {
+        v.as_bool().ok_or_else(|| format!("field {name:?} must be a bool"))
+    })
+}
+
+fn get_str<'a>(obj: &'a Value, name: &str) -> Result<&'a str, String> {
+    obj.get(name)
         .ok_or_else(|| format!("missing field {name:?}"))?
         .as_str()
         .ok_or_else(|| format!("field {name:?} must be a string"))
 }
 
-fn get_l2(obj: &Obj) -> Result<Option<L2Access>, String> {
-    match get(obj, "l2") {
+fn get_l2(obj: &Value) -> Result<Option<L2Access>, String> {
+    match obj.get("l2") {
         None => Ok(None),
         Some(v) => {
-            let o = v.as_obj().ok_or("l2 must be an object")?;
+            let o = object(v, "l2")?;
             Ok(Some(L2Access { miss: get_flag(o, "miss")?, writeback: get_flag(o, "writeback")? }))
-        }
-    }
-}
-
-/// Minimal JSON reader for the trace schema: objects, arrays, strings
-/// without escapes beyond `\"` and `\\`, unsigned integers, booleans and
-/// null. Not a general-purpose parser.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Unsigned integer (the only numbers the schema uses).
-        Num(u64),
-        /// String.
-        Str(String),
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        pub fn as_num(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        pub fn as_bool_or_err(&self) -> Result<bool, String> {
-            self.as_bool().ok_or_else(|| "expected a bool".to_string())
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut pos = 0;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = match value(b, pos)? {
-                        Value::Str(s) => s,
-                        _ => return Err(format!("object key must be a string at byte {pos}")),
-                    };
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    fields.push((key, value(b, pos)?));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(*pos) {
-                        None => return Err("unterminated string".into()),
-                        Some(b'"') => {
-                            *pos += 1;
-                            return Ok(Value::Str(s));
-                        }
-                        Some(b'\\') => {
-                            *pos += 1;
-                            match b.get(*pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                _ => return Err(format!("unsupported escape at byte {pos}")),
-                            }
-                            *pos += 1;
-                        }
-                        Some(&c) => {
-                            s.push(c as char);
-                            *pos += 1;
-                        }
-                    }
-                }
-            }
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = *pos;
-                while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&b[start..*pos])
-                    .unwrap()
-                    .parse()
-                    .map(Value::Num)
-                    .map_err(|e| format!("bad number at byte {start}: {e}"))
-            }
-            Some(c) => Err(format!("unexpected byte {c:?} at {pos}")),
         }
     }
 }
@@ -1307,64 +1111,15 @@ impl ReplayStats {
     }
 }
 
-/// Describes the first field on which two [`SimStats`] differ, or `None`
-/// when they are identical. Used for readable invariant-failure panics.
+/// Describes the first counter (by its dotted [`COUNTER_NAMES`] name) on
+/// which two [`SimStats`] differ, or `None` when they are identical.
+/// Used for readable invariant-failure panics.
 pub fn diff_stats(live: &SimStats, replay: &SimStats) -> Option<String> {
-    macro_rules! cmp {
-        ($($field:ident $(. $sub:ident)?),+ $(,)?) => {
-            $(
-                {
-                    let a = live.$field $(. $sub)?;
-                    let b = replay.$field $(. $sub)?;
-                    if a != b {
-                        return Some(format!(
-                            concat!(stringify!($field), $("." , stringify!($sub),)? ": live {} vs replay {}"),
-                            a, b
-                        ));
-                    }
-                }
-            )+
-        };
-    }
-    cmp!(
-        cycles,
-        instructions,
-        dispatch_instructions,
-        loads,
-        stores,
-        cond.executed,
-        cond.mispredicted,
-        direct.executed,
-        direct.mispredicted,
-        ret.executed,
-        ret.mispredicted,
-        indirect_dispatch.executed,
-        indirect_dispatch.mispredicted,
-        indirect_other.executed,
-        indirect_other.mispredicted,
-        bop_executed,
-        bop_hits,
-        bop_misses,
-        bop_stall_cycles,
-        jru_executed,
-        icache.accesses,
-        icache.misses,
-        icache.writebacks,
-        dcache.accesses,
-        dcache.misses,
-        dcache.writebacks,
-        l2.accesses,
-        l2.misses,
-        l2.writebacks,
-        itlb.accesses,
-        itlb.misses,
-        dtlb.accesses,
-        dtlb.misses,
-    );
-    if live.btb != replay.btb {
-        return Some(format!("btb: live {:?} vs replay {:?}", live.btb, replay.btb));
-    }
-    None
+    COUNTER_NAMES
+        .iter()
+        .zip(live.counters().into_iter().zip(replay.counters()))
+        .find(|(_, (a, b))| a != b)
+        .map(|(name, (a, b))| format!("{name}: live {a} vs replay {b}"))
 }
 
 /// Debug-mode cross-counter checker: replays the event stream and
@@ -1626,6 +1381,17 @@ mod tests {
         )
         .is_err());
         assert!(TraceEvent::from_json("{\"seq\":0}{").is_err()); // trailing
+        assert!(TraceEvent::from_json("[1,2]").is_err()); // not an object
+        // Counters are unsigned integers: a negative or fractional
+        // number is a schema error, not a truncation.
+        let line = |seq: &str| {
+            format!("{{\"seq\":{seq},\"pc\":0,\"class\":\"alu\",\"cycle\":0,\"cycles\":0}}")
+        };
+        assert!(TraceEvent::from_json(&line("0")).is_ok());
+        for seq in ["-1", "1.5"] {
+            let err = TraceEvent::from_json(&line(seq)).expect_err(seq);
+            assert!(err.contains("seq"), "{seq}: {err}");
+        }
     }
 
     #[test]
@@ -1696,6 +1462,17 @@ mod tests {
         b.bop_hits = 3;
         let d = diff_stats(&a, &b).expect("differs");
         assert!(d.contains("bop_hits"), "got {d}");
+    }
+
+    #[test]
+    fn diff_stats_covers_tlb_writebacks() {
+        let a = SimStats::default();
+        let mut b = SimStats::default();
+        b.dtlb.writebacks = 1;
+        assert_eq!(diff_stats(&a, &b).as_deref(), Some("dtlb.writebacks: live 0 vs replay 1"));
+        let mut b = SimStats::default();
+        b.itlb.writebacks = 2;
+        assert_eq!(diff_stats(&a, &b).as_deref(), Some("itlb.writebacks: live 0 vs replay 2"));
     }
 
     #[test]
