@@ -555,3 +555,142 @@ fn restore_rejects_missing_segment() {
     let mut m2 = Machine::new(SimConfig::embedded_a5(), &p); // no scratch
     assert!(matches!(m2.restore(&snap), Err(SnapshotError::Format(_))));
 }
+
+// ---- pinned snapshot bytes across the fast-forward seam ----
+
+/// A guest that leaves a trace in every piece of state a fast-forward
+/// leg carries: it fills 64 doublewords of the scratch segment, zeroes
+/// the upper 32 again (so the segment's write high-water mark lies past
+/// its zero-trimmed extent), arms `Rmask[0]`/`Rmask[1]` with `setmask`,
+/// then dispatches forever through `lbu.op`/`lw.op`/`bop`/`jru`.
+fn ff_state_program() -> scd_isa::Program {
+    let mut a = Asm::new(0x1_0000);
+    a.li(Reg::S1, 0x10_0000);
+    a.li(Reg::T0, 0);
+    a.li(Reg::T1, 64);
+    a.label("fill");
+    a.slli(Reg::T3, Reg::T0, 3);
+    a.add(Reg::T3, Reg::T3, Reg::S1);
+    a.addi(Reg::T2, Reg::T0, 0x101);
+    a.sd(Reg::T2, 0, Reg::T3);
+    a.addi(Reg::T0, Reg::T0, 1);
+    a.bne(Reg::T0, Reg::T1, "fill");
+    a.li(Reg::T0, 32);
+    a.label("zero");
+    a.slli(Reg::T3, Reg::T0, 3);
+    a.add(Reg::T3, Reg::T3, Reg::S1);
+    a.sd(Reg::ZERO, 0, Reg::T3);
+    a.addi(Reg::T0, Reg::T0, 1);
+    a.bne(Reg::T0, Reg::T1, "zero");
+    a.li(Reg::T0, 0xff);
+    a.setmask(0, Reg::T0);
+    a.li(Reg::T0, 0xff0);
+    a.setmask(1, Reg::T0);
+    a.la(Reg::S2, "jt");
+    a.li(Reg::S3, 0);
+    a.label("loop");
+    a.andi(Reg::T0, Reg::S3, 7);
+    a.slli(Reg::T0, Reg::T0, 3);
+    a.add(Reg::T0, Reg::T0, Reg::S1);
+    a.load_op(LoadOp::Lw, 1, Reg::A1, 0, Reg::T0);
+    a.load_op(LoadOp::Lbu, 0, Reg::A0, 0, Reg::T0);
+    a.addi(Reg::S3, Reg::S3, 1);
+    a.bop(0);
+    a.andi(Reg::T1, Reg::A0, 1);
+    a.slli(Reg::T1, Reg::T1, 3);
+    a.add(Reg::T1, Reg::T1, Reg::S2);
+    a.ld(Reg::T4, 0, Reg::T1);
+    a.jru(0, Reg::T4);
+    a.label("h0");
+    a.addi(Reg::A2, Reg::A2, 1);
+    a.j("loop");
+    a.label("h1");
+    a.addi(Reg::A2, Reg::A2, 3);
+    a.j("loop");
+    a.ro_label("jt");
+    a.ro_addr("h0");
+    a.ro_addr("h1");
+    a.finish().expect("assemble")
+}
+
+/// Checkpoints are a file format, and the sampled scheduler snapshots
+/// across fast-forward legs, so the snapshot of a machine stopped on
+/// an instruction limit inside a fast-forward leg is pinned: the
+/// architectural words and the SCD register block literally, the whole
+/// word stream (caches, predictors, BTB/JTE words and counters) by
+/// length and FNV-1a hash, and every segment's zero-trimmed bytes.
+#[test]
+fn snapshot_after_fast_forward_limit_is_pinned() {
+    let p = ff_state_program();
+    let mut m = Machine::new(SimConfig::embedded_a5(), &p);
+    m.map("scratch", 0x10_0000, 0x1000);
+    let plan = crate::SamplingPlan::parse("400:50:50").unwrap();
+    // Legs: ff [0,300) warm [300,350) measure [350,400), ..., and the
+    // fourth fast-forward leg [1200,1500) ends on the limit.
+    match m.run_sampled(1_500, &plan) {
+        Err(SimError::InstLimit { limit: 1_500 }) => {}
+        other => panic!("expected InstLimit, got {other:?}"),
+    }
+    let snap = m.snapshot();
+    let w = &snap.words;
+    let nonzero_regs: Vec<(usize, u64)> =
+        w[..32].iter().copied().enumerate().filter(|&(_, v)| v != 0).collect();
+    assert_eq!(
+        nonzero_regs,
+        [
+            (5, 7),
+            (6, 0x100c0),
+            (7, 320),
+            (9, 0x10_0000),
+            (10, 7),
+            (11, 0x107),
+            (12, 175),
+            (18, 0x100c0),
+            (19, 87),
+            (28, 0x10_01f8),
+            (29, 0x1008c),
+        ]
+    );
+    assert!(w[32..64].iter().all(|&f| f == 0), "no FP register written");
+    assert_eq!((w[64], w[65]), (0x10060, 262), "pc, cycle");
+    // Per branch id: Rop.v, Rop, Rmask, rbop_pc, rop_ready (stamped with
+    // the frozen cycle at the end of the leg); then next_flush_at.
+    assert_eq!(
+        &w[134..155],
+        &[
+            0, 7, 0xff, 0x10074, 262, //
+            1, 0x100, 0xff0, 0, 262, //
+            0, 0, 0, 0, 262, //
+            0, 0, 0, 0, 262, //
+            u64::MAX,
+        ]
+    );
+    // The scaled estimate, in counter-table order.
+    assert_eq!(
+        &w[155..155 + crate::stats::NUM_COUNTERS],
+        &[
+            2620, 1500, 0, 210, 80, 90, 20, 100, 0, 0, 0, 0, 0, 30, 30, 100, 60, 40, 310, 30,
+            1500, 0, 0, 290, 10, 0, 0, 0, 0, 1500, 0, 0, 290, 0, 0, 30, 0, 0, 0, 0, 0, 0,
+        ]
+    );
+    let fnv = |bytes: &[u8]| crate::snapshot::fnv1a(crate::snapshot::FNV_OFFSET, bytes);
+    let word_bytes: Vec<u8> = w.iter().flat_map(|x| x.to_le_bytes()).collect();
+    assert_eq!((w.len(), fnv(&word_bytes)), (8240, 0xaf2f_5e12_66e0_bf0f));
+
+    let scratch: Vec<u8> = (0x101..0x121u64).flat_map(u64::to_le_bytes).take(250).collect();
+    let segs: Vec<(&str, u64, u64, usize, u64)> = snap
+        .segments
+        .iter()
+        .map(|(name, base, size, data)| (name.as_str(), *base, *size, data.len(), fnv(data)))
+        .collect();
+    assert_eq!(
+        segs,
+        [
+            ("text", 0x10000, 0x9c, 156, 0x9c9f_e7ba_64ad_e12c),
+            ("rodata", 0x100c0, 0x10, 11, 0x9802_b86c_d9e8_e05f),
+            ("scratch", 0x10_0000, 0x1000, 250, fnv(&scratch)),
+        ]
+    );
+    assert_eq!(snap.segments[2].3, scratch);
+    assert!(snap.output.is_empty());
+}

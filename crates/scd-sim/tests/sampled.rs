@@ -94,13 +94,13 @@ fn sampled_matches_full_run() {
     );
     assert_eq!(sampled.stats.instructions, report.total_insts);
 
-    // The fast-forward oracle retrains its architectural JTE map from
-    // scratch each leg, so a handful of extra slow-path dispatches can
-    // slip in per interval — the instruction counts agree closely but
-    // not exactly.
-    let di = (report.total_insts as f64 - full.stats.instructions as f64).abs()
-        / full.stats.instructions as f64;
-    assert!(di < 0.02, "instruction count drift {di}");
+    // Characterization, not a specification: every fast-forward leg
+    // resolves `bop` from a `(bid, Rop)` map that starts empty, so a
+    // handful of extra slow-path dispatches slip in per interval and the
+    // sampled count differs from full detail's. ROADMAP.md open item 1
+    // makes sampled SCD runs exact and will change this pin to 33,040.
+    assert_eq!(full.stats.instructions, 33_040);
+    assert_eq!(report.total_insts, 33_096);
 
     // The timing estimate lands near the exact cycle count.
     let exact = full.stats.cycles as f64;
