@@ -5,9 +5,15 @@
 //! (`scd_ref::gen`), run it on the cycle model under three SCD variants
 //! (stall scheme, fall-through scheme, SCD disabled) with a
 //! [`LockstepSink`] attached, and fail on the first retired instruction
-//! whose architectural effects differ from the reference ISS. On failure
-//! the program is shrunk (regenerated with fewer handler blocks while the
-//! divergence persists) and pinned as a `scd_ref::corpus` reproducer.
+//! whose architectural effects differ from the reference ISS. The
+//! `scd-off` variant also runs sampled (plan `400:50:50`: short legs,
+//! so a generated program crosses many fast-forward seams) and fails on
+//! any difference from its detailed run in outcome, instruction count,
+//! registers, pc, output or memory: with SCD off nothing in the
+//! instruction stream depends on the BTB, so the fast-forward legs must
+//! be architecturally exact. On failure the program is shrunk
+//! (regenerated with fewer handler blocks while the divergence
+//! persists) and pinned as a `scd_ref::corpus` reproducer.
 //!
 //! Determinism: the program for index `i` depends only on
 //! `base_seed` and `i`; results are aggregated in index order, so the
@@ -16,7 +22,9 @@
 use crate::{usage, EXIT_INTERNAL, EXIT_INVARIANT};
 use scd_ref::corpus::{self, Repro};
 use scd_ref::gen::{generate, GenBias, GenConfig, Rng};
-use scd_sim::{downcast_sink, LockstepSink, Machine, SimConfig, SimError};
+use scd_sim::{
+    diff_architectural, downcast_sink, LockstepSink, Machine, SamplingPlan, SimConfig, SimError,
+};
 use std::process::exit;
 
 struct FuzzOpts {
@@ -79,14 +87,20 @@ fn variant_config(name: &str) -> SimConfig {
     cfg
 }
 
-/// One lockstep run of a pinned program. `Ok(checked)` counts compared
-/// instructions; `Err` is a divergence or an unexpected simulator error.
+/// One lockstep run of a pinned program (plus, for `scd-off`, the
+/// sampled check). `Ok(checked)` counts compared instructions; `Err` is
+/// a divergence or an unexpected simulator error.
 fn run_one(repro: &Repro, variant: &str, max_insts: u64) -> Result<u64, String> {
     let cfg = variant_config(variant);
-    let mut m = Machine::new(cfg, &repro.program);
-    m.map("fuzzdata", repro.data_base, repro.data_size);
+    let machine = || {
+        let mut m = Machine::new(cfg.clone(), &repro.program);
+        m.map("fuzzdata", repro.data_base, repro.data_size);
+        m
+    };
+    let mut m = machine();
     m.set_trace_sink(Box::new(LockstepSink::new(&m)));
-    let run_err = match m.run(max_insts) {
+    let run = m.run(max_insts);
+    let run_err = match &run {
         Ok(_) => None,
         // Budget exhaustion is a pass: everything retired so far was
         // compared, and generated programs are only *expected* — not
@@ -103,6 +117,21 @@ fn run_one(repro: &Repro, variant: &str, max_insts: u64) -> Result<u64, String> 
     }
     if let Some(e) = run_err {
         return Err(format!("simulator error without divergence: {e}"));
+    }
+    if variant == "scd-off" {
+        let mut sampled = machine();
+        let plan = SamplingPlan::parse("400:50:50").expect("builtin plan");
+        let ended = format!("{:?}", sampled.run_sampled(max_insts, &plan).map(|(exit, _)| exit));
+        let n = sampled.stats.instructions;
+        if ended != format!("{run:?}") || n != m.stats.instructions {
+            return Err(format!(
+                "sampled run ended {ended} after {n} instructions, detailed run {run:?} after {}",
+                m.stats.instructions
+            ));
+        }
+        if let Some(d) = diff_architectural(&m, &sampled) {
+            return Err(format!("sampled run ended in a different state: {d}"));
+        }
     }
     Ok(sink.checked())
 }

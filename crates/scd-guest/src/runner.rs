@@ -127,11 +127,11 @@ fn build_machine(cfg: SimConfig, guest: &Guest, img: &Image) -> Machine {
         layout::IMAGE_BASE,
         (img.bytes.len() as u64 + 4095) & !4095,
     );
-    m.mem.write_bytes(layout::IMAGE_BASE, &img.bytes);
+    m.mem_mut().write_bytes(layout::IMAGE_BASE, &img.bytes);
     m.map("globals", layout::GLOBALS_BASE, 1 << 20);
     for (i, g) in img.global_init.iter().enumerate() {
-        m.mem
-            .write_u64(layout::GLOBALS_BASE + 8 * i as u64, *g)
+        m.mem_mut()
+            .write(layout::GLOBALS_BASE + 8 * i as u64, 8, *g)
             .expect("globals segment mapped");
     }
     m.map(
@@ -236,8 +236,8 @@ impl Session {
         let checksum = exit.code;
         let dispatches = self
             .machine
-            .mem
-            .read_u64(layout::VMCTL_BASE + layout::CTL_DISPATCH_COUNT as u64)
+            .mem()
+            .read(layout::VMCTL_BASE + layout::CTL_DISPATCH_COUNT as u64, 8)
             .expect("ctl mapped");
         let oracle = match &self.compiled {
             Compiled::Lvm { program, init } => luma::lvm::LvmInterp::new(program, init)

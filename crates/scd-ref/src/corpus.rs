@@ -182,7 +182,7 @@ mod tests {
 
         let run = |p: &scd_isa::Program| {
             let mut c = RefCore::from_program(p, true, 4);
-            c.map("fuzzdata", g.data_base, g.data_size);
+            c.mem.add_segment("fuzzdata", g.data_base, g.data_size);
             c.run(2_000_000).unwrap()
         };
         assert_eq!(run(&g.program), run(&back.program));

@@ -403,7 +403,7 @@ mod tests {
         for seed in 0..32u64 {
             let g = generate(&GenConfig::from_seed(seed));
             let mut c = RefCore::from_program(&g.program, true, 4);
-            c.map("fuzzdata", g.data_base, g.data_size);
+            c.mem.add_segment("fuzzdata", g.data_base, g.data_size);
             match c.run(2_000_000) {
                 Ok(_) => {}
                 Err(e) => panic!("seed {seed}: {e}"),
@@ -420,7 +420,7 @@ mod tests {
         for seed in 0..8u64 {
             let g = generate(&GenConfig::aliasing_from_seed(seed));
             let mut c = RefCore::from_program(&g.program, true, 4);
-            c.map("fuzzdata", g.data_base, g.data_size);
+            c.mem.add_segment("fuzzdata", g.data_base, g.data_size);
             if let Err(e) = c.run(4_000_000) {
                 panic!("aliasing seed {seed}: {e}");
             }
@@ -438,10 +438,10 @@ mod tests {
     fn generated_programs_exercise_the_scd_idiom() {
         let g = generate(&GenConfig::from_seed(7));
         let mut c = RefCore::from_program(&g.program, true, 4);
-        c.map("fuzzdata", g.data_base, g.data_size);
+        c.mem.add_segment("fuzzdata", g.data_base, g.data_size);
         let mut bops = 0u64;
         loop {
-            let before_pc = c.pc;
+            let before_pc = c.arch.pc;
             let arch = c.step(BopHint::Auto).expect("runs clean");
             // Count bop retirements by decode class: a step whose pc
             // advanced non-sequentially from a bop site is fine too; we

@@ -7,12 +7,25 @@
 //! [`RefCore::step`] executes one instruction and reports its
 //! architectural effects (the lockstep driver), and
 //! [`RefCore::run`] executes the guest as threaded code — pre-decoded
-//! straight runs chained by index, see [`Text`] — for standalone runs
+//! straight runs chained by index — for standalone runs
 //! and fast-forward. Every data result comes from the same
 //! [`scd_isa::exec`] semantics table the cycle model uses, so the two
 //! executors cannot drift apart on value semantics — any lockstep
 //! divergence is by construction a *plumbing* bug (register file,
 //! memory, control flow, SCD state), never a table disagreement.
+//!
+//! ## One guest state
+//!
+//! The crate owns the guest state both executors run over:
+//! [`ArchState`] (registers, PC, SCD register sets) and [`GuestMemory`]
+//! (segments, their write high-water marks, the one fault check). The
+//! cycle model keeps a `RefCore` over its own state and runs sampled
+//! fast-forward legs with [`RefCore::run`] in place, so nothing is
+//! copied or handed across at a leg boundary. The lockstep oracle
+//! stays independent: it gets its own clone of the state and decodes
+//! its own text from the memory words ([`RefCore::from_state`]), and
+//! instruction and SCD semantics are written separately here and in
+//! the cycle model.
 //!
 //! The crate also hosts the seeded random-program generator ([`gen`]) and
 //! the on-disk reproducer corpus format ([`corpus`]) used by `scd-cli fuzz`.
@@ -68,28 +81,43 @@ type JteMap = HashMap<(u8, u64), u64, BuildHasherDefault<JteHasher>>;
 
 pub mod corpus;
 pub mod gen;
+mod mem;
 mod threaded;
 
-pub use threaded::Text;
+pub use mem::{GuestMemory, MemFault};
+use threaded::Text;
+
+/// Number of SCD branch-id register sets (Table I of the paper).
+pub const MAX_BRANCH_IDS: usize = 4;
 
 /// One SCD branch-id register set: `Rop[bid]`, its valid bit, and
 /// `Rmask[bid]` (Table I of the paper).
-#[derive(Debug, Clone, Copy, Default)]
-struct ScdReg {
-    rop_v: bool,
-    rop_d: u64,
-    rmask: u64,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScdRegs {
+    /// `Rop[bid].v`: the opcode register holds a value a `bop` may use.
+    pub rop_v: bool,
+    /// `Rop[bid]`: the masked opcode the last `<load>.op` loaded.
+    pub rop_d: u64,
+    /// `Rmask[bid]`, set by `setmask`.
+    pub rmask: u64,
 }
 
-/// A guest memory segment (base + backing bytes).
-#[derive(Debug, Clone)]
-pub struct Segment {
-    /// Segment name (diagnostics only).
-    pub name: String,
-    /// Guest base address.
-    pub base: u64,
-    /// Backing bytes.
-    pub data: Vec<u8>,
+/// The architectural register state of the paper's machine: integer
+/// and FP register files, PC and the SCD register sets. Guest memory
+/// is the other half of the guest state ([`GuestMemory`]). The cycle
+/// model and the reference core run over one `ArchState`; timing state
+/// (operand readiness, pipeline bookkeeping) lives beside it in the
+/// cycle model.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ArchState {
+    /// Integer register file (x0 held at zero by every writer).
+    pub regs: [u64; 32],
+    /// FP register file (raw f64 bits).
+    pub fregs: [u64; 32],
+    /// Current PC.
+    pub pc: u64,
+    /// SCD register sets; only the first `branch_ids` are live.
+    pub scd: [ScdRegs; MAX_BRANCH_IDS],
 }
 
 /// Why the reference core stopped or refused to step.
@@ -99,10 +127,8 @@ pub enum RefError {
     Mem {
         /// PC of the faulting instruction.
         pc: u64,
-        /// Faulting guest address.
-        addr: u64,
-        /// True for stores.
-        write: bool,
+        /// The access that faulted.
+        fault: MemFault,
     },
     /// PC left the text section or lost 4-byte alignment.
     PcOutOfRange {
@@ -148,11 +174,7 @@ pub enum RefError {
 impl std::fmt::Display for RefError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
-            RefError::Mem { pc, addr, write } => write!(
-                f,
-                "ref: {} fault at {addr:#x} (pc {pc:#x})",
-                if write { "store" } else { "load" }
-            ),
+            RefError::Mem { pc, fault } => write!(f, "ref: {fault} (pc {pc:#x})"),
             RefError::PcOutOfRange { pc } => write!(f, "ref: pc out of range: {pc:#x}"),
             RefError::BadInst { pc } => write!(f, "ref: undecodable word at {pc:#x}"),
             RefError::Break { pc } => write!(f, "ref: guest trap at {pc:#x}"),
@@ -204,33 +226,23 @@ pub enum BopHint {
 
 /// The timing-free reference core.
 ///
-/// State is exactly the architectural state of the paper's machine: the
-/// integer and FP register files, PC, guest memory, and the SCD register
-/// sets — plus the architectural JTE map `(bid, Rop) → target` that a
-/// `jru` retirement defines (the BTB-resident JTEs of the cycle model are
-/// a lossy cache of this map; the map itself never evicts).
+/// State is exactly the architectural state of the paper's machine —
+/// [`ArchState`] and [`GuestMemory`] — plus the guest's output, a
+/// retirement count, and the architectural JTE map `(bid, Rop) →
+/// target` that a `jru` retirement defines (the BTB-resident JTEs of
+/// the cycle model are a lossy cache of this map; the map itself never
+/// evicts).
 #[derive(Debug, Clone)]
 pub struct RefCore {
-    /// Integer register file (x0 held at zero by the writeback helper).
-    pub regs: [u64; 32],
-    /// FP register file (raw f64 bits).
-    pub fregs: [u64; 32],
-    /// Current PC.
-    pub pc: u64,
+    /// Registers, PC and SCD register sets.
+    pub arch: ArchState,
+    /// Guest memory.
+    pub mem: GuestMemory,
     /// Bytes the guest printed via the `ecall` putchar service.
     pub output: Vec<u8>,
     /// Instructions retired so far.
     pub instructions: u64,
     text: Arc<Text>,
-    segs: Vec<Segment>,
-    /// Index of the segment the last access landed in (locality cache).
-    last_seg: usize,
-    /// Per-segment high-water mark of writes *made by this core* (bytes
-    /// from the segment base). Owners of moved-in memory read it back
-    /// via [`RefCore::seg_high_waters`] to keep snapshot scans bounded
-    /// by written memory.
-    seg_hw: Vec<usize>,
-    scd: [ScdReg; 4],
     jte_map: JteMap,
     scd_enabled: bool,
     nbids: usize,
@@ -241,131 +253,53 @@ impl RefCore {
     /// `program.text_base`, rodata mapped when non-empty, PC at the text
     /// base, all registers zero.
     pub fn from_program(program: &Program, scd_enabled: bool, nbids: usize) -> Self {
-        let mut segs = vec![Segment {
-            name: "text".to_string(),
-            base: program.text_base,
-            data: program.words.iter().flat_map(|w| w.to_le_bytes()).collect(),
-        }];
-        if !program.rodata.is_empty() {
-            segs.push(Segment {
-                name: "rodata".to_string(),
-                base: program.rodata_base,
-                data: program.rodata.clone(),
-            });
-        }
-        let nseg = segs.len();
-        RefCore {
-            regs: [0; 32],
-            fregs: [0; 32],
+        let text = Text::new(
+            program.text_base,
+            program.insts.iter().copied().map(Some).collect(),
+        );
+        let mem = GuestMemory::from_program(program);
+        let arch = ArchState {
             pc: program.text_base,
-            output: Vec::new(),
-            instructions: 0,
-            text: Arc::new(Text::new(
-                program.text_base,
-                program.insts.iter().copied().map(Some).collect(),
-            )),
-            segs,
-            last_seg: 0,
-            seg_hw: vec![0; nseg],
-            scd: [ScdReg::default(); 4],
-            jte_map: JteMap::default(),
-            scd_enabled,
-            nbids: nbids.clamp(1, 4),
-        }
+            ..ArchState::default()
+        };
+        RefCore::with_text(text, mem, arch, scd_enabled, nbids)
     }
 
-    /// Builds a core from raw machine state — the lockstep driver uses
-    /// this to snapshot an already-set-up DUT (whose setup may have mapped
-    /// extra segments and preloaded registers). Text words that fail to
-    /// decode become holes that fault with [`RefError::BadInst`] only if
-    /// reached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_state(
-        text_base: u64,
-        text: &[u8],
-        segments: Vec<Segment>,
-        regs: [u64; 32],
-        fregs: [u64; 32],
-        pc: u64,
-        scd_enabled: bool,
-        nbids: usize,
-    ) -> Self {
-        let insts = text
+    /// Builds a core over captured guest state — the lockstep driver
+    /// uses this to snapshot an already-set-up DUT (whose setup may have
+    /// mapped extra segments and preloaded registers). The text is
+    /// decoded from the words of the segment named `text`; words that
+    /// fail to decode become holes that fault with
+    /// [`RefError::BadInst`] only if reached.
+    pub fn from_state(mem: GuestMemory, arch: ArchState, scd_enabled: bool, nbids: usize) -> Self {
+        let (base, words) = mem
+            .segments()
+            .find(|&(name, ..)| name == "text")
+            .map_or((0, &[][..]), |(_, base, data)| (base, data));
+        let insts = words
             .chunks_exact(4)
             .map(|c| scd_isa::decode(u32::from_le_bytes([c[0], c[1], c[2], c[3]])).ok())
             .collect();
-        let mut segs = vec![Segment {
-            name: "text".to_string(),
-            base: text_base,
-            data: text.to_vec(),
-        }];
-        segs.extend(segments.into_iter().filter(|s| s.base != text_base));
-        let nseg = segs.len();
-        RefCore {
-            regs,
-            fregs,
-            pc,
-            output: Vec::new(),
-            instructions: 0,
-            text: Arc::new(Text::new(text_base, insts)),
-            segs,
-            last_seg: 0,
-            seg_hw: vec![0; nseg],
-            scd: [ScdReg::default(); 4],
-            jte_map: JteMap::default(),
-            scd_enabled,
-            nbids: nbids.clamp(1, 4),
-        }
+        RefCore::with_text(Text::new(base, insts), mem, arch, scd_enabled, nbids)
     }
 
-    /// Builds a core around a shared pre-decoded [`Text`] and *moved-in*
-    /// segments (the text segment included). The sampled fast-forward
-    /// uses this to take ownership
-    /// of the DUT's guest memory for the duration of a run — a 200 MB
-    /// heap must not be cloned per run — and hand it back via
-    /// [`RefCore::into_segments`]. The `Text` is built once per program
-    /// and shared, so a core per interval leg costs only the state sync.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_owned_state(
-        text: Arc<Text>,
-        segments: Vec<Segment>,
-        regs: [u64; 32],
-        fregs: [u64; 32],
-        pc: u64,
+    fn with_text(
+        text: Text,
+        mem: GuestMemory,
+        arch: ArchState,
         scd_enabled: bool,
         nbids: usize,
     ) -> Self {
-        let nseg = segments.len();
         RefCore {
-            regs,
-            fregs,
-            pc,
+            arch,
+            mem,
             output: Vec::new(),
             instructions: 0,
-            text,
-            segs: segments,
-            last_seg: 0,
-            seg_hw: vec![0; nseg],
-            scd: [ScdReg::default(); 4],
+            text: Arc::new(text),
             jte_map: JteMap::default(),
             scd_enabled,
-            nbids: nbids.clamp(1, 4),
+            nbids: nbids.clamp(1, MAX_BRANCH_IDS),
         }
-    }
-
-    /// Per-segment high-water marks of the writes this core has made
-    /// (bytes from each segment base), in segment order. An owner moving
-    /// memory back out via [`RefCore::into_segments`] merges these into
-    /// its own marks so snapshot scans stay bounded by written memory.
-    pub fn seg_high_waters(&self) -> &[usize] {
-        &self.seg_hw
-    }
-
-    /// Consumes the core and returns its segments in construction order.
-    /// The counterpart of [`RefCore::from_owned_state`]: the fast-forward
-    /// leg moves the guest memory back into the DUT when the leg ends.
-    pub fn into_segments(self) -> Vec<Segment> {
-        self.segs
     }
 
     /// What a [`BopHint::Auto`] `bop` on `bid` would resolve to right
@@ -373,21 +307,12 @@ impl RefCore {
     #[inline]
     pub fn bop_auto_target(&self, bid: u8) -> Option<u64> {
         let bid = self.bid(bid);
-        if self.scd_enabled && self.scd[bid].rop_v {
-            self.jte_map.get(&(bid as u8, self.scd[bid].rop_d)).copied()
+        let s = self.arch.scd[bid];
+        if self.scd_enabled && s.rop_v {
+            self.jte_map.get(&(bid as u8, s.rop_d)).copied()
         } else {
             None
         }
-    }
-
-    /// Maps an additional zero-filled segment (stacks, heap, fuzz data).
-    pub fn map(&mut self, name: &str, base: u64, size: u64) {
-        self.segs.push(Segment {
-            name: name.to_string(),
-            base,
-            data: vec![0; size as usize],
-        });
-        self.seg_hw.push(0);
     }
 
     /// The decoded instruction at `pc`, if `pc` is in text and decodable.
@@ -395,42 +320,27 @@ impl RefCore {
         self.text.inst(self.text.index(pc)?)
     }
 
-    /// Seeds one SCD register set from externally captured architectural
-    /// state. [`RefCore::from_state`] zeroes the SCD registers, which is
-    /// only correct when the snapshot was taken before the first
-    /// retirement; a driver resuming from a mid-run state (the sampled
-    /// fast-forward leg) must carry `Rop`/`Rmask` over or its
-    /// `load_op` results and `jru` training would diverge from the DUT.
-    pub fn seed_scd(&mut self, bid: usize, rop_v: bool, rop_d: u64, rmask: u64) {
-        let s = &mut self.scd[bid % self.nbids.max(1)];
-        s.rop_v = rop_v;
-        s.rop_d = rop_d;
-        s.rmask = rmask;
-    }
-
-    /// The full architectural SCD register view `(rop_v, rop_d, rmask)`
-    /// for `bid`. The sampled simulator's fast-forward leg syncs these
-    /// back into the cycle model when the reference core hands control
-    /// (and the guest memory) back.
-    pub fn scd_state(&self, bid: usize) -> (bool, u64, u64) {
-        let s = &self.scd[bid % self.nbids.max(1)];
-        (s.rop_v, s.rop_d, s.rmask)
-    }
-
     /// Clears every `Rop[bid].v` — the architectural effect of
     /// `jte.flush` and of the cycle model's emulated context-switch flush.
     /// The JTE *map* is untouched: it is architectural ground truth, not a
     /// cache.
     pub fn flush_rop(&mut self) {
-        for s in &mut self.scd {
+        for s in &mut self.arch.scd {
             s.rop_v = false;
         }
+    }
+
+    /// Forgets every `(bid, Rop) → target` pair `jru`s have trained, as
+    /// a newly built core starts. The cycle model's sampled
+    /// fast-forward starts each leg this way.
+    pub fn clear_jte_map(&mut self) {
+        self.jte_map.clear();
     }
 
     #[inline]
     fn wx(&mut self, r: Reg, v: u64) {
         if !r.is_zero() {
-            self.regs[r.index()] = v;
+            self.arch.regs[r.index()] = v;
         }
     }
 
@@ -449,7 +359,7 @@ impl RefCore {
     #[inline(always)]
     fn set_mask(&mut self, bid: u8, v: u64) {
         let bid = self.bid(bid);
-        self.scd[bid].rmask = v;
+        self.arch.scd[bid].rmask = v;
     }
 
     /// The SCD side effect of a `<load>.op` that loaded `v`:
@@ -457,7 +367,7 @@ impl RefCore {
     #[inline(always)]
     fn load_op_commit(&mut self, bid: u8, v: u64) {
         let bid = self.bid(bid);
-        let s = &mut self.scd[bid];
+        let s = &mut self.arch.scd[bid];
         s.rop_d = v & s.rmask;
         s.rop_v = true;
     }
@@ -467,7 +377,7 @@ impl RefCore {
     #[inline(always)]
     fn bop_follow(&mut self, bid: u8) {
         let bid = self.bid(bid);
-        self.scd[bid].rop_v = false;
+        self.arch.scd[bid].rop_v = false;
     }
 
     /// `jru` to register value `rs1`: trains the JTE map on a valid
@@ -477,61 +387,12 @@ impl RefCore {
     fn jru_train(&mut self, bid: u8, rs1: u64) -> u64 {
         let bid = self.bid(bid);
         let target = rs1 & !1;
-        if self.scd_enabled && self.scd[bid].rop_v {
+        if self.scd_enabled && self.arch.scd[bid].rop_v {
             self.jte_map
-                .insert((bid as u8, self.scd[bid].rop_d), target);
-            self.scd[bid].rop_v = false;
+                .insert((bid as u8, self.arch.scd[bid].rop_d), target);
+            self.arch.scd[bid].rop_v = false;
         }
         target
-    }
-
-    /// The segment holding `[addr, addr + size)`, if one does. A range
-    /// running past 2^64 fits none.
-    fn find_seg(&mut self, addr: u64, size: u64) -> Option<usize> {
-        let fits = |s: &Segment| {
-            addr >= s.base
-                && addr
-                    .checked_add(size)
-                    .is_some_and(|end| end <= s.base + s.data.len() as u64)
-        };
-        if let Some(s) = self.segs.get(self.last_seg) {
-            if fits(s) {
-                return Some(self.last_seg);
-            }
-        }
-        let i = self.segs.iter().position(fits)?;
-        self.last_seg = i;
-        Some(i)
-    }
-
-    /// Reads `size` bytes little-endian, or `None` when unmapped.
-    #[inline]
-    fn read(&mut self, addr: u64, size: u64) -> Option<u64> {
-        let i = self.find_seg(addr, size)?;
-        let s = &self.segs[i];
-        let off = (addr - s.base) as usize;
-        let d = &s.data[off..off + size as usize];
-        Some(match *d {
-            [a] => a as u64,
-            [a, b] => u16::from_le_bytes([a, b]) as u64,
-            [a, b, c, e] => u32::from_le_bytes([a, b, c, e]) as u64,
-            _ => u64::from_le_bytes(d.try_into().expect("widths are 1/2/4/8")),
-        })
-    }
-
-    /// Writes `size` bytes little-endian, or `None` (writing nothing)
-    /// when unmapped.
-    #[inline]
-    fn write(&mut self, addr: u64, size: u64, v: u64) -> Option<()> {
-        let i = self.find_seg(addr, size)?;
-        let s = &mut self.segs[i];
-        let off = (addr - s.base) as usize;
-        s.data[off..off + size as usize].copy_from_slice(&v.to_le_bytes()[..size as usize]);
-        let end = off + size as usize;
-        if end > self.seg_hw[i] {
-            self.seg_hw[i] = end;
-        }
-        Some(())
     }
 
     /// Executes one instruction at the current PC and returns its
@@ -557,10 +418,10 @@ impl RefCore {
         hint: BopHint,
         out: &mut StepArch,
     ) -> Result<Option<u64>, RefError> {
-        let pc = self.pc;
+        let pc = self.arch.pc;
         let idx = self.text.index(pc).ok_or(RefError::PcOutOfRange { pc })?;
         let inst = self.text.inst(idx).ok_or(RefError::BadInst { pc })?;
-        let fault = |addr, write| RefError::Mem { pc, addr, write };
+        let fault = |fault| RefError::Mem { pc, fault };
 
         let mut next_pc = pc + 4;
         let mut ea = None;
@@ -577,7 +438,7 @@ impl RefCore {
             Inst::Jalr { rd, rs1, offset } => {
                 // Target before writeback: `jalr ra, 0(ra)` must use the
                 // incoming ra.
-                next_pc = self.regs[rs1.index()].wrapping_add(offset as u64) & !1;
+                next_pc = self.arch.regs[rs1.index()].wrapping_add(offset as u64) & !1;
                 self.wx(rd, pc + 4);
             }
             Inst::Branch {
@@ -586,7 +447,8 @@ impl RefCore {
                 rs2,
                 offset,
             } => {
-                if exec::branch_taken(op, self.regs[rs1.index()], self.regs[rs2.index()]) {
+                let x = &self.arch.regs;
+                if exec::branch_taken(op, x[rs1.index()], x[rs2.index()]) {
                     next_pc = pc.wrapping_add(offset as u64);
                 }
             }
@@ -596,11 +458,9 @@ impl RefCore {
                 rs1,
                 offset,
             } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                let raw = self
-                    .read(addr, exec::load_width(op))
-                    .ok_or(fault(addr, false))?;
+                let raw = self.mem.read(addr, exec::load_width(op)).map_err(fault)?;
                 self.wx(rd, exec::load_extend(op, raw));
             }
             Inst::Store {
@@ -609,68 +469,70 @@ impl RefCore {
                 rs1,
                 offset,
             } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                let v = exec::store_truncate(op, self.regs[rs2.index()]);
+                let v = exec::store_truncate(op, self.arch.regs[rs2.index()]);
                 store = Some(v);
-                self.write(addr, exec::store_width(op), v)
-                    .ok_or(fault(addr, true))?;
+                self.mem
+                    .write(addr, exec::store_width(op), v)
+                    .map_err(fault)?;
             }
             Inst::OpImm { op, rd, rs1, imm } => {
-                let v = exec::alu(op, self.regs[rs1.index()], imm as u64);
+                let v = exec::alu(op, self.arch.regs[rs1.index()], imm as u64);
                 self.wx(rd, v);
             }
             Inst::Op { op, rd, rs1, rs2 } => {
-                let v = exec::alu(op, self.regs[rs1.index()], self.regs[rs2.index()]);
+                let v = exec::alu(op, self.arch.regs[rs1.index()], self.arch.regs[rs2.index()]);
                 self.wx(rd, v);
             }
             Inst::Fld { rd, rs1, offset } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                self.fregs[rd.index()] = self.read(addr, 8).ok_or(fault(addr, false))?;
+                self.arch.fregs[rd.index()] = self.mem.read(addr, 8).map_err(fault)?;
             }
             Inst::Fsd { rs2, rs1, offset } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                let v = self.fregs[rs2.index()];
+                let v = self.arch.fregs[rs2.index()];
                 store = Some(v);
-                self.write(addr, 8, v).ok_or(fault(addr, true))?;
+                self.mem.write(addr, 8, v).map_err(fault)?;
             }
             Inst::FOp { op, rd, rs1, rs2 } => {
-                self.fregs[rd.index()] =
-                    exec::fp_op(op, self.fregs[rs1.index()], self.fregs[rs2.index()]);
+                let f = &self.arch.fregs;
+                self.arch.fregs[rd.index()] = exec::fp_op(op, f[rs1.index()], f[rs2.index()]);
             }
             Inst::FCmp { op, rd, rs1, rs2 } => {
-                let v = exec::fcmp(op, self.fregs[rs1.index()], self.fregs[rs2.index()]);
+                let f = &self.arch.fregs;
+                let v = exec::fcmp(op, f[rs1.index()], f[rs2.index()]);
                 self.wx(rd, v as u64);
             }
             Inst::FcvtLD { rd, rs1, rm } => {
-                self.wx(rd, exec::fcvt_l_d(self.fregs[rs1.index()], rm));
+                self.wx(rd, exec::fcvt_l_d(self.arch.fregs[rs1.index()], rm));
             }
             Inst::FcvtDL { rd, rs1 } => {
-                self.fregs[rd.index()] = exec::fcvt_d_l(self.regs[rs1.index()]);
+                self.arch.fregs[rd.index()] = exec::fcvt_d_l(self.arch.regs[rs1.index()]);
             }
-            Inst::FmvXD { rd, rs1 } => self.wx(rd, self.fregs[rs1.index()]),
-            Inst::FmvDX { rd, rs1 } => self.fregs[rd.index()] = self.regs[rs1.index()],
-            Inst::Ecall => match self.regs[Reg::A7.index()] {
-                0 => exited = Some(self.regs[Reg::A0.index()]),
-                1 => self.output.push(self.regs[Reg::A0.index()] as u8),
+            Inst::FmvXD { rd, rs1 } => self.wx(rd, self.arch.fregs[rs1.index()]),
+            Inst::FmvDX { rd, rs1 } => self.arch.fregs[rd.index()] = self.arch.regs[rs1.index()],
+            Inst::Ecall => match self.arch.regs[Reg::A7.index()] {
+                0 => exited = Some(self.arch.regs[Reg::A0.index()]),
+                1 => self.output.push(self.arch.regs[Reg::A0.index()] as u8),
                 _ => return Err(RefError::Break { pc }),
             },
             Inst::Ebreak => return Err(RefError::Break { pc }),
             Inst::Fence => {}
 
             // ---- SCD extension ----
-            Inst::SetMask { bid, rs1 } => self.set_mask(bid, self.regs[rs1.index()]),
+            Inst::SetMask { bid, rs1 } => self.set_mask(bid, self.arch.regs[rs1.index()]),
             Inst::Bop { bid } => {
                 let target = match hint {
                     BopHint::Auto => self.bop_auto_target(bid),
                     BopHint::Hit => {
                         let b = self.bid(bid);
-                        if !self.scd[b].rop_v {
+                        if !self.arch.scd[b].rop_v {
                             return Err(RefError::BopNotValid { pc, bid: b as u8 });
                         }
-                        let rop_d = self.scd[b].rop_d;
+                        let rop_d = self.arch.scd[b].rop_d;
                         Some(self.jte_map.get(&(b as u8, rop_d)).copied().ok_or(
                             RefError::BopUntrained {
                                 pc,
@@ -686,7 +548,7 @@ impl RefCore {
                     self.bop_follow(bid);
                 }
             }
-            Inst::Jru { bid, rs1 } => next_pc = self.jru_train(bid, self.regs[rs1.index()]),
+            Inst::Jru { bid, rs1 } => next_pc = self.jru_train(bid, self.arch.regs[rs1.index()]),
             Inst::JteFlush => self.flush_rop(),
             Inst::LoadOp {
                 op,
@@ -695,11 +557,9 @@ impl RefCore {
                 rs1,
                 offset,
             } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
-                let raw = self
-                    .read(addr, exec::load_width(op))
-                    .ok_or(fault(addr, false))?;
+                let raw = self.mem.read(addr, exec::load_width(op)).map_err(fault)?;
                 let v = exec::load_extend(op, raw);
                 self.wx(rd, v);
                 self.load_op_commit(bid, v);
@@ -715,24 +575,28 @@ impl RefCore {
                 next_pc,
                 wx: inst
                     .def_xreg()
-                    .map(|r| (r.index() as u8, self.regs[r.index()])),
+                    .map(|r| (r.index() as u8, self.arch.regs[r.index()])),
                 wf: inst
                     .def_freg()
-                    .map(|r| (r.index() as u8, self.fregs[r.index()])),
+                    .map(|r| (r.index() as u8, self.arch.fregs[r.index()])),
                 ea,
                 store,
                 exited,
             };
         }
         self.instructions += 1;
-        self.pc = next_pc;
+        // A halted core's pc rests on its halting `ecall`, as the cycle
+        // model's does.
+        if exited.is_none() {
+            self.arch.pc = next_pc;
+        }
         Ok(exited)
     }
 
     /// Runs standalone ([`BopHint::Auto`]) until the guest exits, a guest
     /// error occurs, or the retirement count `instructions` reaches
     /// `max_insts`. This is the fast path: threaded code over the
-    /// pre-decoded [`Text`], one budget check per straight run, with
+    /// pre-decoded text, one budget check per straight run, with
     /// `step_impl` executing only the irregular instructions. The
     /// result — registers, memory, pc, count, output, SCD state, error —
     /// is exactly that of a [`RefCore::step`] loop.
@@ -804,7 +668,7 @@ mod tests {
             }
         }
         assert!(saw, "add to x0 should report wx=(0,0)");
-        assert_eq!(c.regs[0], 0);
+        assert_eq!(c.arch.regs[0], 0);
     }
 
     #[test]
@@ -873,10 +737,10 @@ mod tests {
             true,
             4,
         );
-        c.scd[1].rop_v = true;
+        c.arch.scd[1].rop_v = true;
         c.jte_map.insert((1, 3), 0x1_0040);
         c.flush_rop();
-        assert!(!c.scd[1].rop_v);
+        assert!(!c.arch.scd[1].rop_v);
         assert_eq!(c.jte_map.len(), 1);
     }
 
@@ -889,7 +753,10 @@ mod tests {
         let p = a.finish().unwrap();
         let mut c = RefCore::from_program(&p, false, 4);
         let e = c.run(100).unwrap_err();
-        assert!(matches!(e, RefError::Mem { write: false, .. }), "{e:?}");
+        assert!(
+            matches!(e, RefError::Mem { fault, .. } if !fault.write),
+            "{e:?}"
+        );
     }
 
     #[test]
@@ -907,15 +774,18 @@ mod tests {
             let p = a.finish().unwrap();
             let fault = RefError::Mem {
                 pc: p.text_end() - 16,
-                addr: (-(width as i64) / 2) as u64,
-                write: store,
+                fault: MemFault {
+                    addr: (-(width as i64) / 2) as u64,
+                    size: width,
+                    write: store,
+                },
             };
             let mut stepped = RefCore::from_program(&p, false, 4);
-            stepped.map("low", 0, 64);
+            stepped.mem.add_segment("low", 0, 64);
             assert_eq!(stepped.step(BopHint::Auto).map(|_| ()), Ok(()));
             assert_eq!(stepped.step(BopHint::Auto), Err(fault));
             let mut ran = RefCore::from_program(&p, false, 4);
-            ran.map("low", 0, 64);
+            ran.mem.add_segment("low", 0, 64);
             assert_eq!(ran.run(100), Err(fault));
         }
     }

@@ -1,6 +1,7 @@
 //! Threaded code for [`RefCore::run`].
 //!
-//! [`Text`] pre-decodes a text section once into three tables:
+//! [`Text`] pre-decodes a text section, on the first run, into three
+//! tables:
 //!
 //! * `ops` — a dense `(handler fn, operands)` array, one slot per
 //!   instruction. Every straight-line instruction (ALU, FP, loads,
@@ -29,6 +30,7 @@
 //! only the operand plumbing around them.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use scd_isa::{exec, AluOp, BranchOp, FCmpOp, FReg, FpOp, Inst, LoadOp, Reg, Rounding, StoreOp};
 
@@ -93,12 +95,18 @@ enum Next {
     Pc(u64),
 }
 
-/// A decoded text section plus its threaded-code tables. Built once per
-/// text and shared (`Arc`) by every core that runs it, so a driver
-/// building a fresh [`RefCore`] per leg pays only for the state sync.
-pub struct Text {
+/// A decoded text section. Its threaded-code tables are built on the
+/// first [`RefCore::run`], so a core that only steps (the lockstep
+/// oracle) or never runs (a machine that never fast-forwards) does not
+/// pay for them.
+pub(crate) struct Text {
     base: u64,
     insts: Vec<Option<Inst>>,
+    blocks: OnceLock<Blocks>,
+}
+
+/// The threaded-code tables of a [`Text`].
+struct Blocks {
     ops: Vec<Op>,
     /// `insts.len() + 1` entries: the last is the fall-off slot.
     run: Vec<u32>,
@@ -116,35 +124,44 @@ impl fmt::Debug for Text {
 }
 
 impl Text {
-    /// Builds the tables for `insts` (one per 4-byte word, `None` for an
+    /// The text of `insts` (one per 4-byte word, `None` for an
     /// undecodable word) laid out from `base`.
-    pub fn new(base: u64, insts: Vec<Option<Inst>>) -> Self {
-        let n = insts.len();
-        let mut text = Text {
+    pub(crate) fn new(base: u64, insts: Vec<Option<Inst>>) -> Self {
+        Text {
             base,
             insts,
-            ops: Vec::with_capacity(n),
-            run: vec![0; n + 1],
-            term: Vec::with_capacity(n + 1),
-        };
-        let mut straight = Vec::with_capacity(n);
-        for i in 0..n {
-            let lowered = text.lower(i);
-            straight.push(lowered.is_ok());
-            let (op, term) = match lowered {
-                Ok(op) => (op, Term::Slow),
-                Err(term) => (SLOW, term),
+            blocks: OnceLock::new(),
+        }
+    }
+
+    /// The threaded-code tables, built on first use.
+    fn blocks(&self) -> &Blocks {
+        self.blocks.get_or_init(|| {
+            let n = self.insts.len();
+            let mut b = Blocks {
+                ops: Vec::with_capacity(n),
+                run: vec![0; n + 1],
+                term: Vec::with_capacity(n + 1),
             };
-            text.ops.push(op);
-            text.term.push(term);
-        }
-        text.term.push(Term::Slow);
-        for i in (0..n).rev() {
-            if straight[i] {
-                text.run[i] = text.run[i + 1].saturating_add(1);
+            let mut straight = Vec::with_capacity(n);
+            for i in 0..n {
+                let lowered = self.lower(i);
+                straight.push(lowered.is_ok());
+                let (op, term) = match lowered {
+                    Ok(op) => (op, Term::Slow),
+                    Err(term) => (SLOW, term),
+                };
+                b.ops.push(op);
+                b.term.push(term);
             }
-        }
-        text
+            b.term.push(Term::Slow);
+            for i in (0..n).rev() {
+                if straight[i] {
+                    b.run[i] = b.run[i + 1].saturating_add(1);
+                }
+            }
+            b
+        })
     }
 
     /// The decoded instruction at index `i` (`None` for a hole or past
@@ -323,24 +340,24 @@ fn pos<T: PartialEq + Copy>(all: &[T], x: T) -> usize {
 impl RefCore {
     #[inline(always)]
     fn x(&self, r: u8) -> u64 {
-        self.regs[r as usize & 31]
+        self.arch.regs[r as usize & 31]
     }
 
     #[inline(always)]
     fn set_x(&mut self, r: u8, v: u64) {
         if r != 0 {
-            self.regs[r as usize & 31] = v;
+            self.arch.regs[r as usize & 31] = v;
         }
     }
 
     #[inline(always)]
     fn f(&self, r: u8) -> u64 {
-        self.fregs[r as usize & 31]
+        self.arch.fregs[r as usize & 31]
     }
 
     #[inline(always)]
     fn set_f(&mut self, r: u8, v: u64) {
-        self.fregs[r as usize & 31] = v;
+        self.arch.fregs[r as usize & 31] = v;
     }
 
     /// Runs straight ops until one reports a fault; returns how many
@@ -352,34 +369,35 @@ impl RefCore {
             .unwrap_or(ops.len())
     }
 
-    /// Executes whole blocks from `self.pc` while the budget allows and
+    /// Executes whole blocks from `self.arch.pc` while the budget allows and
     /// every instruction is regular. Returns with `pc` and
     /// `instructions` exact at the first instruction it did not retire:
     /// the budget is spent, or that instruction is for `step_impl`.
     pub(crate) fn run_blocks(&mut self, t: &Text, max_insts: u64) {
-        let Some(mut i) = t.index(self.pc) else {
+        let Some(mut i) = t.index(self.arch.pc) else {
             return;
         };
+        let b = t.blocks();
         loop {
-            let n = t.run[i] as usize;
+            let n = b.run[i] as usize;
             let left = max_insts - self.instructions;
             if n as u64 >= left {
                 // The budget ends inside this straight run.
-                let done = self.straight(&t.ops[i..i + left as usize]);
+                let done = self.straight(&b.ops[i..i + left as usize]);
                 self.instructions += done as u64;
-                self.pc = t.pc_of(i + done);
+                self.arch.pc = t.pc_of(i + done);
                 return;
             }
-            let done = self.straight(&t.ops[i..i + n]);
+            let done = self.straight(&b.ops[i..i + n]);
             self.instructions += done as u64;
             let j = i + done;
             if done < n {
-                self.pc = t.pc_of(j);
+                self.arch.pc = t.pc_of(j);
                 return;
             }
-            let to = match t.term[j] {
+            let to = match b.term[j] {
                 Term::Slow => {
-                    self.pc = t.pc_of(j);
+                    self.arch.pc = t.pc_of(j);
                     return;
                 }
                 Term::Branch {
@@ -423,7 +441,7 @@ impl RefCore {
                 Next::Pc(pc) => match t.index(pc) {
                     Some(next) => next,
                     None => {
-                        self.pc = pc;
+                        self.arch.pc = pc;
                         return;
                     }
                 },
@@ -471,48 +489,41 @@ fn alu_ri<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
 
 fn load<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
     let op = LoadOp::ALL[K];
-    match c.read(c.x(o.rs1).wrapping_add(o.imm), exec::load_width(op)) {
-        Some(raw) => {
-            c.set_x(o.rd, exec::load_extend(op, raw));
-            true
-        }
-        None => false,
-    }
+    let addr = c.x(o.rs1).wrapping_add(o.imm);
+    let raw = c.mem.read(addr, exec::load_width(op));
+    raw.map(|raw| c.set_x(o.rd, exec::load_extend(op, raw)))
+        .is_ok()
 }
 
 fn load_op<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
     let op = LoadOp::ALL[K];
-    match c.read(c.x(o.rs1).wrapping_add(o.imm), exec::load_width(op)) {
-        Some(raw) => {
-            let v = exec::load_extend(op, raw);
-            c.set_x(o.rd, v);
-            c.load_op_commit(o.bid, v);
-            true
-        }
-        None => false,
-    }
+    let addr = c.x(o.rs1).wrapping_add(o.imm);
+    let raw = c.mem.read(addr, exec::load_width(op));
+    raw.map(|raw| {
+        let v = exec::load_extend(op, raw);
+        c.set_x(o.rd, v);
+        c.load_op_commit(o.bid, v);
+    })
+    .is_ok()
 }
 
 fn store<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
     let op = StoreOp::ALL[K];
     let v = exec::store_truncate(op, c.x(o.rs2));
-    c.write(c.x(o.rs1).wrapping_add(o.imm), exec::store_width(op), v)
-        .is_some()
+    c.mem
+        .write(c.x(o.rs1).wrapping_add(o.imm), exec::store_width(op), v)
+        .is_ok()
 }
 
 fn fld(c: &mut RefCore, o: &Op) -> bool {
-    match c.read(c.x(o.rs1).wrapping_add(o.imm), 8) {
-        Some(v) => {
-            c.set_f(o.rd, v);
-            true
-        }
-        None => false,
-    }
+    let v = c.mem.read(c.x(o.rs1).wrapping_add(o.imm), 8);
+    v.map(|v| c.set_f(o.rd, v)).is_ok()
 }
 
 fn fsd(c: &mut RefCore, o: &Op) -> bool {
-    c.write(c.x(o.rs1).wrapping_add(o.imm), 8, c.f(o.rs2))
-        .is_some()
+    c.mem
+        .write(c.x(o.rs1).wrapping_add(o.imm), 8, c.f(o.rs2))
+        .is_ok()
 }
 
 fn fp<const K: usize>(c: &mut RefCore, o: &Op) -> bool {

@@ -1,16 +1,16 @@
 //! `RefCore::run` (threaded code over pre-decoded blocks) must leave the
 //! core exactly where a `RefCore::step` loop would: registers, FP
-//! registers, pc, retirement count, output, memory, write high-water
-//! marks, SCD state, the JTE map as `bop` sees it, and the returned
-//! result. Generated programs (uniform and aliasing bias) are cut at
-//! arbitrary budgets and in repeated chunks; hand-built programs cover
+//! registers, pc, SCD state, retirement count, output, memory, the JTE
+//! map as `bop` sees it, and the returned result. Generated programs
+//! (uniform and aliasing bias) are cut at arbitrary budgets and in
+//! repeated chunks; hand-built programs cover
 //! every budget cut of a small dispatch loop, faults in the middle of a
 //! straight run, bad jump targets, undecodable holes and `jte.flush`.
 
 use proptest::prelude::*;
 use scd_isa::{encode, Asm, BranchOp, Inst, LoadOp, Program, Reg};
 use scd_ref::gen::{generate, GenConfig};
-use scd_ref::{BopHint, RefCore, RefError, Segment};
+use scd_ref::{ArchState, BopHint, GuestMemory, RefCore, RefError};
 
 const TEXT: u64 = 0x1_0000;
 const DATA: u64 = 0x8_0000;
@@ -28,21 +28,13 @@ fn step_loop(c: &mut RefCore, max_insts: u64) -> Result<u64, RefError> {
 /// Everything architecturally observable about a core, JTE map included
 /// (through what `bop` would do on each bid).
 fn observe(c: &RefCore) -> impl PartialEq + std::fmt::Debug {
-    let scd: Vec<_> = (0..4)
-        .map(|b| (c.scd_state(b), c.bop_auto_target(b as u8)))
-        .collect();
-    let mem: Vec<(u64, Vec<u8>)> = c
-        .clone()
-        .into_segments()
-        .into_iter()
-        .map(|s| (s.base, s.data))
-        .collect();
+    let jtes: Vec<_> = (0..4).map(|b| c.bop_auto_target(b)).collect();
     (
-        (c.regs, c.fregs, c.pc, c.instructions),
+        c.arch.clone(),
+        c.instructions,
         c.output.clone(),
-        c.seg_high_waters().to_vec(),
-        scd,
-        mem,
+        jtes,
+        c.mem.snapshot_segments(),
     )
 }
 
@@ -95,7 +87,7 @@ fn generated(seed: u64, aliasing: bool) -> RefCore {
     };
     let g = generate(&cfg);
     let mut c = RefCore::from_program(&g.program, true, 4);
-    c.map("fuzzdata", g.data_base, g.data_size);
+    c.mem.add_segment("fuzzdata", g.data_base, g.data_size);
     c
 }
 
@@ -180,7 +172,7 @@ fn dispatch_program() -> Program {
 
 fn core_of(p: &Program) -> RefCore {
     let mut c = RefCore::from_program(p, true, 4);
-    c.map("data", DATA, 64);
+    c.mem.add_segment("data", DATA, 64);
     c
 }
 
@@ -222,18 +214,13 @@ fn a_fault_mid_run_stops_at_the_exact_pc_and_count() {
     for (addr, store) in [(0x9999, false), (0x9999, true), (-8, false), (-4, true)] {
         let c = faulting_access(addr, store);
         let r = check(&c, 1_000, "fault");
-        let Err(RefError::Mem {
-            pc,
-            addr: at,
-            write,
-        }) = r
-        else {
+        let Err(RefError::Mem { pc, fault }) = r else {
             panic!("expected a memory fault, got {r:?}");
         };
-        assert_eq!((at, write), (addr as u64, store));
+        assert_eq!((fault.addr, fault.write), (addr as u64, store));
         let mut t = c.clone();
         let _ = t.run(1_000);
-        assert_eq!(t.pc, pc, "pc rests on the faulting instruction");
+        assert_eq!(t.arch.pc, pc, "pc rests on the faulting instruction");
         assert_eq!(
             t.inst_at(pc).map(|i| i.is_load() || i.is_store()),
             Some(true)
@@ -333,12 +320,14 @@ fn from_state_holes_fault_only_when_reached() {
         .map(|&w| if w == nop { hole } else { w })
         .flat_map(u32::to_le_bytes)
         .collect();
-    let data = Segment {
-        name: "data".to_string(),
-        base: DATA,
-        data: vec![0; 64],
+    let mut mem = GuestMemory::from_program(&p);
+    mem.write_bytes(TEXT, &text);
+    mem.add_segment("data", DATA, 64);
+    let arch = ArchState {
+        pc: TEXT,
+        ..ArchState::default()
     };
-    let c = RefCore::from_state(TEXT, &text, vec![data], [0; 32], [0; 32], TEXT, true, 4);
+    let c = RefCore::from_state(mem, arch, true, 4);
     let r = check(&c, 100, "holes");
     let Err(RefError::BadInst { pc }) = r else {
         panic!("expected the reached hole to fault, got {r:?}");
@@ -366,7 +355,8 @@ fn pinned_corpus_runs_identically() {
         let repro = scd_ref::corpus::load(&text).expect("pinned reproducer parses");
         for scd in [true, false] {
             let mut c = RefCore::from_program(&repro.program, scd, 4);
-            c.map("fuzzdata", repro.data_base, repro.data_size);
+            c.mem
+                .add_segment("fuzzdata", repro.data_base, repro.data_size);
             let what = format!("{} scd={scd}", path.display());
             let _ = check(&c, 2_000_000, &what);
             check_chunked(&c, &[997, 64, 4093], &what);

@@ -290,26 +290,52 @@ impl Default for Entry {
     }
 }
 
-/// Counters for BTB/JTE interaction, surfaced into `SimStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BtbStats {
+/// Declares [`BtbStats`] from one list of counters, with
+/// [`BtbStats::counters`] and [`BtbStats::counters_mut`] walking them in
+/// list order: the BTB's checkpoint words and the merge of the dedicated
+/// JTE table's counters both derive from the list.
+macro_rules! btb_counters {
+    ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
+        /// Counters for BTB/JTE interaction, surfaced into `SimStats`.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct BtbStats {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        impl BtbStats {
+            /// Every counter, in declaration order.
+            pub fn counters(&self) -> [u64; BTB_COUNTERS] {
+                [$(self.$field),+]
+            }
+
+            /// Mutable borrows of every counter, in declaration order.
+            pub fn counters_mut(&mut self) -> [&mut u64; BTB_COUNTERS] {
+                [$(&mut self.$field),+]
+            }
+        }
+
+        const BTB_COUNTERS: usize = [$(stringify!($field)),+].len();
+    };
+}
+
+btb_counters! {
     /// JTE insertions performed (fresh entries; in-place target updates
     /// are not counted).
-    pub jte_inserts: u64,
+    jte_inserts,
     /// JTE insertions dropped because of the JTE cap (only possible
     /// with `jte_cap == Some(0)`).
-    pub jte_cap_skips: u64,
+    jte_cap_skips,
     /// Valid `Pc`/`Vbbi` entries evicted by an incoming JTE.
-    pub btb_evicted_by_jte: u64,
+    btb_evicted_by_jte,
     /// Resident JTEs displaced by an insert (same-set replacement or
     /// the at-cap global eviction).
-    pub jte_evictions: u64,
+    jte_evictions,
     /// `Pc`/`Vbbi` insertions skipped because every way held a JTE.
-    pub btb_blocked_by_jte: u64,
+    btb_blocked_by_jte,
     /// `jte.flush` invocations.
-    pub jte_flushes: u64,
+    jte_flushes,
     /// JTE entries invalidated by `jte.flush` invocations.
-    pub jte_flushed: u64,
+    jte_flushed,
 }
 
 /// What [`Btb::insert`] did, for per-event tracing and invariant
@@ -1044,16 +1070,7 @@ impl Btb {
         }
         out.push(self.tick);
         out.push(self.jte_count as u64);
-        let s = &self.stats;
-        out.extend_from_slice(&[
-            s.jte_inserts,
-            s.jte_cap_skips,
-            s.btb_evicted_by_jte,
-            s.jte_evictions,
-            s.btb_blocked_by_jte,
-            s.jte_flushes,
-            s.jte_flushed,
-        ]);
+        out.extend_from_slice(&self.stats.counters());
         if let Some(t) = &self.two {
             let ts = &t.stats;
             out.extend_from_slice(&[
@@ -1079,14 +1096,9 @@ impl Btb {
         }
         self.tick = c.next()?;
         self.jte_count = c.next()? as usize;
-        let s = &mut self.stats;
-        s.jte_inserts = c.next()?;
-        s.jte_cap_skips = c.next()?;
-        s.btb_evicted_by_jte = c.next()?;
-        s.jte_evictions = c.next()?;
-        s.btb_blocked_by_jte = c.next()?;
-        s.jte_flushes = c.next()?;
-        s.jte_flushed = c.next()?;
+        for counter in self.stats.counters_mut() {
+            *counter = c.next()?;
+        }
         if let Some(t) = &mut self.two {
             let ts = &mut t.stats;
             ts.l0_hits = c.next()?;

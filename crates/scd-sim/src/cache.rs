@@ -1,5 +1,5 @@
 //! Set-associative cache tag model (timing only — data lives in
-//! [`crate::mem::Memory`]).
+//! [`crate::GuestMemory`]).
 
 /// Replacement policy for caches and the BTB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

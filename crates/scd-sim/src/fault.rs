@@ -222,16 +222,17 @@ impl FaultPlan {
 /// deliberately ignored — that is exactly the state a fault plan is
 /// allowed to perturb.
 pub fn diff_architectural(a: &Machine, b: &Machine) -> Option<String> {
+    let (x, y) = (a.arch(), b.arch());
     for i in 0..32 {
-        if a.regs[i] != b.regs[i] {
-            return Some(format!("x{i}: {:#x} vs {:#x}", a.regs[i], b.regs[i]));
+        if x.regs[i] != y.regs[i] {
+            return Some(format!("x{i}: {:#x} vs {:#x}", x.regs[i], y.regs[i]));
         }
-        if a.fregs[i] != b.fregs[i] {
-            return Some(format!("f{i}: {:#x} vs {:#x}", a.fregs[i], b.fregs[i]));
+        if x.fregs[i] != y.fregs[i] {
+            return Some(format!("f{i}: {:#x} vs {:#x}", x.fregs[i], y.fregs[i]));
         }
     }
-    if a.pc != b.pc {
-        return Some(format!("pc: {:#x} vs {:#x}", a.pc, b.pc));
+    if x.pc != y.pc {
+        return Some(format!("pc: {:#x} vs {:#x}", x.pc, y.pc));
     }
     if a.output() != b.output() {
         return Some(format!(
@@ -240,8 +241,8 @@ pub fn diff_architectural(a: &Machine, b: &Machine) -> Option<String> {
             b.output().len()
         ));
     }
-    let mut sa = a.mem.segments();
-    let mut sb = b.mem.segments();
+    let mut sa = a.mem().segments();
+    let mut sb = b.mem().segments();
     loop {
         match (sa.next(), sb.next()) {
             (None, None) => return None,
@@ -416,7 +417,7 @@ mod tests {
         let mut a = run_dispatcher(None);
         let b = run_dispatcher(None);
         assert_eq!(diff_architectural(&a, &b), None);
-        a.mem.write_u8(0x10_0000, 0xFF).unwrap();
+        a.mem_mut().write(0x10_0000, 1, 0xFF).unwrap();
         let d = diff_architectural(&a, &b).expect("differs");
         assert!(d.contains("scratch"), "got {d}");
     }

@@ -36,7 +36,6 @@ pub mod ittage;
 pub mod json;
 pub mod lockstep;
 pub mod machine;
-pub mod mem;
 pub mod predictor;
 pub mod report;
 pub mod sampling;
@@ -57,7 +56,7 @@ pub use lockstep::{LockstepDivergence, LockstepSink};
 pub use machine::{
     Annotations, Exit, Machine, Profile, SimError, VbbiHint, WatchdogKind, MAX_BRANCH_IDS,
 };
-pub use mem::{MemFault, Memory};
+pub use scd_ref::{ArchState, GuestMemory, MemFault};
 pub use predictor::{Direction, DirectionConfig, Ras};
 pub use sampling::{mean_ci95, SampleAccum, SampleReport, SamplingPlan};
 pub use snapshot::{Snapshot, SnapshotError};

@@ -24,7 +24,7 @@
 use crate::machine::Machine;
 use crate::report;
 use crate::trace::{BopOutcome, RingSink, TraceEvent, TraceSink};
-use scd_ref::{BopHint, RefCore, RefError, Segment, StepArch};
+use scd_ref::{BopHint, RefCore, RefError, StepArch};
 use std::path::PathBuf;
 
 /// How many trailing events the divergence window keeps.
@@ -64,33 +64,14 @@ pub struct LockstepSink {
     skipped: u64,
 }
 
-/// Snapshots `machine`'s architectural state (registers, PC, every
-/// mapped segment, SCD enable/branch-id config) into a fresh reference
-/// core. Take the snapshot after guest setup (image, stacks, entry
-/// registers) and before the first retirement.
+/// Snapshots `machine`'s architectural state (registers, PC, SCD
+/// registers, every mapped segment, SCD enable/branch-id config) into a
+/// fresh reference core with its own clone of that state, decoding its
+/// own text from the memory words. Take the snapshot after guest setup
+/// (image, stacks, entry registers) and before the first retirement.
 pub fn snapshot_core(machine: &Machine) -> RefCore {
-    let mut text_base = 0;
-    let mut text: Vec<u8> = Vec::new();
-    let mut segments = Vec::new();
-    for (name, base, data) in machine.mem.segments() {
-        if name == "text" {
-            text_base = base;
-            text = data.to_vec();
-        } else {
-            segments.push(Segment { name: name.to_string(), base, data: data.to_vec() });
-        }
-    }
     let scd = &machine.config().scd;
-    RefCore::from_state(
-        text_base,
-        &text,
-        segments,
-        machine.regs,
-        machine.fregs,
-        machine.pc,
-        scd.enabled,
-        scd.branch_ids,
-    )
+    RefCore::from_state(machine.mem().clone(), machine.arch().clone(), scd.enabled, scd.branch_ids)
 }
 
 impl LockstepSink {
@@ -150,8 +131,9 @@ impl LockstepSink {
         if ev.flush.is_some() {
             self.core.flush_rop();
         }
-        if self.core.pc != ev.pc {
-            self.diverge(ev, "pc", format!("ref at {:#x}, dut retired {:#x}", self.core.pc, ev.pc));
+        if self.core.arch.pc != ev.pc {
+            let ref_pc = self.core.arch.pc;
+            self.diverge(ev, "pc", format!("ref at {ref_pc:#x}, dut retired {:#x}", ev.pc));
             return;
         }
         let hint = match ev.bop.map(|b| b.outcome) {
@@ -208,6 +190,7 @@ mod tests {
     use crate::machine::{Machine, SimError};
     use crate::trace::downcast_sink;
     use scd_isa::{Asm, LoadOp, Reg};
+    use scd_ref::MemFault;
 
     fn lockstep_run(program: &scd_isa::Program, cfg: SimConfig) -> Box<LockstepSink> {
         let mut m = Machine::new(cfg, program);
@@ -290,15 +273,8 @@ mod tests {
             a.ecall();
             let p = a.finish().unwrap();
             let mut core = snapshot_core(&Machine::new(SimConfig::embedded_a5(), &p));
-            let oracle = core.run(1_000).unwrap_err();
-            assert_eq!(
-                oracle,
-                RefError::Mem {
-                    pc: core.pc,
-                    addr: u64::MAX - 7,
-                    write: store
-                }
-            );
+            let fault = MemFault { addr: u64::MAX - 7, size: 8, write: store };
+            assert_eq!(core.run(1_000), Err(RefError::Mem { pc: core.arch.pc, fault }));
             // Traced (observed loop, oracle in lockstep) and untraced
             // (fast loop) runs of the cycle model.
             for traced in [true, false] {
@@ -307,13 +283,10 @@ mod tests {
                     m.set_trace_sink(Box::new(LockstepSink::new(&m)));
                 }
                 let dut = m.run(1_000).unwrap_err();
-                let SimError::Mem { pc, fault } = dut else {
+                let SimError::Mem { pc, fault: dut_fault } = dut else {
                     panic!("expected a memory fault, got {dut:?}");
                 };
-                assert_eq!(
-                    (pc, fault.addr, fault.write),
-                    (core.pc, u64::MAX - 7, store)
-                );
+                assert_eq!((pc, dut_fault), (core.arch.pc, fault));
                 // The cycle model counts the faulting instruction as
                 // begun; the oracle stops before it.
                 assert_eq!(m.stats.instructions, core.instructions + 1);

@@ -10,10 +10,10 @@
 use super::{Machine, SimError, StaticInfo};
 use crate::btb::{BtbKey, EntryKind};
 use crate::config::ScdConfig;
-use crate::mem::MemFault;
+use scd_ref::MemFault;
 use crate::stats::BranchClass;
 use crate::trace::RedirectCause;
-use scd_isa::{exec, AluOp, FpOp, Inst, LoadOp, Reg, StoreOp};
+use scd_isa::{exec, AluOp, FpOp, Inst, Reg};
 
 /// What one retirement decided: where fetch goes next, and whether the
 /// guest requested a halt (applied by the run loop *after* trace
@@ -28,7 +28,7 @@ impl Machine {
     #[inline]
     pub(super) fn wx(&mut self, r: Reg, v: u64) {
         if !r.is_zero() {
-            self.regs[r.index()] = v;
+            self.guest.arch.regs[r.index()] = v;
         }
     }
 
@@ -115,7 +115,7 @@ impl Machine {
                 }
             }
             Inst::Jalr { rd, rs1, offset } => {
-                let target = self.regs[rs1.index()].wrapping_add(offset as u64) & !1;
+                let target = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64) & !1;
                 self.wx(rd, pc + 4);
                 self.xready[rd.index()] = self.cycle + 1;
                 next_pc = target;
@@ -127,8 +127,8 @@ impl Machine {
                 rs2,
                 offset,
             } => {
-                let a = self.regs[rs1.index()];
-                let b = self.regs[rs2.index()];
+                let a = self.guest.arch.regs[rs1.index()];
+                let b = self.guest.arch.regs[rs2.index()];
                 let taken = exec::branch_taken(op, a, b);
                 let target = pc.wrapping_add(offset as u64);
                 // Effective front-end prediction: taken only when the
@@ -166,12 +166,12 @@ impl Machine {
                 rs1,
                 offset,
             } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 if OBSERVED {
                     self.scratch.ea = Some(addr);
                 }
-                let v = self.exec_load(op, addr).map_err(merr)?;
-                self.wx(rd, v);
+                let raw = self.guest.mem.read(addr, exec::load_width(op)).map_err(merr)?;
+                self.wx(rd, exec::load_extend(op, raw));
                 self.stats.loads += 1;
                 self.data_timing::<OBSERVED, WARMING>(addr, false);
                 self.xready[rd.index()] = self.cycle + 1 + self.cfg.load_use_penalty;
@@ -182,23 +182,27 @@ impl Machine {
                 rs1,
                 offset,
             } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
-                let v = self.regs[rs2.index()];
+                let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
+                let v = exec::store_truncate(op, self.guest.arch.regs[rs2.index()]);
                 if OBSERVED {
                     self.scratch.ea = Some(addr);
-                    self.scratch.store = Some(exec::store_truncate(op, v));
+                    self.scratch.store = Some(v);
                 }
-                self.exec_store(op, addr, v).map_err(merr)?;
+                self.guest
+                    .mem
+                    .write(addr, exec::store_width(op), v)
+                    .map_err(merr)?;
                 self.stats.stores += 1;
                 self.data_timing::<OBSERVED, WARMING>(addr, true);
             }
             Inst::OpImm { op, rd, rs1, imm } => {
-                let v = alu(op, self.regs[rs1.index()], imm as u64);
+                let v = alu(op, self.guest.arch.regs[rs1.index()], imm as u64);
                 self.wx(rd, v);
                 self.xready[rd.index()] = self.cycle + 1;
             }
             Inst::Op { op, rd, rs1, rs2 } => {
-                let v = alu(op, self.regs[rs1.index()], self.regs[rs2.index()]);
+                let x = &self.guest.arch.regs;
+                let v = alu(op, x[rs1.index()], x[rs2.index()]);
                 self.wx(rd, v);
                 let lat = if op.is_muldiv() {
                     if matches!(op, AluOp::Mul | AluOp::Mulh | AluOp::Mulhu | AluOp::Mulw) {
@@ -212,31 +216,32 @@ impl Machine {
                 self.xready[rd.index()] = self.cycle + lat;
             }
             Inst::Fld { rd, rs1, offset } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 if OBSERVED {
                     self.scratch.ea = Some(addr);
                 }
-                let v = self.mem.read_u64(addr).map_err(merr)?;
-                self.fregs[rd.index()] = v;
+                let v = self.guest.mem.read(addr, 8).map_err(merr)?;
+                self.guest.arch.fregs[rd.index()] = v;
                 self.stats.loads += 1;
                 self.data_timing::<OBSERVED, WARMING>(addr, false);
                 self.fready[rd.index()] = self.cycle + 1 + self.cfg.load_use_penalty;
             }
             Inst::Fsd { rs2, rs1, offset } => {
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 if OBSERVED {
                     self.scratch.ea = Some(addr);
-                    self.scratch.store = Some(self.fregs[rs2.index()]);
+                    self.scratch.store = Some(self.guest.arch.fregs[rs2.index()]);
                 }
-                self.mem
-                    .write_u64(addr, self.fregs[rs2.index()])
+                self.guest
+                    .mem
+                    .write(addr, 8, self.guest.arch.fregs[rs2.index()])
                     .map_err(merr)?;
                 self.stats.stores += 1;
                 self.data_timing::<OBSERVED, WARMING>(addr, true);
             }
             Inst::FOp { op, rd, rs1, rs2 } => {
-                self.fregs[rd.index()] =
-                    exec::fp_op(op, self.fregs[rs1.index()], self.fregs[rs2.index()]);
+                let f = &self.guest.arch.fregs;
+                self.guest.arch.fregs[rd.index()] = exec::fp_op(op, f[rs1.index()], f[rs2.index()]);
                 let lat = match op {
                     FpOp::FdivD | FpOp::FsqrtD => self.cfg.fdiv_latency,
                     _ => self.cfg.fpu_latency,
@@ -244,32 +249,34 @@ impl Machine {
                 self.fready[rd.index()] = self.cycle + lat;
             }
             Inst::FCmp { op, rd, rs1, rs2 } => {
-                let v = exec::fcmp(op, self.fregs[rs1.index()], self.fregs[rs2.index()]);
+                let f = &self.guest.arch.fregs;
+                let v = exec::fcmp(op, f[rs1.index()], f[rs2.index()]);
                 self.wx(rd, v as u64);
                 self.xready[rd.index()] = self.cycle + self.cfg.fpu_latency;
             }
             Inst::FcvtLD { rd, rs1, rm } => {
-                self.wx(rd, exec::fcvt_l_d(self.fregs[rs1.index()], rm));
+                self.wx(rd, exec::fcvt_l_d(self.guest.arch.fregs[rs1.index()], rm));
                 self.xready[rd.index()] = self.cycle + self.cfg.fpu_latency;
             }
             Inst::FcvtDL { rd, rs1 } => {
-                self.fregs[rd.index()] = exec::fcvt_d_l(self.regs[rs1.index()]);
+                let v = exec::fcvt_d_l(self.guest.arch.regs[rs1.index()]);
+                self.guest.arch.fregs[rd.index()] = v;
                 self.fready[rd.index()] = self.cycle + self.cfg.fpu_latency;
             }
             Inst::FmvXD { rd, rs1 } => {
-                self.wx(rd, self.fregs[rs1.index()]);
+                self.wx(rd, self.guest.arch.fregs[rs1.index()]);
                 self.xready[rd.index()] = self.cycle + 1;
             }
             Inst::FmvDX { rd, rs1 } => {
-                self.fregs[rd.index()] = self.regs[rs1.index()];
+                self.guest.arch.fregs[rd.index()] = self.guest.arch.regs[rs1.index()];
                 self.fready[rd.index()] = self.cycle + 1;
             }
             Inst::Ecall => {
-                match self.regs[Reg::A7.index()] {
+                match self.guest.arch.regs[Reg::A7.index()] {
                     // Halt is deferred past trace emission so the
                     // final retirement is observed like any other.
-                    0 => exit_code = Some(self.regs[Reg::A0.index()]),
-                    1 => self.output.push(self.regs[Reg::A0.index()] as u8),
+                    0 => exit_code = Some(self.guest.arch.regs[Reg::A0.index()]),
+                    1 => self.guest.output.push(self.guest.arch.regs[Reg::A0.index()] as u8),
                     n => {
                         // Unknown service: treat as a guest bug.
                         let _ = n;
@@ -283,7 +290,7 @@ impl Machine {
             // ---- SCD extension ----
             Inst::SetMask { bid, rs1 } => {
                 let bid = bid as usize % nbids.max(1);
-                self.scd[bid].rmask = self.regs[rs1.index()];
+                self.guest.arch.scd[bid].rmask = self.guest.arch.regs[rs1.index()];
             }
             Inst::Bop { bid } => {
                 self.exec_bop::<OBSERVED, WARMING>(bid, pc, &mut next_pc, scd_cfg, nbids);
@@ -303,44 +310,25 @@ impl Machine {
                 offset,
             } => {
                 let bid = bid as usize % nbids.max(1);
-                let addr = self.regs[rs1.index()].wrapping_add(offset as u64);
+                let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 if OBSERVED {
                     self.scratch.ea = Some(addr);
                 }
-                let v = self.exec_load(op, addr).map_err(merr)?;
+                let raw = self.guest.mem.read(addr, exec::load_width(op)).map_err(merr)?;
+                let v = exec::load_extend(op, raw);
                 self.wx(rd, v);
                 self.stats.loads += 1;
                 self.data_timing::<OBSERVED, WARMING>(addr, false);
                 let ready = self.cycle + 1 + self.cfg.load_use_penalty;
                 self.xready[rd.index()] = ready;
-                let s = &mut self.scd[bid];
+                let s = &mut self.guest.arch.scd[bid];
                 s.rop_d = v & s.rmask;
                 s.rop_v = true;
-                s.rop_ready = ready;
+                self.scd_timing[bid].rop_ready = ready;
             }
         }
 
         Ok(StepOut { next_pc, exit_code })
-    }
-
-    fn exec_load(&self, op: LoadOp, addr: u64) -> Result<u64, MemFault> {
-        let raw = match exec::load_width(op) {
-            1 => self.mem.read_u8(addr)? as u64,
-            2 => self.mem.read_u16(addr)? as u64,
-            4 => self.mem.read_u32(addr)? as u64,
-            _ => self.mem.read_u64(addr)?,
-        };
-        Ok(exec::load_extend(op, raw))
-    }
-
-    fn exec_store(&mut self, op: StoreOp, addr: u64, v: u64) -> Result<(), MemFault> {
-        let v = exec::store_truncate(op, v);
-        match exec::store_width(op) {
-            1 => self.mem.write_u8(addr, v as u8),
-            2 => self.mem.write_u16(addr, v as u16),
-            4 => self.mem.write_u32(addr, v as u32),
-            _ => self.mem.write_u64(addr, v),
-        }
     }
 }
 

@@ -161,7 +161,7 @@ impl Machine {
                 let vbbi = self.sinfo(pc).vbbi;
                 let key = match (self.cfg.indirect, vbbi) {
                     (IndirectPredictor::Vbbi, Some(h)) => {
-                        let hint = self.regs[h.hint_reg.index()] & h.mask;
+                        let hint = self.guest.arch.regs[h.hint_reg.index()] & h.mask;
                         // Warming freezes the cycle clock, which would
                         // make the hint look permanently not-ready and
                         // train the PC-indexed key instead; steady-state
@@ -188,7 +188,7 @@ impl Machine {
                     // BTB with the actual key at execute).
                     let update_key = match (self.cfg.indirect, vbbi) {
                         (IndirectPredictor::Vbbi, Some(h)) => {
-                            let hint = self.regs[h.hint_reg.index()] & h.mask;
+                            let hint = self.guest.arch.regs[h.hint_reg.index()] & h.mask;
                             BtbKey::Vbbi(vbbi_mix(pc, hint))
                         }
                         _ => BtbKey::Pc(pc),
@@ -235,13 +235,9 @@ impl Machine {
     pub(super) fn merged_btb_stats(&self) -> crate::btb::BtbStats {
         let mut s = self.btb.stats;
         if let Some(t) = &self.jte_table {
-            s.jte_inserts += t.stats.jte_inserts;
-            s.jte_cap_skips += t.stats.jte_cap_skips;
-            s.btb_evicted_by_jte += t.stats.btb_evicted_by_jte;
-            s.jte_evictions += t.stats.jte_evictions;
-            s.btb_blocked_by_jte += t.stats.btb_blocked_by_jte;
-            s.jte_flushes += t.stats.jte_flushes;
-            s.jte_flushed += t.stats.jte_flushed;
+            for (sum, n) in s.counters_mut().into_iter().zip(t.stats.counters()) {
+                *sum += n;
+            }
         }
         s
     }
@@ -251,7 +247,7 @@ impl Machine {
             Some(t) => t.flush_jtes(),
             None => self.btb.flush_jtes(),
         };
-        for s in &mut self.scd {
+        for s in &mut self.guest.arch.scd {
             s.rop_v = false;
         }
         flushed
@@ -277,7 +273,8 @@ impl Machine {
     ) {
         let bid = bid as usize % nbids.max(1);
         self.stats.bop_executed += 1;
-        let s = self.scd[bid];
+        let s = self.guest.arch.scd[bid];
+        let rop_ready = self.scd_timing[bid].rop_ready;
         let mut stall = 0;
         let outcome = if !scd_cfg.enabled {
             BopOutcome::Disabled
@@ -286,7 +283,7 @@ impl Machine {
         } else if WARMING || scd_cfg.stall_on_unready {
             // Stall scheme: fetch waits until Rop is visible.
             if !WARMING {
-                let need = s.rop_ready + self.cfg.fetch_lead;
+                let need = rop_ready + self.cfg.fetch_lead;
                 if need > self.cycle {
                     stall = need - self.cycle;
                     self.stats.bop_stall_cycles += stall;
@@ -295,7 +292,7 @@ impl Machine {
             }
             if let Some((t, from_l1)) = self.jte_lookup(bid as u8, s.rop_d) {
                 *next_pc = t;
-                self.scd[bid].rop_v = false;
+                self.guest.arch.scd[bid].rop_v = false;
                 // A JTE served from L1 steers fetch correctly but
                 // late; its bubbles ride the same redirect charge.
                 let late = if from_l1 { self.btb.l1_hit_bubbles() } else { 0 };
@@ -307,13 +304,13 @@ impl Machine {
             } else {
                 BopOutcome::JteMiss
             }
-        } else if s.rop_ready + self.cfg.fetch_lead > self.cycle {
+        } else if rop_ready + self.cfg.fetch_lead > self.cycle {
             // Fall-through scheme: only short-circuit when Rop
             // was already available at fetch.
             BopOutcome::NotReady
         } else if let Some((t, from_l1)) = self.jte_lookup(bid as u8, s.rop_d) {
             *next_pc = t;
-            self.scd[bid].rop_v = false;
+            self.guest.arch.scd[bid].rop_v = false;
             let late = if from_l1 { self.btb.l1_hit_bubbles() } else { 0 };
             self.redirect::<OBSERVED, WARMING>(
                 RedirectCause::BopHit,
@@ -331,7 +328,7 @@ impl Machine {
         if OBSERVED {
             self.scratch.bop = Some(BopEvent { outcome, stall });
         }
-        self.scd[bid].rbop_pc = pc;
+        self.scd_timing[bid].rbop_pc = pc;
     }
 
     /// Executes `jru`: the dispatch slow path. Trains the JTE with the
@@ -348,12 +345,12 @@ impl Machine {
     ) -> u64 {
         let bid = bid as usize % nbids.max(1);
         self.stats.jru_executed += 1;
-        let target = self.regs[rs1.index()] & !1;
-        if scd_cfg.enabled && self.scd[bid].rop_v {
-            let opcode = self.scd[bid].rop_d;
+        let target = self.guest.arch.regs[rs1.index()] & !1;
+        if scd_cfg.enabled && self.guest.arch.scd[bid].rop_v {
+            let opcode = self.guest.arch.scd[bid].rop_d;
             let out = self.jte_insert(bid as u8, opcode, target);
             self.note_insert::<OBSERVED>(EntryKind::Jte, out);
-            self.scd[bid].rop_v = false;
+            self.guest.arch.scd[bid].rop_v = false;
         }
         self.account_indirect::<OBSERVED, WARMING>(pc, Reg::ZERO, rs1, target);
         target

@@ -65,7 +65,6 @@ use crate::cache::Cache;
 use crate::config::{ScdConfig, SimConfig};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::ittage::Ittage;
-use crate::mem::Memory;
 use crate::predictor::{Direction, Ras};
 use crate::stats::SimStats;
 use crate::tlb::Tlb;
@@ -74,16 +73,16 @@ use crate::trace::{
     RedirectEvent, SinkSlot, StatInvariants, TraceSink,
 };
 use scd_isa::{FReg, Inst, Program, Reg};
+use scd_ref::{ArchState, GuestMemory, RefCore};
 use std::sync::Arc;
 
-/// Maximum number of SCD branch IDs supported by the model.
-pub const MAX_BRANCH_IDS: usize = 4;
+pub use scd_ref::MAX_BRANCH_IDS;
 
+/// The timing state of one SCD branch id, beside its architectural
+/// registers in [`ArchState::scd`].
 #[derive(Debug, Clone, Copy, Default)]
-struct ScdRegs {
-    rop_v: bool,
-    rop_d: u64,
-    rmask: u64,
+struct ScdTiming {
+    /// PC of the last `bop` on this branch id.
     rbop_pc: u64,
     /// Cycle at which Rop becomes visible to the fetch stage.
     rop_ready: u64,
@@ -102,14 +101,11 @@ pub struct Machine {
     text_base: u64,
     text_end: u64,
 
-    /// Integer register file (x0 kept zero).
-    pub regs: [u64; 32],
-    /// FP register file (raw f64 bits).
-    pub fregs: [u64; 32],
-    /// Program counter.
-    pub pc: u64,
-    /// Guest memory.
-    pub mem: Memory,
+    /// The guest: registers, PC, SCD register sets, memory and output,
+    /// held by the reference core that fast-forwards over them. The
+    /// detailed loop reads and writes the same state, so a
+    /// fast-forward leg runs `guest.run` in place.
+    guest: RefCore,
 
     icache: Cache,
     dcache: Cache,
@@ -122,7 +118,7 @@ pub struct Machine {
     jte_table: Option<Btb>,
     ras: Ras,
     ittage: Ittage,
-    scd: [ScdRegs; MAX_BRANCH_IDS],
+    scd_timing: [ScdTiming; MAX_BRANCH_IDS],
 
     cycle: u64,
     /// Cycle each architectural register's value becomes available.
@@ -141,7 +137,6 @@ pub struct Machine {
 
     ann: Annotations,
     next_flush_at: u64,
-    output: Vec<u8>,
     profile: Option<Profile>,
 
     tracer: SinkSlot,
@@ -161,12 +156,6 @@ pub struct Machine {
     /// (at every run-loop exit and before any non-streak fetch).
     fetch_blk: u64,
     fetch_streak: u64,
-
-    /// The reference core's pre-decoded threaded text, built on first
-    /// use and shared by every fast-forward leg, so hundreds of legs per
-    /// run don't rebuild it from `insts`. Pure derived cache: never
-    /// snapshotted.
-    ff_text: Option<Arc<scd_ref::Text>>,
 
     /// Run statistics.
     pub stats: SimStats,
@@ -282,15 +271,6 @@ impl Machine {
     /// Builds a machine for `cfg`, loading `program`'s text and rodata.
     /// The decoded text is shared with `program` (no per-machine clone).
     pub fn new(cfg: SimConfig, program: &Program) -> Self {
-        let mut mem = Memory::new();
-        mem.add_segment("text", program.text_base, 4 * program.words.len() as u64);
-        for (i, w) in program.words.iter().enumerate() {
-            mem.write_bytes(program.text_base + 4 * i as u64, &w.to_le_bytes());
-        }
-        if !program.rodata.is_empty() {
-            mem.add_segment("rodata", program.rodata_base, program.rodata.len() as u64);
-            mem.write_bytes(program.rodata_base, &program.rodata);
-        }
         let flush_at = cfg.scd.flush_interval.unwrap_or(u64::MAX);
         let mut m = Machine {
             icache: Cache::new(cfg.icache),
@@ -308,7 +288,7 @@ impl Machine {
             }),
             ras: Ras::new(cfg.ras_entries),
             ittage: Ittage::new(),
-            scd: Default::default(),
+            scd_timing: Default::default(),
             cycle: 0,
             xready: [0; 33],
             fready: [0; 33],
@@ -318,7 +298,6 @@ impl Machine {
             prev_was_mem: false,
             ann: Annotations::default(),
             next_flush_at: flush_at,
-            output: Vec::new(),
             profile: None,
             tracer: SinkSlot(None),
             // Debug builds self-check the counters by default; release
@@ -330,12 +309,8 @@ impl Machine {
             deadline: None,
             fetch_blk: u64::MAX,
             fetch_streak: 0,
-            ff_text: None,
             stats: SimStats::default(),
-            regs: [0; 32],
-            fregs: [0; 32],
-            pc: program.text_base,
-            mem,
+            guest: RefCore::from_program(program, cfg.scd.enabled, cfg.scd.branch_ids),
             insts: Arc::clone(&program.insts),
             static_info: Vec::new(),
             text_base: program.text_base,
@@ -348,7 +323,22 @@ impl Machine {
 
     /// Maps an additional zero-filled memory segment.
     pub fn map(&mut self, name: &'static str, base: u64, size: u64) {
-        self.mem.add_segment(name, base, size);
+        self.guest.mem.add_segment(name, base, size);
+    }
+
+    /// The guest's registers, PC and SCD register sets.
+    pub fn arch(&self) -> &ArchState {
+        &self.guest.arch
+    }
+
+    /// Guest memory.
+    pub fn mem(&self) -> &GuestMemory {
+        &self.guest.mem
+    }
+
+    /// Guest memory, for loading an image before the run.
+    pub fn mem_mut(&mut self) -> &mut GuestMemory {
+        &mut self.guest.mem
     }
 
     /// Installs guest annotations (dispatch ranges, VBBI hints).
@@ -388,18 +378,6 @@ impl Machine {
     #[inline]
     fn sinfo(&self, pc: u64) -> &StaticInfo {
         &self.static_info[((pc - self.text_base) / 4) as usize]
-    }
-
-    /// Sets an integer register (x0 writes are ignored).
-    pub fn set_reg(&mut self, r: Reg, v: u64) {
-        if !r.is_zero() {
-            self.regs[r.index()] = v;
-        }
-    }
-
-    /// Reads an integer register.
-    pub fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
     }
 
     /// The machine configuration.
@@ -530,7 +508,7 @@ impl Machine {
     /// (A successful exit takes the buffer; this view is for comparing
     /// partial runs.)
     pub fn output(&self) -> &[u8] {
-        &self.output
+        &self.guest.output
     }
 
     /// Runs until the guest halts via `ecall` (a7 = 0) or a limit/error.
@@ -612,7 +590,7 @@ impl Machine {
             if deadline.is_some() && self.stats.instructions.is_multiple_of(4096) {
                 self.check_deadline()?;
             }
-            let pc = self.pc;
+            let pc = self.guest.arch.pc;
             if pc < self.text_base || pc >= self.text_end || !pc.is_multiple_of(4) {
                 return Err(SimError::PcOutOfRange { pc });
             }
@@ -660,10 +638,10 @@ impl Machine {
                 self.finalize_partial();
                 return Ok(Exit {
                     code,
-                    output: std::mem::take(&mut self.output),
+                    output: std::mem::take(&mut self.guest.output),
                 });
             }
-            self.pc = step.next_pc;
+            self.guest.arch.pc = step.next_pc;
         }
     }
 }

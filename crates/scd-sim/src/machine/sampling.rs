@@ -5,9 +5,11 @@
 //!
 //! Mode seams:
 //!
-//! * *fast-forward* hands the guest (its memory moved, not copied) to
-//!   the `scd-ref` reference core, which runs its pre-decoded threaded
-//!   text, and syncs the architectural state back at the leg boundary;
+//! * *fast-forward* runs the `scd-ref` reference core the machine keeps
+//!   over its own guest state — one `ArchState`, one `GuestMemory` —
+//!   on its pre-decoded threaded text. Nothing is copied or handed
+//!   across at either end of the leg; the machine only counts the
+//!   retirements and stamps `rop_ready`;
 //! * *warming* is the interleaved loop monomorphized with
 //!   `WARMING = true`: caches, TLBs, predictors and the JTE overlay
 //!   update while the clock stands still. The warm leg is one
@@ -24,98 +26,36 @@
 
 use super::{Exit, Machine, SimError};
 use crate::config::ScdConfig;
-use crate::mem::MemFault;
 use crate::sampling::{SampleAccum, SampleReport, SamplingPlan};
 use crate::snapshot::Snapshot;
 use crate::stats::SimStats;
-use scd_isa::{exec, Inst};
-use scd_ref::{RefCore, RefError, Segment};
-use std::sync::Arc;
+use scd_ref::RefError;
 
 impl Machine {
-    /// A reference core at the machine's architectural state, owning the
-    /// *moved* guest memory and sharing the threaded text (built on
-    /// first use); [`Machine::take_back_core`] returns the memory.
-    fn make_ref_core(&mut self) -> RefCore {
-        let scd_cfg: ScdConfig = self.cfg.scd;
-        let nbids = scd_cfg.branch_ids.min(super::MAX_BRANCH_IDS);
-        let segments: Vec<Segment> = self
-            .mem
-            .take_all_data()
-            .into_iter()
-            .map(|(name, base, data)| Segment {
-                name: name.to_string(),
-                base,
-                data,
-            })
-            .collect();
-        let (text_base, insts) = (self.text_base, &self.insts);
-        let text = self.ff_text.get_or_insert_with(|| {
-            Arc::new(scd_ref::Text::new(
-                text_base,
-                insts.iter().copied().map(Some).collect(),
-            ))
-        });
-        let mut core = RefCore::from_owned_state(
-            Arc::clone(text),
-            segments,
-            self.regs,
-            self.fregs,
-            self.pc,
-            scd_cfg.enabled,
-            scd_cfg.branch_ids,
-        );
-        // Only the first `nbids` SCD register sets are architecturally
-        // live; seeding the dormant tail would alias into live slots
-        // through the oracle's `bid % nbids` reduction.
-        for (bid, s) in self.scd.iter().take(nbids).enumerate() {
-            core.seed_scd(bid, s.rop_v, s.rop_d, s.rmask);
-        }
-        core
-    }
-
-    /// Takes the guest memory back from a finished reference core.
-    fn take_back_core(&mut self, core: RefCore) {
-        let hws = core.seg_high_waters().to_vec();
-        self.mem
-            .put_back_data(core.into_segments().into_iter().map(|s| s.data).zip(hws));
-    }
-
     /// Reproduces a reference-core guest error with the detailed loop's
     /// exact partial charging: the bounds check precedes any timing, and
     /// a memory fault or trap retires its instruction (fetch + issue +
     /// `begin_retirement`) before erroring out of the execute stage.
     fn replicate_error(&mut self, e: RefError, scd_cfg: &ScdConfig) -> SimError {
-        let retire_faulting = |m: &mut Machine, pc: u64| {
-            let idx = ((pc - m.text_base) / 4) as usize;
-            let si = m.static_info[idx];
-            m.fetch_fast::<false>(pc);
-            m.issue(&si);
-            m.begin_retirement::<false>(si.in_dispatch, scd_cfg);
-            idx
+        let mut retire_faulting = |pc: u64| {
+            let si = self.static_info[((pc - self.text_base) / 4) as usize];
+            self.fetch_fast::<false>(pc);
+            self.issue(&si);
+            self.begin_retirement::<false>(si.in_dispatch, scd_cfg);
         };
         match e {
             RefError::PcOutOfRange { pc } => SimError::PcOutOfRange { pc },
-            RefError::Mem { pc, addr, write } => {
-                let idx = retire_faulting(self, pc);
-                let size = match self.insts[idx] {
-                    Inst::Load { op, .. } | Inst::LoadOp { op, .. } => exec::load_width(op),
-                    Inst::Store { op, .. } => exec::store_width(op),
-                    Inst::Fld { .. } | Inst::Fsd { .. } => 8,
-                    _ => unreachable!("memory fault on a non-memory instruction"),
-                };
-                SimError::Mem {
-                    pc,
-                    fault: MemFault { addr, size, write },
-                }
+            RefError::Mem { pc, fault } => {
+                retire_faulting(pc);
+                SimError::Mem { pc, fault }
             }
             RefError::Break { pc } => {
-                retire_faulting(self, pc);
+                retire_faulting(pc);
                 SimError::Break { pc }
             }
-            // `from_owned_state` reuses the machine's own decoded
-            // instructions and `run` resolves `bop`s itself, so these
-            // are internal contract violations, not guest errors.
+            // The guest core's text is the machine's own decoded
+            // program and `run` resolves `bop`s itself, so these are
+            // internal contract violations, not guest errors.
             RefError::BadInst { pc } => unreachable!("reference core failed to decode pc {pc:#x}"),
             RefError::BopUntrained { .. } | RefError::BopNotValid { .. } => {
                 unreachable!("fast-forward resolves bops itself")
@@ -124,10 +64,10 @@ impl Machine {
         }
     }
 
-    /// Runs `insts` instructions in pure architectural fast-forward on
-    /// the reference core, then syncs registers, PC, SCD state, guest
-    /// output and memory back into the machine. Charges no cycles and
-    /// touches no predictive structures (except the flush quantum's JTE
+    /// Runs `insts` instructions in pure architectural fast-forward: the
+    /// reference core runs in place over the machine's registers, PC,
+    /// SCD registers, memory and output. Charges no cycles and touches
+    /// no predictive structures (except the flush quantum's JTE
     /// flushes, which land exactly where detailed execution would put
     /// them). Returns the guest's exit code if it halted mid-leg.
     ///
@@ -144,64 +84,46 @@ impl Machine {
         let base = self.stats.instructions;
         let target = base + insts;
 
-        let mut core = self.make_ref_core();
+        // Every leg starts from an empty `(bid, Rop)` map, so its `bop`s
+        // can resolve differently from the detailed core's (ROADMAP.md
+        // open item 1).
+        self.guest.instructions = 0;
+        self.guest.clear_jte_map();
 
         // Run in chunks bounded by the flush quantum. `begin_retirement`
         // counts the instruction first and flushes when that (1-based)
         // number reaches `next_flush_at`, i.e. *before* the triggering
         // instruction executes — so here the flush fires once the next
         // instruction to execute would be number `next_flush_at`.
-        let mut exited: Option<u64> = None;
-        let mut fault: Option<scd_ref::RefError> = None;
-        loop {
-            let done = base + core.instructions;
+        let outcome = loop {
+            let done = base + self.guest.instructions;
             if done >= target {
-                break;
+                break Ok(None);
             }
             if done + 1 >= self.next_flush_at {
-                core.flush_rop();
                 self.jte_flush();
                 self.next_flush_at = self.next_flush_at.saturating_add(flush_interval);
             }
             let stop = target.min(self.next_flush_at.saturating_sub(1));
-            match core.run(stop - base) {
-                Ok(code) => {
-                    exited = Some(code);
-                    break;
-                }
-                Err(scd_ref::RefError::InstLimit { .. }) => {}
-                Err(e) => {
-                    fault = Some(e);
-                    break;
-                }
+            match self.guest.run(stop - base) {
+                Ok(code) => break Ok(Some(code)),
+                Err(RefError::InstLimit { .. }) => {}
+                Err(e) => break Err(e),
             }
-        }
+        };
 
-        // Sync the architectural state back. `rop_ready` is stamped with
-        // the (frozen) current cycle: everything that happened during
-        // fast-forward is architecturally settled by now.
-        self.regs = core.regs;
-        self.fregs = core.fregs;
-        self.pc = core.pc;
-        self.stats.instructions += core.instructions;
-        self.output.extend_from_slice(&core.output);
-        for (bid, s) in self.scd.iter_mut().take(nbids).enumerate() {
-            let (rop_v, rop_d, rmask) = core.scd_state(bid);
-            s.rop_v = rop_v;
-            s.rop_d = rop_d;
-            s.rmask = rmask;
-            s.rop_ready = self.cycle;
+        // `rop_ready` is stamped with the (frozen) current cycle:
+        // everything that happened during fast-forward is
+        // architecturally settled by now.
+        self.stats.instructions += self.guest.instructions;
+        for t in self.scd_timing.iter_mut().take(nbids) {
+            t.rop_ready = self.cycle;
         }
-        self.take_back_core(core);
-
-        match fault {
-            Some(e) => {
-                let err = self.replicate_error(e, &scd_cfg);
-                self.flush_fetch_streak();
-                Err(err)
-            }
-            None => Ok(exited),
-        }
+        outcome.map_err(|e| {
+            let err = self.replicate_error(e, &scd_cfg);
+            self.flush_fetch_streak();
+            err
+        })
     }
 
     /// Runs the guest to completion (or `max_insts`) under `plan`'s
@@ -267,7 +189,7 @@ impl Machine {
                 if let Some(code) = code {
                     exit = Some(Exit {
                         code,
-                        output: std::mem::take(&mut self.output),
+                        output: std::mem::take(&mut self.guest.output),
                     });
                     break;
                 }

@@ -4,7 +4,7 @@
 //! advancing it.
 
 use super::{Machine, Scratch};
-use crate::mem::MemFault;
+use scd_ref::MemFault;
 use crate::snapshot::{self, Cursor, Snapshot, SnapshotError};
 use scd_isa::Reg;
 
@@ -204,9 +204,10 @@ impl Machine {
     /// restored machine if needed.
     pub fn snapshot(&self) -> Snapshot {
         let mut w = Vec::new();
-        w.extend_from_slice(&self.regs);
-        w.extend_from_slice(&self.fregs);
-        w.push(self.pc);
+        let arch = &self.guest.arch;
+        w.extend_from_slice(&arch.regs);
+        w.extend_from_slice(&arch.fregs);
+        w.push(arch.pc);
         w.push(self.cycle);
         // Entry 32 of the ready arrays is the constant-zero scoreboard
         // sentinel — derived state, not snapshotted.
@@ -216,12 +217,12 @@ impl Machine {
         w.push(self.prev_def_mask as u64);
         w.push(self.prev_fdef_mask as u64);
         w.push(self.prev_was_mem as u64);
-        for s in &self.scd {
+        for (s, t) in arch.scd.iter().zip(&self.scd_timing) {
             w.push(s.rop_v as u64);
             w.push(s.rop_d);
             w.push(s.rmask);
-            w.push(s.rbop_pc);
-            w.push(s.rop_ready);
+            w.push(t.rbop_pc);
+            w.push(t.rop_ready);
         }
         w.push(self.next_flush_at);
         snapshot::stats_to_words(&self.stats, &mut w);
@@ -250,8 +251,8 @@ impl Machine {
         Snapshot {
             fingerprint: self.fingerprint(),
             words: w,
-            segments: self.mem.snapshot_segments(),
-            output: self.output.clone(),
+            segments: self.guest.mem.snapshot_segments(),
+            output: self.guest.output.clone(),
         }
     }
 
@@ -271,15 +272,16 @@ impl Machine {
         if snap.fingerprint != expected {
             return Err(SnapshotError::Fingerprint { expected, found: snap.fingerprint });
         }
-        self.mem.restore_segments(&snap.segments).map_err(SnapshotError::Format)?;
+        self.guest.mem.restore_segments(&snap.segments).map_err(SnapshotError::Format)?;
         let mut c = Cursor::new(&snap.words);
-        for r in &mut self.regs {
+        let arch = &mut self.guest.arch;
+        for r in &mut arch.regs {
             *r = c.next()?;
         }
-        for r in &mut self.fregs {
+        for r in &mut arch.fregs {
             *r = c.next()?;
         }
-        self.pc = c.next()?;
+        arch.pc = c.next()?;
         self.cycle = c.next()?;
         for r in &mut self.xready[..32] {
             *r = c.next()?;
@@ -291,12 +293,12 @@ impl Machine {
         self.prev_def_mask = c.next()? as u32;
         self.prev_fdef_mask = c.next()? as u32;
         self.prev_was_mem = c.next()? != 0;
-        for s in &mut self.scd {
+        for (s, t) in self.guest.arch.scd.iter_mut().zip(&mut self.scd_timing) {
             s.rop_v = c.next()? != 0;
             s.rop_d = c.next()?;
             s.rmask = c.next()?;
-            s.rbop_pc = c.next()?;
-            s.rop_ready = c.next()?;
+            t.rbop_pc = c.next()?;
+            t.rop_ready = c.next()?;
         }
         self.next_flush_at = c.next()?;
         self.stats = snapshot::stats_from_words(&mut c)?;
@@ -326,7 +328,7 @@ impl Machine {
                 c.remaining()
             )));
         }
-        self.output = snap.output.clone();
+        self.guest.output = snap.output.clone();
         self.scratch = Scratch::default();
         self.invariants = None;
         Ok(())

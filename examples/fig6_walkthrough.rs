@@ -59,7 +59,7 @@ fn run_interp(bytecodes: &[u32]) -> Machine {
     let mut m = Machine::new(SimConfig::fpga_rocket(), &p);
     m.map("data", 0x10_0000, 4096);
     for (i, &bc) in bytecodes.iter().enumerate() {
-        m.mem.write_u32(0x10_0000 + 4 * i as u64, bc).expect("mapped");
+        m.mem_mut().write(0x10_0000 + 4 * i as u64, 4, bc.into()).expect("mapped");
     }
     m.run(100_000).expect("halts");
     m

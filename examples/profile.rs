@@ -40,10 +40,10 @@ fn main() {
     m.set_annotations(guest.annotations.clone());
     m.enable_profiling();
     m.map("image", scd_guest::layout::IMAGE_BASE, (img.bytes.len() as u64 + 4095) & !4095);
-    m.mem.write_bytes(scd_guest::layout::IMAGE_BASE, &img.bytes);
+    m.mem_mut().write_bytes(scd_guest::layout::IMAGE_BASE, &img.bytes);
     m.map("globals", scd_guest::layout::GLOBALS_BASE, 1 << 20);
     for (i, g) in img.global_init.iter().enumerate() {
-        m.mem.write_u64(scd_guest::layout::GLOBALS_BASE + 8 * i as u64, *g).expect("mapped");
+        m.mem_mut().write(scd_guest::layout::GLOBALS_BASE + 8 * i as u64, 8, *g).expect("mapped");
     }
     m.map(
         "vstack+ctl",

@@ -121,8 +121,8 @@ fn multiple_branch_ids_are_independent() {
     let p = a.finish().expect("assembles");
     let mut m = Machine::new(SimConfig::embedded_a5(), &p);
     m.map("data", 0x10_0000, 0x2000);
-    m.mem.write_u32(0x10_0000, 1).expect("mapped");
-    m.mem.write_u32(0x10_1000, 2).expect("mapped");
+    m.mem_mut().write(0x10_0000, 4, 1).expect("mapped");
+    m.mem_mut().write(0x10_1000, 4, 2).expect("mapped");
     let exit = m.run(100_000).expect("runs");
     assert_eq!(exit.code, 40 * 3);
     // Both dispatchers short-circuit after their first pass.
@@ -164,7 +164,7 @@ fn jte_flush_instruction_invalidates_only_jtes() {
     let p = a.finish().expect("assembles");
     let mut m = Machine::new(SimConfig::embedded_a5(), &p);
     m.map("data", 0x10_0000, 0x1000);
-    m.mem.write_u32(0x10_0000, 1).expect("mapped");
+    m.mem_mut().write(0x10_0000, 4, 1).expect("mapped");
     // The bop after the flush must miss; the final bop hits and jumps to
     // the target cached by the *second* jru, which is h2 -- an infinite
     // revisit would exceed the instruction budget, and landing anywhere
@@ -254,7 +254,7 @@ fn guest_traps_on_type_errors() {
     let guest = scd_guest::build_lvm_guest(&img, Scheme::Scd, GuestOptions::default());
     let mut m = Machine::new(SimConfig::embedded_a5(), &guest.program);
     m.map("image", scd_guest::layout::IMAGE_BASE, 1 << 20);
-    m.mem.write_bytes(scd_guest::layout::IMAGE_BASE, &img.bytes);
+    m.mem_mut().write_bytes(scd_guest::layout::IMAGE_BASE, &img.bytes);
     m.map("globals", scd_guest::layout::GLOBALS_BASE, 1 << 20);
     m.map(
         "vstack+ctl",
