@@ -71,10 +71,11 @@ use std::process::exit;
 use std::sync::atomic::Ordering;
 
 /// Reports the `--smoke` gate runs: cheap, structurally diverse (a
-/// hand-rolled table, an arithmetic-mean table, and the full
-/// two-VM/four-variant matrix through `format_table`), and overlapping
-/// enough to exercise cell deduplication.
-const SMOKE_REPORTS: [&str; 3] = ["fig2", "fig3", "fig9"];
+/// hand-rolled table, an arithmetic-mean table, the full
+/// two-VM/four-variant matrix through `format_table`, and the BTB
+/// organization study with its JTE caps, two-level banks and aliasing
+/// section), and overlapping enough to exercise cell deduplication.
+const SMOKE_REPORTS: [&str; 4] = ["fig2", "fig3", "fig9", "btb_levels"];
 const SMOKE_GOLDEN_DIR: &str = "tests/golden/sweep_smoke";
 
 fn main() {
