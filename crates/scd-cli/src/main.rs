@@ -20,6 +20,10 @@
 //! 4 watchdog budget exhausted, 5 invariant or oracle violation,
 //! 70 internal error (I/O, bad checkpoint), 130 interrupted batch
 //! (`scd serve` additionally exits 1 when some jobs failed).
+//!
+//! A closed stdout (`scd listing | head`) ends `scd` by `SIGPIPE`, as it
+//! ends `cat` or `grep` (a shell reports status 141), never by a panic
+//! with exit 101.
 
 use scd_guest::{GuestError, GuestOptions, GuestRun, RunRequest, Scheme, Session, Vm};
 use scd_sim::{FaultPlan, JsonlSink, SamplingPlan, SimConfig, SimError, Snapshot};
@@ -465,6 +469,7 @@ fn cmd_model(o: Opts) {
 }
 
 fn main() {
+    scd_serve::restore_default_sigpipe();
     let mut argv = std::env::args().skip(1);
     match argv.next().as_deref() {
         Some("run") => cmd_run(parse_opts(argv)),

@@ -45,4 +45,4 @@ pub use cache::{Cache, CacheStats};
 pub use driver::{panic_message, run_batch, simulate_job, BatchSummary};
 pub use jobs::{parse_jobs, render_result, JobDone, JobError, JobOutcome, JobSpec};
 pub use payload::CachedRun;
-pub use signal::{install_sigint_flag, EXIT_SIGINT};
+pub use signal::{install_sigint_flag, restore_default_sigpipe, EXIT_SIGINT};

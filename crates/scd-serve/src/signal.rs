@@ -1,4 +1,5 @@
-//! SIGINT-as-a-flag, with no signal-handling dependency.
+//! SIGINT-as-a-flag and the default SIGPIPE disposition, with no
+//! signal-handling dependency.
 //!
 //! The workspace builds offline (no `libc`/`signal-hook` crates), so
 //! the handler is registered through the C `signal(2)` symbol that
@@ -23,6 +24,8 @@ mod imp {
 
     /// `SIGINT` on every Unix this workspace targets.
     const SIGINT: i32 = 2;
+    /// `SIGPIPE` on every Unix this workspace targets.
+    const SIGPIPE: i32 = 13;
     /// `SIG_DFL`: restore default disposition.
     const SIG_DFL: usize = 0;
 
@@ -46,11 +49,21 @@ mod imp {
             signal(SIGINT, on_sigint as extern "C" fn(i32) as usize);
         }
     }
+
+    pub(super) fn default_sigpipe() {
+        // SAFETY: `signal` with a valid signal number and `SIG_DFL`
+        // installs no handler code, so nothing here can run in signal
+        // context.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
 }
 
 #[cfg(not(unix))]
 mod imp {
     pub(super) fn install() {}
+    pub(super) fn default_sigpipe() {}
 }
 
 /// Installs the SIGINT handler (idempotent) and returns the flag it
@@ -59,6 +72,14 @@ mod imp {
 pub fn install_sigint_flag() -> &'static AtomicBool {
     imp::install();
     &INTERRUPTED
+}
+
+/// Restores the default `SIGPIPE` disposition, which the Rust runtime
+/// sets to "ignore" before `main`. A command-line tool whose stdout
+/// reader goes away (`scd listing | head`) is then ended by the signal,
+/// as `cat` and `grep` are, instead of panicking on the failed write.
+pub fn restore_default_sigpipe() {
+    imp::default_sigpipe();
 }
 
 /// The conventional exit code for "terminated by SIGINT" (128 + 2).
