@@ -9,7 +9,7 @@
 //! in [`super::execute`].
 
 use super::Machine;
-use crate::btb::{BtbKey, EntryKind, InsertOutcome};
+use crate::btb::{Btb, BtbKey, EntryKind};
 use crate::config::{IndirectPredictor, ScdConfig};
 use crate::stats::BranchClass;
 use crate::trace::{BopEvent, BopOutcome, FetchAccess, RedirectCause, RedirectEvent};
@@ -211,25 +211,12 @@ impl Machine {
         }
     }
 
-    /// JTE probe, reporting the serving level: the dedicated table is
-    /// always Ideal (never `from_l1`); the overlay inherits whatever
-    /// organization the BTB has.
+    /// The JTE store: the dedicated table when there is one (always
+    /// Ideal, so its hits are never `from_l1`), else the BTB the JTEs
+    /// overlay, with whatever organization it has.
     #[inline]
-    fn jte_lookup(&mut self, bid: u8, opcode: u64) -> Option<(u64, bool)> {
-        let key = BtbKey::Jte { bid, opcode };
-        match &mut self.jte_table {
-            Some(t) => t.lookup_leveled(key),
-            None => self.btb.lookup_leveled(key),
-        }
-    }
-
-    #[inline]
-    fn jte_insert(&mut self, bid: u8, opcode: u64, target: u64) -> InsertOutcome {
-        let key = BtbKey::Jte { bid, opcode };
-        match &mut self.jte_table {
-            Some(t) => t.insert(key, target),
-            None => self.btb.insert(key, target),
-        }
+    pub(super) fn jtes(&mut self) -> &mut Btb {
+        self.jte_table.as_mut().unwrap_or(&mut self.btb)
     }
 
     pub(super) fn merged_btb_stats(&self) -> crate::btb::BtbStats {
@@ -243,10 +230,7 @@ impl Machine {
     }
 
     pub(super) fn jte_flush(&mut self) -> u64 {
-        let flushed = match &mut self.jte_table {
-            Some(t) => t.flush_jtes(),
-            None => self.btb.flush_jtes(),
-        };
+        let flushed = self.jtes().flush_jtes();
         for s in &mut self.guest.arch.scd {
             s.rop_v = false;
         }
@@ -276,13 +260,18 @@ impl Machine {
         let s = self.guest.arch.scd[bid];
         let rop_ready = self.scd_timing[bid].rop_ready;
         let mut stall = 0;
+        let stall_scheme = WARMING || scd_cfg.stall_on_unready;
         let outcome = if !scd_cfg.enabled {
             BopOutcome::Disabled
         } else if !s.rop_v {
             BopOutcome::RopInvalid
-        } else if WARMING || scd_cfg.stall_on_unready {
-            // Stall scheme: fetch waits until Rop is visible.
-            if !WARMING {
+        } else if !stall_scheme && rop_ready + self.cfg.fetch_lead > self.cycle {
+            // Fall-through scheme: only short-circuit when Rop
+            // was already available at fetch.
+            BopOutcome::NotReady
+        } else {
+            if stall_scheme && !WARMING {
+                // Stall scheme: fetch waits until Rop is visible.
                 let need = rop_ready + self.cfg.fetch_lead;
                 if need > self.cycle {
                     stall = need - self.cycle;
@@ -290,35 +279,21 @@ impl Machine {
                     self.cycle = need;
                 }
             }
-            if let Some((t, from_l1)) = self.jte_lookup(bid as u8, s.rop_d) {
-                *next_pc = t;
-                self.guest.arch.scd[bid].rop_v = false;
-                // A JTE served from L1 steers fetch correctly but
-                // late; its bubbles ride the same redirect charge.
-                let late = if from_l1 { self.btb.l1_hit_bubbles() } else { 0 };
-                self.redirect::<OBSERVED, WARMING>(
-                    RedirectCause::BopHit,
-                    scd_cfg.bop_hit_bubbles + late,
-                );
-                BopOutcome::Hit
-            } else {
-                BopOutcome::JteMiss
+            match self.jtes().lookup_leveled(BtbKey::Jte { bid: bid as u8, opcode: s.rop_d }) {
+                Some((t, from_l1)) => {
+                    *next_pc = t;
+                    self.guest.arch.scd[bid].rop_v = false;
+                    // A JTE served from L1 steers fetch correctly but
+                    // late; its bubbles ride the same redirect charge.
+                    let late = if from_l1 { self.btb.l1_hit_bubbles() } else { 0 };
+                    self.redirect::<OBSERVED, WARMING>(
+                        RedirectCause::BopHit,
+                        scd_cfg.bop_hit_bubbles + late,
+                    );
+                    BopOutcome::Hit
+                }
+                None => BopOutcome::JteMiss,
             }
-        } else if rop_ready + self.cfg.fetch_lead > self.cycle {
-            // Fall-through scheme: only short-circuit when Rop
-            // was already available at fetch.
-            BopOutcome::NotReady
-        } else if let Some((t, from_l1)) = self.jte_lookup(bid as u8, s.rop_d) {
-            *next_pc = t;
-            self.guest.arch.scd[bid].rop_v = false;
-            let late = if from_l1 { self.btb.l1_hit_bubbles() } else { 0 };
-            self.redirect::<OBSERVED, WARMING>(
-                RedirectCause::BopHit,
-                scd_cfg.bop_hit_bubbles + late,
-            );
-            BopOutcome::Hit
-        } else {
-            BopOutcome::JteMiss
         };
         if outcome == BopOutcome::Hit {
             self.stats.bop_hits += 1;
@@ -348,7 +323,7 @@ impl Machine {
         let target = self.guest.arch.regs[rs1.index()] & !1;
         if scd_cfg.enabled && self.guest.arch.scd[bid].rop_v {
             let opcode = self.guest.arch.scd[bid].rop_d;
-            let out = self.jte_insert(bid as u8, opcode, target);
+            let out = self.jtes().insert(BtbKey::Jte { bid: bid as u8, opcode }, target);
             self.note_insert::<OBSERVED>(EntryKind::Jte, out);
             self.guest.arch.scd[bid].rop_v = false;
         }

@@ -44,10 +44,7 @@ impl Machine {
         match kind {
             FaultKind::JteInvalidate => {
                 let r = plan.rng().next();
-                match &mut self.jte_table {
-                    Some(t) => t.fault_invalidate_jte(r),
-                    None => self.btb.fault_invalidate_jte(r),
-                }
+                self.jtes().fault_invalidate_jte(r)
             }
             FaultKind::BtbFlush => {
                 let mut evicted = self.btb.fault_flush_all();
