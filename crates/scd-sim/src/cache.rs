@@ -1,6 +1,8 @@
 //! Set-associative cache tag model (timing only — data lives in
 //! [`crate::GuestMemory`]).
 
+use crate::snapshot::{SnapshotError, Walk};
+
 /// Replacement policy for caches and the BTB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Replacement {
@@ -193,40 +195,22 @@ impl Cache {
         self.last_blk = u64::MAX;
     }
 
-    // ---- checkpoint codec (crate::snapshot) ----
-
-    pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
-        out.push(self.lines.len() as u64);
-        for l in &self.lines {
-            out.push(l.valid as u64 | (l.dirty as u64) << 1);
-            out.push(l.tag);
-            out.push(l.lru);
-        }
-        out.push(self.rr_next.len() as u64);
-        out.extend(self.rr_next.iter().map(|&v| v as u64));
-        out.push(self.tick);
-    }
-
-    pub(crate) fn restore_words(
-        &mut self,
-        c: &mut crate::snapshot::Cursor,
-    ) -> Result<(), crate::SnapshotError> {
-        let n = c.next()? as usize;
-        crate::snapshot::check(n == self.lines.len(), "snapshot cache geometry mismatch")?;
+    /// The checkpoint walk. Loading invalidates the MRU memo.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapshotError> {
+        w.shape(self.lines.len(), "cache line count")?;
         for l in &mut self.lines {
-            let flags = c.next()?;
-            l.valid = flags & 1 != 0;
-            l.dirty = flags & 2 != 0;
-            l.tag = c.next()?;
-            l.lru = c.next()?;
+            w.flags([&mut l.valid, &mut l.dirty], "cache line flags")?;
+            w.word(&mut l.tag)?;
+            w.word(&mut l.lru)?;
         }
-        let nrr = c.next()? as usize;
-        crate::snapshot::check(nrr == self.rr_next.len(), "snapshot cache set-count mismatch")?;
+        w.shape(self.rr_next.len(), "cache set count")?;
         for v in &mut self.rr_next {
-            *v = c.next()? as usize;
+            w.index(v, self.cfg.ways, "cache round-robin way")?;
         }
-        self.tick = c.next()?;
-        self.last_blk = u64::MAX;
+        w.word(&mut self.tick)?;
+        if w.loading() {
+            self.last_blk = u64::MAX;
+        }
         Ok(())
     }
 }

@@ -11,6 +11,7 @@
 //! confidence counters.
 
 use crate::predictor::Counter2;
+use crate::snapshot::{SnapshotError, Walk};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
@@ -171,7 +172,7 @@ impl Ittage {
         for t in &mut self.tables {
             for e in &mut t.entries {
                 if e.valid {
-                    e.conf = Counter2::from_raw((rng.next() & 3) as u8);
+                    e.conf = Counter2::ALL[(rng.next() & 3) as usize];
                     e.target ^= rng.next() & 0xFFFC; // keep 4-byte alignment
                     e.useful = rng.next() & 1 != 0;
                 }
@@ -180,45 +181,24 @@ impl Ittage {
         self.history ^= ((rng.next() as u128) << 64) | rng.next() as u128;
     }
 
-    // ---- checkpoint codec (crate::snapshot) ----
-
-    pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
-        out.push(self.tables.len() as u64);
-        for t in &self.tables {
-            out.push(t.entries.len() as u64);
-            for e in &t.entries {
-                out.push(e.valid as u64 | (e.useful as u64) << 1 | (e.conf.raw() as u64) << 2);
-                out.push(e.tag as u64);
-                out.push(e.target);
-            }
-        }
-        out.push((self.history >> 64) as u64);
-        out.push(self.history as u64);
-        out.push(self.clock);
-    }
-
-    pub(crate) fn restore_words(
-        &mut self,
-        c: &mut crate::snapshot::Cursor,
-    ) -> Result<(), crate::SnapshotError> {
-        let nt = c.next()? as usize;
-        crate::snapshot::check(nt == self.tables.len(), "snapshot ITTAGE table count mismatch")?;
+    /// The checkpoint walk. An entry's `valid` and `useful` bits share
+    /// a word with its confidence above them.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapshotError> {
+        w.shape(self.tables.len(), "ITTAGE table count")?;
         for t in &mut self.tables {
-            let n = c.next()? as usize;
-            crate::snapshot::check(n == t.entries.len(), "snapshot ITTAGE table size mismatch")?;
+            w.shape(t.entries.len(), "ITTAGE table size")?;
             for e in &mut t.entries {
-                let flags = c.next()?;
-                e.valid = flags & 1 != 0;
-                e.useful = flags & 2 != 0;
-                e.conf = Counter2::from_raw((flags >> 2) as u8);
-                e.tag = c.next()? as u16;
-                e.target = c.next()?;
+                let flags = [&mut e.valid, &mut e.useful];
+                w.tag(&mut e.conf, &Counter2::ALL, flags, "ITTAGE confidence")?;
+                w.word(&mut e.tag)?;
+                w.word(&mut e.target)?;
             }
         }
-        let hi = c.next()? as u128;
-        self.history = (hi << 64) | c.next()? as u128;
-        self.clock = c.next()?;
-        Ok(())
+        let (mut hi, mut lo) = ((self.history >> 64) as u64, self.history as u64);
+        w.word(&mut hi)?;
+        w.word(&mut lo)?;
+        self.history = (hi as u128) << 64 | lo as u128;
+        w.word(&mut self.clock)
     }
 }
 

@@ -5,7 +5,8 @@
 
 use super::{Machine, Scratch};
 use scd_ref::MemFault;
-use crate::snapshot::{self, Cursor, Snapshot, SnapshotError};
+use crate::{btb::Btb, cache::Cache};
+use crate::snapshot::{self, Load, Save, Snapshot, SnapshotError, Walk};
 use scd_isa::Reg;
 
 /// Guest-binary metadata used for statistics attribution and VBBI.
@@ -199,58 +200,18 @@ impl Machine {
     /// statistics) — such that [`Machine::restore`] followed by `run`
     /// reproduces the uninterrupted run bit for bit, stats included.
     ///
+    /// Takes `&mut self` because saving and restoring share one walk
+    /// over the machine's fields; saving leaves every field unchanged.
+    ///
     /// Not captured: trace sinks, the stat self-checker, profiling
     /// buffers, fault plans and watchdog budgets. Re-arm those on the
     /// restored machine if needed.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut w = Vec::new();
-        let arch = &self.guest.arch;
-        w.extend_from_slice(&arch.regs);
-        w.extend_from_slice(&arch.fregs);
-        w.push(arch.pc);
-        w.push(self.cycle);
-        // Entry 32 of the ready arrays is the constant-zero scoreboard
-        // sentinel — derived state, not snapshotted.
-        w.extend_from_slice(&self.xready[..32]);
-        w.extend_from_slice(&self.fready[..32]);
-        w.push(self.issued_this_cycle as u64);
-        w.push(self.prev_def_mask as u64);
-        w.push(self.prev_fdef_mask as u64);
-        w.push(self.prev_was_mem as u64);
-        for (s, t) in arch.scd.iter().zip(&self.scd_timing) {
-            w.push(s.rop_v as u64);
-            w.push(s.rop_d);
-            w.push(s.rmask);
-            w.push(t.rbop_pc);
-            w.push(t.rop_ready);
-        }
-        w.push(self.next_flush_at);
-        snapshot::stats_to_words(&self.stats, &mut w);
-        self.icache.snapshot_words(&mut w);
-        self.dcache.snapshot_words(&mut w);
-        match &self.l2 {
-            Some(l2) => {
-                w.push(1);
-                l2.snapshot_words(&mut w);
-            }
-            None => w.push(0),
-        }
-        self.itlb.snapshot_words(&mut w);
-        self.dtlb.snapshot_words(&mut w);
-        self.direction.snapshot_words(&mut w);
-        self.btb.snapshot_words(&mut w);
-        match &self.jte_table {
-            Some(t) => {
-                w.push(1);
-                t.snapshot_words(&mut w);
-            }
-            None => w.push(0),
-        }
-        self.ras.snapshot_words(&mut w);
-        self.ittage.snapshot_words(&mut w);
+    pub fn snapshot(&mut self) -> Snapshot {
+        let mut save = Save::default();
+        self.walk(&mut save).expect("saving a machine cannot fail");
         Snapshot {
             fingerprint: self.fingerprint(),
-            words: w,
+            words: save.0,
             segments: self.guest.mem.snapshot_segments(),
             output: self.guest.output.clone(),
         }
@@ -266,71 +227,59 @@ impl Machine {
     /// # Errors
     /// [`SnapshotError::Fingerprint`] when the snapshot belongs to a
     /// different (config, program) pair; [`SnapshotError::Format`] when
-    /// the memory layout or optional structures do not line up.
+    /// the memory layout, a table's shape, an optional structure or an
+    /// index word does not line up. A failed restore leaves the machine
+    /// partly overwritten.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let expected = self.fingerprint();
         if snap.fingerprint != expected {
             return Err(SnapshotError::Fingerprint { expected, found: snap.fingerprint });
         }
         self.guest.mem.restore_segments(&snap.segments).map_err(SnapshotError::Format)?;
-        let mut c = Cursor::new(&snap.words);
-        let arch = &mut self.guest.arch;
-        for r in &mut arch.regs {
-            *r = c.next()?;
-        }
-        for r in &mut arch.fregs {
-            *r = c.next()?;
-        }
-        arch.pc = c.next()?;
-        self.cycle = c.next()?;
-        for r in &mut self.xready[..32] {
-            *r = c.next()?;
-        }
-        for r in &mut self.fready[..32] {
-            *r = c.next()?;
-        }
-        self.issued_this_cycle = c.next()? as usize;
-        self.prev_def_mask = c.next()? as u32;
-        self.prev_fdef_mask = c.next()? as u32;
-        self.prev_was_mem = c.next()? != 0;
-        for (s, t) in self.guest.arch.scd.iter_mut().zip(&mut self.scd_timing) {
-            s.rop_v = c.next()? != 0;
-            s.rop_d = c.next()?;
-            s.rmask = c.next()?;
-            t.rbop_pc = c.next()?;
-            t.rop_ready = c.next()?;
-        }
-        self.next_flush_at = c.next()?;
-        self.stats = snapshot::stats_from_words(&mut c)?;
-        self.icache.restore_words(&mut c)?;
-        self.dcache.restore_words(&mut c)?;
-        let have_l2 = c.next()? != 0;
-        match (&mut self.l2, have_l2) {
-            (Some(l2), true) => l2.restore_words(&mut c)?,
-            (None, false) => {}
-            _ => return Err(SnapshotError::Format("L2 presence mismatch".into())),
-        }
-        self.itlb.restore_words(&mut c)?;
-        self.dtlb.restore_words(&mut c)?;
-        self.direction.restore_words(&mut c)?;
-        self.btb.restore_words(&mut c)?;
-        let have_jt = c.next()? != 0;
-        match (&mut self.jte_table, have_jt) {
-            (Some(t), true) => t.restore_words(&mut c)?,
-            (None, false) => {}
-            _ => return Err(SnapshotError::Format("JTE-table presence mismatch".into())),
-        }
-        self.ras.restore_words(&mut c)?;
-        self.ittage.restore_words(&mut c)?;
-        if c.remaining() != 0 {
-            return Err(SnapshotError::Format(format!(
-                "{} unconsumed snapshot words",
-                c.remaining()
-            )));
+        let mut load = Load(&snap.words);
+        self.walk(&mut load)?;
+        if !load.0.is_empty() {
+            return Err(SnapshotError::Format(format!("{} unconsumed words", load.0.len())));
         }
         self.guest.output = snap.output.clone();
         self.scratch = Scratch::default();
         self.invariants = None;
         Ok(())
+    }
+
+    /// The checkpoint walk over every timing-relevant field, in word
+    /// order. Memory segments and guest output travel beside the words.
+    pub(super) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapshotError> {
+        let arch = &mut self.guest.arch;
+        // Entry 32 of the ready arrays is the constant-zero scoreboard
+        // sentinel — derived state, not snapshotted.
+        let core = arch.regs.iter_mut().chain(&mut arch.fregs);
+        let scoreboard = self.xready[..32].iter_mut().chain(&mut self.fready[..32]);
+        for r in core.chain([&mut arch.pc, &mut self.cycle]).chain(scoreboard) {
+            w.word(r)?;
+        }
+        w.word(&mut self.issued_this_cycle)?;
+        w.word(&mut self.prev_def_mask)?;
+        w.word(&mut self.prev_fdef_mask)?;
+        w.flags([&mut self.prev_was_mem], "previous-instruction flag")?;
+        for (s, t) in arch.scd.iter_mut().zip(&mut self.scd_timing) {
+            w.flags([&mut s.rop_v], "Rop.v")?;
+            w.word(&mut s.rop_d)?;
+            w.word(&mut s.rmask)?;
+            w.word(&mut t.rbop_pc)?;
+            w.word(&mut t.rop_ready)?;
+        }
+        w.word(&mut self.next_flush_at)?;
+        self.stats.walk(w)?;
+        self.icache.walk(w)?;
+        self.dcache.walk(w)?;
+        w.present(self.l2.as_mut(), "L2 presence", Cache::walk)?;
+        self.itlb.walk(w)?;
+        self.dtlb.walk(w)?;
+        self.direction.walk(w)?;
+        self.btb.walk(w)?;
+        w.present(self.jte_table.as_mut(), "JTE-table presence", Btb::walk)?;
+        self.ras.walk(w)?;
+        self.ittage.walk(w)
     }
 }

@@ -5,6 +5,8 @@
 //! gem5 MinorCPU / Cortex-A5 configuration) and a small gshare (128-entry,
 //! as in the Rocket FPGA configuration).
 
+use crate::snapshot::{SnapshotError, Walk};
+
 /// Saturating 2-bit counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter2(u8);
@@ -31,15 +33,9 @@ impl Counter2 {
         }
     }
 
-    /// Raw counter value, for checkpointing.
-    pub(crate) fn raw(self) -> u8 {
-        self.0
-    }
-
-    /// Rebuilds a counter from a raw value (clamped into 0..=3).
-    pub(crate) fn from_raw(v: u8) -> Self {
-        Counter2(v.min(3))
-    }
+    /// Every counter value, in raw order: a checkpoint stores a counter
+    /// as its position here, and the fault hooks draw from it.
+    pub(crate) const ALL: [Counter2; 4] = [Counter2(0), Counter2(1), Counter2(2), Counter2(3)];
 }
 
 /// Configuration for a direction predictor.
@@ -147,7 +143,7 @@ impl Direction {
     pub(crate) fn scramble(&mut self, rng: &mut crate::fault::Rng) {
         let scramble_table = |t: &mut Vec<Counter2>, rng: &mut crate::fault::Rng| {
             for c in t.iter_mut() {
-                *c = Counter2::from_raw((rng.next() & 3) as u8);
+                *c = Counter2::ALL[(rng.next() & 3) as usize];
             }
         };
         match self {
@@ -164,60 +160,22 @@ impl Direction {
         }
     }
 
-    // ---- checkpoint codec (crate::snapshot) ----
-
-    pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
-        let push_table = |out: &mut Vec<u64>, t: &[Counter2]| {
-            out.push(t.len() as u64);
-            out.extend(t.iter().map(|c| c.raw() as u64));
+    /// The checkpoint walk: the variant, each table, then the history.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapshotError> {
+        w.shape(matches!(self, Direction::Gshare { .. }) as usize, "predictor variant")?;
+        let (tables, ghr) = match self {
+            Direction::Tournament { global, local, chooser, ghr } => {
+                ([Some(global), Some(local), Some(chooser)], ghr)
+            }
+            Direction::Gshare { table, ghr } => ([Some(table), None, None], ghr),
         };
-        match self {
-            Direction::Tournament { global, local, chooser, ghr } => {
-                out.push(0);
-                push_table(out, global);
-                push_table(out, local);
-                push_table(out, chooser);
-                out.push(*ghr);
-            }
-            Direction::Gshare { table, ghr } => {
-                out.push(1);
-                push_table(out, table);
-                out.push(*ghr);
+        for t in tables.into_iter().flatten() {
+            w.shape(t.len(), "predictor table size")?;
+            for c in t.iter_mut() {
+                w.tag(c, &Counter2::ALL, [], "predictor counter")?;
             }
         }
-    }
-
-    pub(crate) fn restore_words(
-        &mut self,
-        c: &mut crate::snapshot::Cursor,
-    ) -> Result<(), crate::SnapshotError> {
-        let restore_table =
-            |t: &mut Vec<Counter2>,
-             c: &mut crate::snapshot::Cursor|
-             -> Result<(), crate::SnapshotError> {
-                let n = c.next()? as usize;
-                crate::snapshot::check(n == t.len(), "snapshot predictor table size mismatch")?;
-                for slot in t.iter_mut() {
-                    *slot = Counter2::from_raw(c.next()? as u8);
-                }
-                Ok(())
-            };
-        let tag = c.next()?;
-        match self {
-            Direction::Tournament { global, local, chooser, ghr } => {
-                crate::snapshot::check(tag == 0, "snapshot predictor variant mismatch")?;
-                restore_table(global, c)?;
-                restore_table(local, c)?;
-                restore_table(chooser, c)?;
-                *ghr = c.next()?;
-            }
-            Direction::Gshare { table, ghr } => {
-                crate::snapshot::check(tag == 1, "snapshot predictor variant mismatch")?;
-                restore_table(table, c)?;
-                *ghr = c.next()?;
-            }
-        }
-        Ok(())
+        w.word(ghr)
     }
 }
 
@@ -267,27 +225,15 @@ impl Ras {
         self.depth = 0;
     }
 
-    // ---- checkpoint codec (crate::snapshot) ----
-
-    pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
-        out.push(self.stack.len() as u64);
-        out.extend_from_slice(&self.stack);
-        out.push(self.top as u64);
-        out.push(self.depth as u64);
-    }
-
-    pub(crate) fn restore_words(
-        &mut self,
-        c: &mut crate::snapshot::Cursor,
-    ) -> Result<(), crate::SnapshotError> {
-        let n = c.next()? as usize;
-        crate::snapshot::check(n == self.stack.len(), "snapshot RAS size mismatch")?;
+    /// The checkpoint walk. Load rejects a `top` or `depth` that
+    /// would index past the stack.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapshotError> {
+        w.shape(self.stack.len(), "RAS size")?;
         for v in &mut self.stack {
-            *v = c.next()?;
+            w.word(v)?;
         }
-        self.top = c.next()? as usize;
-        self.depth = c.next()? as usize;
-        Ok(())
+        w.index(&mut self.top, self.stack.len(), "RAS top")?;
+        w.index(&mut self.depth, self.stack.len() + 1, "RAS depth")
     }
 }
 

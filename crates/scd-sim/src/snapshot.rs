@@ -9,6 +9,12 @@
 //! fingerprint) and continuing the run reproduces the uninterrupted
 //! run's [`crate::SimStats`] exactly; a test asserts this.
 //!
+//! Each checkpointed structure (the machine, caches, TLBs, direction
+//! predictor, RAS, ITTAGE, BTB banks, the stats block) lists its saved
+//! fields once, in one `walk` over a `Walk`er: `Save` appends them to
+//! the word stream and `Load` overwrites them from it, so the save and
+//! restore orders cannot drift apart.
+//!
 //! The byte encoding ([`Snapshot::to_bytes`]/[`Snapshot::from_bytes`])
 //! is a self-contained little-endian format (magic `SCDCKPT2`) with no
 //! external dependencies, used by `scd-cli run --checkpoint-every` /
@@ -23,7 +29,6 @@
 //! machine zero-initializes segments) and shrinks both in-memory
 //! snapshots and checkpoint files by orders of magnitude.
 
-use crate::stats::SimStats;
 use std::fmt;
 
 /// Magic prefix of the checkpoint byte format. `SCDCKPT1` stored full
@@ -72,8 +77,8 @@ impl std::error::Error for SnapshotError {}
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) fingerprint: u64,
-    /// All scalar core + µarch state, in the fixed order produced by
-    /// `Machine::snapshot`.
+    /// All scalar core + µarch state, in the order of the machine's
+    /// checkpoint walk.
     pub(crate) words: Vec<u64>,
     /// Memory segments as (name, base, full size, zero-trimmed data):
     /// `data` holds the segment's bytes up to its last non-zero one, and
@@ -89,7 +94,7 @@ impl Snapshot {
         self.fingerprint
     }
 
-    /// Serializes the snapshot into the `SCDCKPT1` byte format.
+    /// Serializes the snapshot into the `SCDCKPT2` byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -198,46 +203,138 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Read cursor over a snapshot's word stream, handed to each component's
-/// `restore_words`.
+/// A walk over checkpointed fields in word order (module docs).
 ///
-/// Exhausting the stream or failing a geometry check returns
-/// [`SnapshotError::Format`]: the fingerprint covers only the (config,
-/// program) pair, so a truncated or bit-flipped checkpoint file can pass
-/// it while the word stream disagrees with the machine's shape. That is
-/// a bad input, not an internal bug — callers surface it as the
-/// documented checkpoint error instead of panicking.
-pub(crate) struct Cursor<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
+/// Loading checks every word that shapes or indexes the machine —
+/// table lengths, presence words, enum tags, flag bits, indices — and
+/// returns [`SnapshotError::Format`] when one disagrees: the
+/// fingerprint covers only the (config, program) pair, so a truncated
+/// or bit-flipped checkpoint file can pass it. That is a bad input, not
+/// an internal bug, and callers surface it as the documented
+/// checkpoint error instead of panicking later. Saving skips the checks
+/// and leaves every field unchanged.
+pub(crate) trait Walk: Sized {
+    /// True for [`Load`]: checks and load-only effects run only then.
+    fn loading(&self) -> bool;
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(words: &'a [u64]) -> Self {
-        Cursor { words, pos: 0 }
-    }
+    /// Saves `*v`, or overwrites it with the next word of the stream.
+    fn raw(&mut self, v: &mut u64) -> Result<(), SnapshotError>;
 
-    pub(crate) fn next(&mut self) -> Result<u64, SnapshotError> {
-        let w = *self
-            .words
-            .get(self.pos)
-            .ok_or_else(|| SnapshotError::Format("snapshot word stream exhausted".into()))?;
-        self.pos += 1;
-        Ok(w)
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.words.len() - self.pos
-    }
-}
-
-/// Geometry / consistency check during restore; `false` means the word
-/// stream disagrees with the machine's shape.
-pub(crate) fn check(ok: bool, what: &str) -> Result<(), SnapshotError> {
-    if ok {
+    /// Fails a load unless `ok()` holds for the `what` just walked;
+    /// saving skips it.
+    fn check(&self, ok: impl FnOnce() -> bool, what: &str) -> Result<(), SnapshotError> {
+        if self.loading() && !ok() {
+            return Err(SnapshotError::Format(format!("snapshot {what} is invalid")));
+        }
         Ok(())
-    } else {
-        Err(SnapshotError::Format(what.into()))
+    }
+
+    /// One whole-word integer field. Load rejects a word that does not
+    /// fit `T`.
+    fn word<T>(&mut self, v: &mut T) -> Result<(), SnapshotError>
+    where
+        T: Copy + TryFrom<u64> + TryInto<u64>,
+    {
+        let mut w = (*v).try_into().ok().expect("every field fits a word");
+        self.raw(&mut w)?;
+        *v = T::try_from(w)
+            .map_err(|_| SnapshotError::Format(format!("snapshot word {w:#x} out of range")))?;
+        Ok(())
+    }
+
+    /// A word fixed by the config — a table length, a presence bit, the
+    /// predictor variant: written on save, checked on load.
+    fn shape(&mut self, n: usize, what: &str) -> Result<(), SnapshotError> {
+        let mut w = n;
+        self.word(&mut w)?;
+        self.check(|| w == n, what)
+    }
+
+    /// An index into a table of `bound` slots. Load rejects `*v >= bound`.
+    fn index(&mut self, v: &mut usize, bound: usize, what: &str) -> Result<(), SnapshotError> {
+        self.word(v)?;
+        self.check(|| *v < bound, what)
+    }
+
+    /// Flag bits packed into one word, `bits[i]` at bit `i`. Load
+    /// rejects any other bit.
+    fn flags<const N: usize>(
+        &mut self,
+        bits: [&mut bool; N],
+        what: &str,
+    ) -> Result<(), SnapshotError> {
+        self.tag(&mut (), &[()], bits, what)
+    }
+
+    /// An enum, as its position in `variants`, above `bits` packed as by
+    /// [`Walk::flags`]. Load rejects a position past the end.
+    fn tag<T: Copy + PartialEq, const N: usize>(
+        &mut self,
+        v: &mut T,
+        variants: &[T],
+        bits: [&mut bool; N],
+        what: &str,
+    ) -> Result<(), SnapshotError> {
+        let pos = variants.iter().position(|x| x == v).expect("a value is one of its variants");
+        let mut w = (pos as u64) << N;
+        for (i, b) in bits.iter().enumerate() {
+            w |= (**b as u64) << i;
+        }
+        self.raw(&mut w)?;
+        let pos = (w >> N) as usize;
+        self.check(|| pos < variants.len(), what)?;
+        for (i, b) in bits.into_iter().enumerate() {
+            *b = w >> i & 1 != 0;
+        }
+        *v = variants[pos];
+        Ok(())
+    }
+
+    /// A presence word for an optional structure, then the structure.
+    /// Load rejects a presence that differs from the machine's.
+    fn present<T>(
+        &mut self,
+        v: Option<&mut T>,
+        what: &str,
+        walk: impl FnOnce(&mut T, &mut Self) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        self.shape(v.is_some() as usize, what)?;
+        v.map_or(Ok(()), |v| walk(v, self))
+    }
+}
+
+/// The saving walk: appends every walked word to the stream.
+#[derive(Default)]
+pub(crate) struct Save(pub(crate) Vec<u64>);
+
+impl Walk for Save {
+    fn loading(&self) -> bool {
+        false
+    }
+
+    fn raw(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        self.0.push(*v);
+        Ok(())
+    }
+}
+
+/// The loading walk: overwrites every walked field from the stream,
+/// which holds the words not yet walked. Running out of words is a
+/// [`SnapshotError::Format`].
+pub(crate) struct Load<'a>(pub(crate) &'a [u64]);
+
+impl Walk for Load<'_> {
+    fn loading(&self) -> bool {
+        true
+    }
+
+    fn raw(&mut self, v: &mut u64) -> Result<(), SnapshotError> {
+        let (&w, rest) = self
+            .0
+            .split_first()
+            .ok_or_else(|| SnapshotError::Format("snapshot word stream exhausted".into()))?;
+        (*v, self.0) = (w, rest);
+        Ok(())
     }
 }
 
@@ -254,24 +351,26 @@ pub(crate) fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializes every [`SimStats`] counter in [`SimStats::counters`]
-/// order.
-pub(crate) fn stats_to_words(s: &SimStats, out: &mut Vec<u64>) {
-    out.extend_from_slice(&s.counters());
-}
-
-/// Inverse of [`stats_to_words`].
-pub(crate) fn stats_from_words(c: &mut Cursor) -> Result<SimStats, SnapshotError> {
-    let mut s = SimStats::default();
-    for slot in s.counters_mut() {
-        *slot = c.next()?;
-    }
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::SimStats;
+
+    /// The words of `s`, saved through its walk.
+    fn stats_words(mut s: SimStats) -> Vec<u64> {
+        let mut save = Save::default();
+        s.walk(&mut save).unwrap();
+        save.0
+    }
+
+    /// Loads a [`SimStats`] from `words` through its walk, returning it
+    /// with the count of words left over.
+    fn load_stats(words: &[u64]) -> Result<(SimStats, usize), SnapshotError> {
+        let mut s = SimStats::default();
+        let mut load = Load(words);
+        s.walk(&mut load)?;
+        Ok((s, load.0.len()))
+    }
 
     #[test]
     fn byte_roundtrip() {
@@ -336,12 +435,7 @@ mod tests {
         s.bop_hits = 9;
         s.l2.misses = 3;
         s.btb.jte_evictions = 8;
-        let mut w = Vec::new();
-        stats_to_words(&s, &mut w);
-        let mut c = Cursor::new(&w);
-        let back = stats_from_words(&mut c).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(c.remaining(), 0);
+        assert_eq!(load_stats(&stats_words(s.clone())), Ok((s, 0)));
     }
 
     /// Checkpoints written by any earlier build must restore unchanged,
@@ -416,7 +510,7 @@ mod tests {
             },
         };
         let mut w = vec![7];
-        stats_to_words(&s, &mut w);
+        w.extend(stats_words(s.clone()));
         assert_eq!(
             w,
             [
@@ -425,23 +519,19 @@ mod tests {
                 133, 134, 135, 136, 137, 138, 139, 140, 141, 142,
             ]
         );
-        let mut c = Cursor::new(&w[1..]);
-        assert_eq!(stats_from_words(&mut c), Ok(s));
+        assert_eq!(load_stats(&w[1..]), Ok((s, 0)));
     }
 
     #[test]
     fn exhausted_word_stream_is_a_typed_error() {
         let w = vec![1u64, 2];
-        let mut c = Cursor::new(&w);
-        assert_eq!(c.next(), Ok(1));
-        assert_eq!(c.next(), Ok(2));
-        assert!(matches!(c.next(), Err(SnapshotError::Format(_))));
+        let mut load = Load(&w);
+        let mut v = 0u64;
+        assert_eq!(load.word(&mut v).map(|()| v), Ok(1));
+        assert_eq!(load.word(&mut v).map(|()| v), Ok(2));
+        assert!(matches!(load.word(&mut v), Err(SnapshotError::Format(_))));
         // A truncated word stream must fail the full stats decode the
         // same way, not panic.
-        let mut c = Cursor::new(&w);
-        assert!(matches!(
-            stats_from_words(&mut c),
-            Err(SnapshotError::Format(_))
-        ));
+        assert!(matches!(load_stats(&w), Err(SnapshotError::Format(_))));
     }
 }

@@ -3,6 +3,7 @@
 //! fractions).
 
 use crate::btb::BtbStats;
+use crate::snapshot::{SnapshotError, Walk};
 
 /// Branch classes used for the Fig. 2 misprediction breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +218,11 @@ impl SimStats {
         };
         c.executed += 1;
         c.mispredicted += mispredicted as u64;
+    }
+
+    /// The checkpoint walk: every counter, in counter-table order.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapshotError> {
+        self.counters_mut().into_iter().try_for_each(|c| w.word(c))
     }
 
     /// Total branch mispredictions across classes.

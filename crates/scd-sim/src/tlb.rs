@@ -4,6 +4,8 @@
 //! purely to charge realistic miss penalties on first touch of each page,
 //! as in the paper's gem5 and Rocket configurations (8–10 entries).
 
+use crate::snapshot::{SnapshotError, Walk};
+
 const PAGE_SHIFT: u32 = 12;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -103,31 +105,18 @@ impl Tlb {
         self.last_vpn = u64::MAX;
     }
 
-    // ---- checkpoint codec (crate::snapshot) ----
-
-    pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
-        out.push(self.entries.len() as u64);
-        for e in &self.entries {
-            out.push(e.valid as u64);
-            out.push(e.vpn);
-            out.push(e.lru);
-        }
-        out.push(self.tick);
-    }
-
-    pub(crate) fn restore_words(
-        &mut self,
-        c: &mut crate::snapshot::Cursor,
-    ) -> Result<(), crate::SnapshotError> {
-        let n = c.next()? as usize;
-        crate::snapshot::check(n == self.entries.len(), "snapshot TLB geometry mismatch")?;
+    /// The checkpoint walk. Loading invalidates the MRU memo.
+    pub(crate) fn walk(&mut self, w: &mut impl Walk) -> Result<(), SnapshotError> {
+        w.shape(self.entries.len(), "TLB size")?;
         for e in &mut self.entries {
-            e.valid = c.next()? != 0;
-            e.vpn = c.next()?;
-            e.lru = c.next()?;
+            w.flags([&mut e.valid], "TLB entry flags")?;
+            w.word(&mut e.vpn)?;
+            w.word(&mut e.lru)?;
         }
-        self.tick = c.next()?;
-        self.last_vpn = u64::MAX;
+        w.word(&mut self.tick)?;
+        if w.loading() {
+            self.last_vpn = u64::MAX;
+        }
         Ok(())
     }
 }
