@@ -5,39 +5,73 @@
 //! assigns addresses, resolves labels (branch/jump offsets, absolute
 //! address materialization, jump-table words in rodata) and returns a
 //! [`Program`] ready to be loaded into the simulator.
+//!
+//! Each label name is interned once into a dense `LabelId`; fixups and
+//! rodata words carry the id, and `finish` resolves them through a table
+//! indexed by id.
 
 use crate::code::{encode, CodeError};
 use crate::inst::{AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use crate::reg::{FReg, Reg};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A label's index in the order its name was first seen.
+type LabelId = u32;
 
 /// Label-dependent patch attached to an emitted instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Fixup {
     /// Conditional branch to a label: patch the B-type offset.
-    Branch(String),
+    Branch(LabelId),
     /// `jal` to a label: patch the J-type offset.
-    Jal(String),
+    Jal(LabelId),
     /// `lui rd, %hi(label)` with `+0x800` rounding.
-    AbsHi(String),
+    AbsHi(LabelId),
     /// `addiw rd, rd, %lo(label)`.
-    AbsLo(String),
-}
-
-#[derive(Debug, Clone)]
-struct Slot {
-    inst: Inst,
-    fixup: Option<Fixup>,
+    AbsLo(LabelId),
 }
 
 /// An item in the read-only data section.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum RoItem {
     /// A literal 64-bit word.
     Word(u64),
     /// The absolute address of a text or rodata label.
-    Addr(String),
+    Addr(LabelId),
+}
+
+/// Where a label is defined: a text index, a rodata word index, or
+/// (an error at `finish`) both.
+#[derive(Debug, Clone, Copy, Default)]
+struct LabelDef {
+    text: Option<u32>,
+    ro: Option<u32>,
+}
+
+/// 64-bit FNV-1a. Label names are short and come from the guest
+/// builders, not from untrusted input, so the interner needs no keyed
+/// hash.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 /// Error raised while assembling a program.
@@ -141,10 +175,17 @@ impl Program {
 #[derive(Debug)]
 pub struct Asm {
     text_base: u64,
-    slots: Vec<Slot>,
-    labels: HashMap<String, usize>,
+    /// The emitted instructions; label-dependent fields hold 0 until
+    /// `finish` applies `fixups`.
+    insts: Vec<Inst>,
+    /// Label patches as (text index, patch), in text order.
+    fixups: Vec<(u32, Fixup)>,
+    /// Label name to id, the only copy of each name until `finish`
+    /// moves it into [`Program::symbols`].
+    ids: HashMap<String, LabelId, BuildHasherDefault<Fnv1a>>,
+    /// Each label's definition, indexed by id.
+    defs: Vec<LabelDef>,
     ro_items: Vec<RoItem>,
-    ro_labels: HashMap<String, usize>,
     error: Option<AsmError>,
 }
 
@@ -158,27 +199,29 @@ impl Asm {
         assert_eq!(text_base % 4, 0, "text base must be 4-byte aligned");
         Asm {
             text_base,
-            slots: Vec::new(),
-            labels: HashMap::new(),
+            insts: Vec::new(),
+            fixups: Vec::new(),
+            // The guest interpreters define a few hundred labels each.
+            ids: HashMap::with_capacity_and_hasher(256, Default::default()),
+            defs: Vec::with_capacity(256),
             ro_items: Vec::new(),
-            ro_labels: HashMap::new(),
             error: None,
         }
     }
 
     /// Number of instructions emitted so far.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.insts.len()
     }
 
     /// True if no instructions were emitted yet.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.insts.is_empty()
     }
 
     /// Address the next emitted instruction will receive.
     pub fn here(&self) -> u64 {
-        self.text_base + 4 * self.slots.len() as u64
+        self.text_base + 4 * self.insts.len() as u64
     }
 
     fn set_err(&mut self, e: AsmError) {
@@ -187,23 +230,40 @@ impl Asm {
         }
     }
 
+    /// The id of label `name`, interning it on first sight.
+    fn intern(&mut self, name: &str) -> LabelId {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = LabelId::try_from(self.defs.len()).expect("fewer than 2^32 labels");
+        self.ids.insert(name.to_string(), id);
+        self.defs.push(LabelDef::default());
+        id
+    }
+
     /// Defines a text label at the current position.
     pub fn label(&mut self, name: &str) -> &mut Self {
-        if self.labels.insert(name.to_string(), self.slots.len()).is_some() {
+        let (id, at) = (self.intern(name), self.text_index());
+        if self.defs[id as usize].text.replace(at).is_some() {
             self.set_err(AsmError::DuplicateLabel(name.to_string()));
         }
         self
     }
 
+    /// The text index the next emitted instruction will receive.
+    fn text_index(&self) -> u32 {
+        u32::try_from(self.insts.len()).expect("fewer than 2^32 instructions")
+    }
+
     /// Emits a raw instruction.
     pub fn inst(&mut self, inst: Inst) -> &mut Self {
-        self.slots.push(Slot { inst, fixup: None });
+        self.insts.push(inst);
         self
     }
 
     fn inst_fix(&mut self, inst: Inst, fix: Fixup) -> &mut Self {
-        self.slots.push(Slot { inst, fixup: Some(fix) });
-        self
+        self.fixups.push((self.text_index(), fix));
+        self.inst(inst)
     }
 
     // ---- integer ALU ----
@@ -430,10 +490,8 @@ impl Asm {
 
     /// Conditional branch to a label (must resolve within ±4 KiB).
     pub fn br(&mut self, op: BranchOp, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
-        self.inst_fix(
-            Inst::Branch { op, rs1, rs2, offset: 0 },
-            Fixup::Branch(label.to_string()),
-        )
+        let id = self.intern(label);
+        self.inst_fix(Inst::Branch { op, rs1, rs2, offset: 0 }, Fixup::Branch(id))
     }
     /// Emits `beq`.
     pub fn beq(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
@@ -470,12 +528,14 @@ impl Asm {
 
     /// Unconditional jump (`jal x0`) to a label (±1 MiB).
     pub fn j(&mut self, label: &str) -> &mut Self {
-        self.inst_fix(Inst::Jal { rd: Reg::ZERO, offset: 0 }, Fixup::Jal(label.to_string()))
+        let id = self.intern(label);
+        self.inst_fix(Inst::Jal { rd: Reg::ZERO, offset: 0 }, Fixup::Jal(id))
     }
 
     /// Call (`jal ra`) to a label.
     pub fn call(&mut self, label: &str) -> &mut Self {
-        self.inst_fix(Inst::Jal { rd: Reg::RA, offset: 0 }, Fixup::Jal(label.to_string()))
+        let id = self.intern(label);
+        self.inst_fix(Inst::Jal { rd: Reg::RA, offset: 0 }, Fixup::Jal(id))
     }
 
     /// Indirect jump through a register (`jalr x0, 0(rs1)`).
@@ -565,22 +625,18 @@ impl Asm {
     /// All guest addresses fit in 31 bits, so this is always two
     /// instructions.
     pub fn la(&mut self, rd: Reg, label: &str) -> &mut Self {
-        self.inst_fix(Inst::Lui { rd, imm: 0 }, Fixup::AbsHi(label.to_string()));
-        self.inst_fix(
-            Inst::OpImm { op: AluOp::Addw, rd, rs1: rd, imm: 0 },
-            Fixup::AbsLo(label.to_string()),
-        )
+        let id = self.intern(label);
+        self.inst_fix(Inst::Lui { rd, imm: 0 }, Fixup::AbsHi(id));
+        self.inst_fix(Inst::OpImm { op: AluOp::Addw, rd, rs1: rd, imm: 0 }, Fixup::AbsLo(id))
     }
 
     // ---- rodata ----
 
     /// Defines a label in the rodata section at the current rodata offset.
     pub fn ro_label(&mut self, name: &str) -> &mut Self {
-        if self
-            .ro_labels
-            .insert(name.to_string(), self.ro_items.len())
-            .is_some()
-        {
+        let id = self.intern(name);
+        let at = u32::try_from(self.ro_items.len()).expect("fewer than 2^32 rodata words");
+        if self.defs[id as usize].ro.replace(at).is_some() {
             self.set_err(AsmError::DuplicateLabel(name.to_string()));
         }
         self
@@ -595,7 +651,8 @@ impl Asm {
     /// Emits the absolute address of a label as a 64-bit rodata word
     /// (the building block for software jump tables).
     pub fn ro_addr(&mut self, label: &str) -> &mut Self {
-        self.ro_items.push(RoItem::Addr(label.to_string()));
+        let id = self.intern(label);
+        self.ro_items.push(RoItem::Addr(id));
         self
     }
 
@@ -604,91 +661,79 @@ impl Asm {
     /// # Errors
     /// Returns an error for undefined/duplicate labels or out-of-range
     /// resolved offsets.
-    pub fn finish(self) -> Result<Program, AsmError> {
+    pub fn finish(mut self) -> Result<Program, AsmError> {
         if let Some(e) = self.error {
             return Err(e);
         }
         let text_base = self.text_base;
-        let text_len = 4 * self.slots.len() as u64;
+        let text_len = 4 * self.insts.len() as u64;
         // Keep rodata on its own cache lines / pages.
         let rodata_base = (text_base + text_len + 63) & !63;
 
-        let mut symbols: HashMap<String, u64> = HashMap::new();
-        for (name, idx) in &self.labels {
-            symbols.insert(name.clone(), text_base + 4 * *idx as u64);
+        let mut names = vec![String::new(); self.defs.len()];
+        for (name, id) in self.ids {
+            names[id as usize] = name;
         }
-        for (name, idx) in &self.ro_labels {
-            if symbols
-                .insert(name.clone(), rodata_base + 8 * *idx as u64)
-                .is_some()
-            {
-                return Err(AsmError::DuplicateLabel(name.clone()));
-            }
+        let mut addrs = Vec::with_capacity(self.defs.len());
+        for (id, def) in self.defs.iter().enumerate() {
+            addrs.push(match (def.text, def.ro) {
+                (Some(_), Some(_)) => {
+                    return Err(AsmError::DuplicateLabel(std::mem::take(&mut names[id])))
+                }
+                (Some(i), None) => Some(text_base + 4 * u64::from(i)),
+                (None, Some(i)) => Some(rodata_base + 8 * u64::from(i)),
+                (None, None) => None,
+            });
         }
-        let lookup = |label: &str| -> Result<u64, AsmError> {
-            symbols
-                .get(label)
-                .copied()
-                .ok_or_else(|| AsmError::UndefinedLabel(label.to_string()))
+        let lookup = |id: LabelId| -> Result<u64, AsmError> {
+            addrs[id as usize].ok_or_else(|| AsmError::UndefinedLabel(names[id as usize].clone()))
         };
 
-        let mut insts = Vec::with_capacity(self.slots.len());
-        let mut words = Vec::with_capacity(self.slots.len());
-        for (i, slot) in self.slots.iter().enumerate() {
-            let pc = text_base + 4 * i as u64;
-            let inst = match &slot.fixup {
-                None => slot.inst,
-                Some(Fixup::Branch(l)) => {
-                    let target = lookup(l)?;
-                    let off = target.wrapping_sub(pc) as i64;
-                    match slot.inst {
-                        Inst::Branch { op, rs1, rs2, .. } => {
-                            Inst::Branch { op, rs1, rs2, offset: off }
-                        }
-                        _ => unreachable!("branch fixup on non-branch"),
+        let mut fixups = self.fixups.iter().peekable();
+        let mut words = Vec::with_capacity(self.insts.len());
+        for (i, slot) in self.insts.iter_mut().enumerate() {
+            if let Some(&(_, fix)) = fixups.next_if(|&&(at, _)| at as usize == i) {
+                let pc = text_base + 4 * i as u64;
+                // `%hi`/`%lo` split with `+0x800` rounding.
+                let lo = |addr: u64| ((addr as i64) << 52) >> 52;
+                *slot = match (fix, *slot) {
+                    (Fixup::Branch(id), Inst::Branch { op, rs1, rs2, .. }) => {
+                        let offset = lookup(id)?.wrapping_sub(pc) as i64;
+                        Inst::Branch { op, rs1, rs2, offset }
                     }
-                }
-                Some(Fixup::Jal(l)) => {
-                    let target = lookup(l)?;
-                    let off = target.wrapping_sub(pc) as i64;
-                    match slot.inst {
-                        Inst::Jal { rd, .. } => Inst::Jal { rd, offset: off },
-                        _ => unreachable!("jal fixup on non-jal"),
+                    (Fixup::Jal(id), Inst::Jal { rd, .. }) => {
+                        Inst::Jal { rd, offset: lookup(id)?.wrapping_sub(pc) as i64 }
                     }
-                }
-                Some(Fixup::AbsHi(l)) => {
-                    let addr = lookup(l)? as i64;
-                    let lo = (addr << 52) >> 52;
-                    let hi = (addr - lo) as i32 as i64;
-                    match slot.inst {
-                        Inst::Lui { rd, .. } => Inst::Lui { rd, imm: hi },
-                        _ => unreachable!("abs-hi fixup on non-lui"),
+                    (Fixup::AbsHi(id), Inst::Lui { rd, .. }) => {
+                        let addr = lookup(id)?;
+                        Inst::Lui { rd, imm: (addr as i64 - lo(addr)) as i32 as i64 }
                     }
-                }
-                Some(Fixup::AbsLo(l)) => {
-                    let addr = lookup(l)? as i64;
-                    let lo = (addr << 52) >> 52;
-                    match slot.inst {
-                        Inst::OpImm { op, rd, rs1, .. } => Inst::OpImm { op, rd, rs1, imm: lo },
-                        _ => unreachable!("abs-lo fixup on non-addi"),
+                    (Fixup::AbsLo(id), Inst::OpImm { op, rd, rs1, .. }) => {
+                        Inst::OpImm { op, rd, rs1, imm: lo(lookup(id)?) }
                     }
-                }
-            };
-            let word = encode(inst).map_err(|err| AsmError::Encode { at: i, inst, err })?;
-            insts.push(inst);
-            words.push(word);
+                    (fix, inst) => unreachable!("{fix:?} fixup on `{inst}`"),
+                };
+            }
+            let inst = *slot;
+            words.push(encode(inst).map_err(|err| AsmError::Encode { at: i, inst, err })?);
         }
 
         let mut rodata = Vec::with_capacity(8 * self.ro_items.len());
-        for item in &self.ro_items {
+        for &item in &self.ro_items {
             let w = match item {
-                RoItem::Word(w) => *w,
-                RoItem::Addr(l) => lookup(l)?,
+                RoItem::Word(w) => w,
+                RoItem::Addr(id) => lookup(id)?,
             };
             rodata.extend_from_slice(&w.to_le_bytes());
         }
 
-        Ok(Program { text_base, words, insts: insts.into(), rodata_base, rodata, symbols })
+        let mut symbols = HashMap::with_capacity(names.len());
+        for (name, addr) in names.into_iter().zip(addrs) {
+            if let Some(addr) = addr {
+                symbols.insert(name, addr);
+            }
+        }
+        Ok(Program { text_base, words, insts: self.insts.into(), rodata_base, rodata, symbols })
     }
 }
 
@@ -723,18 +768,51 @@ mod tests {
     }
 
     #[test]
-    fn undefined_label_errors() {
+    fn forward_references_resolve() {
         let mut a = Asm::new(0x1000);
-        a.j("nowhere");
-        assert!(matches!(a.finish(), Err(AsmError::UndefinedLabel(_))));
+        a.beqz(Reg::A0, "done");
+        a.j("done");
+        a.call("fn");
+        a.label("fn").ret();
+        a.label("done").ecall();
+        let p = a.finish().unwrap();
+        assert_eq!(p.sym("done"), 0x1010);
+        assert!(matches!(p.insts[0], Inst::Branch { offset: 16, .. }));
+        assert!(matches!(p.insts[1], Inst::Jal { rd: Reg::ZERO, offset: 12 }));
+        assert!(matches!(p.insts[2], Inst::Jal { rd: Reg::RA, offset: 4 }));
+        assert_eq!(p.symbols.len(), 2);
+    }
+
+    fn error_of(build: fn(&mut Asm) -> &mut Asm) -> String {
+        let mut a = Asm::new(0x1000);
+        build(&mut a);
+        a.finish().expect_err("must not assemble").to_string()
     }
 
     #[test]
-    fn duplicate_label_errors() {
+    fn undefined_labels_are_reported_by_name() {
+        assert_eq!(error_of(|a| a.j("nowhere")), "undefined label `nowhere`");
+        assert_eq!(error_of(|a| a.la(Reg::A0, "far")), "undefined label `far`");
+        assert_eq!(error_of(|a| a.nop().ro_addr("in_rodata")), "undefined label `in_rodata`");
+        // The first unresolved reference in text order is the one named,
+        // and text is resolved before rodata.
+        let err = error_of(|a| a.ro_addr("in_rodata").bnez(Reg::A0, "second").j("first"));
+        assert_eq!(err, "undefined label `second`");
+    }
+
+    #[test]
+    fn duplicate_labels_are_reported_by_name() {
+        assert_eq!(error_of(|a| a.label("x").nop().label("x")), "duplicate label `x`");
+        assert_eq!(error_of(|a| a.ro_label("t").ro_word(0).ro_label("t")), "duplicate label `t`");
+        // A label defined in text and in rodata collides too.
+        let err = error_of(|a| a.label("jt").nop().ro_label("jt").ro_word(1));
+        assert_eq!(err, "duplicate label `jt`");
+        // A definition error wins over an unresolved reference.
+        let err = error_of(|a| a.j("nowhere").label("x").label("y").label("x"));
+        assert_eq!(err, "duplicate label `x`");
         let mut a = Asm::new(0x1000);
-        a.label("x").nop();
-        a.label("x");
-        assert!(matches!(a.finish(), Err(AsmError::DuplicateLabel(_))));
+        a.label("x").label("x");
+        assert!(matches!(a.finish(), Err(AsmError::DuplicateLabel(l)) if l == "x"));
     }
 
     #[test]
@@ -770,6 +848,35 @@ mod tests {
         };
         let addr = ((hi + lo) as i32) as i64 as u64;
         assert_eq!(addr, p.sym("target"));
+    }
+
+    #[test]
+    fn rodata_words_point_at_text_and_rodata_labels() {
+        let mut a = Asm::new(0x2000);
+        a.la(Reg::A0, "table");
+        a.label("h").nop().ecall();
+        a.ro_label("table").ro_addr("h").ro_addr("table").ro_addr("end");
+        a.ro_label("end");
+        let p = a.finish().unwrap();
+        // 4 instructions end at 0x2010; rodata starts on the next 64-byte line.
+        assert_eq!((p.sym("h"), p.sym("table"), p.sym("end")), (0x2008, 0x2040, 0x2058));
+        let words: Vec<u64> =
+            p.rodata.chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
+        assert_eq!(words, [0x2008, 0x2040, 0x2058]);
+        assert_eq!(p.range("h", "table"), (0x2008, 0x2040));
+    }
+
+    #[test]
+    fn listing_names_every_label_in_order() {
+        let mut a = Asm::new(0x1000);
+        a.label("zeta").label("alpha").nop();
+        a.label("next").ecall();
+        a.ro_label("data").ro_word(7);
+        let p = a.finish().unwrap();
+        assert_eq!(
+            p.listing(),
+            "alpha:\nzeta:\n  0x00001000:  addi zero, zero, 0\nnext:\n  0x00001004:  ecall\n"
+        );
     }
 
     #[test]
