@@ -119,9 +119,8 @@ impl fmt::Debug for GuestRun {
 /// Builds a machine with the guest interpreter installed and the
 /// program image, globals, stacks and heap mapped — loaded but not yet
 /// run.
-fn build_machine(cfg: SimConfig, guest: &Guest, img: &Image) -> Machine {
-    let mut m = Machine::new(cfg, &guest.program);
-    m.set_annotations(guest.annotations.clone());
+fn build_machine(cfg: SimConfig, guest: Guest, img: &Image) -> Machine {
+    let mut m = Machine::with_annotations(cfg, &guest.program, guest.annotations);
     m.map(
         "image",
         layout::IMAGE_BASE,
@@ -208,7 +207,7 @@ impl Session {
             }
         };
         Ok(Session {
-            machine: build_machine(cfg, &guest, &img),
+            machine: build_machine(cfg, guest, &img),
             compiled,
             opts,
         })

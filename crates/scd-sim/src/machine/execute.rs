@@ -50,8 +50,8 @@ impl Machine {
             && self.issued_this_cycle == 1
             && min_cycle <= self.cycle
             && !(self.prev_was_mem && si.is_mem)
-            && (si.src_x_mask & self.prev_def_mask) == 0
-            && (si.src_f_mask & self.prev_fdef_mask) == 0;
+            && (si.src_x_mask() & self.prev_def_mask) == 0
+            && (si.src_f_mask() & self.prev_fdef_mask) == 0;
 
         if can_pair {
             self.issued_this_cycle = 2;
@@ -59,8 +59,8 @@ impl Machine {
             self.cycle = (self.cycle + 1).max(min_cycle);
             self.issued_this_cycle = 1;
         }
-        self.prev_def_mask = si.def_x_mask;
-        self.prev_fdef_mask = si.def_f_mask;
+        self.prev_def_mask = si.def_x_mask();
+        self.prev_fdef_mask = si.def_f_mask();
         self.prev_was_mem = si.is_mem;
     }
 

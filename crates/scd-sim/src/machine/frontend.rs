@@ -158,7 +158,7 @@ impl Machine {
             _ => {
                 // VBBI applies only on registered jump PCs under the Vbbi
                 // configuration; everything else is PC-indexed.
-                let vbbi = self.sinfo(pc).vbbi;
+                let vbbi = self.vbbi_hint(pc);
                 let key = match (self.cfg.indirect, vbbi) {
                     (IndirectPredictor::Vbbi, Some(h)) => {
                         let hint = self.guest.arch.regs[h.hint_reg.index()] & h.mask;

@@ -74,7 +74,6 @@ use crate::trace::{
 };
 use scd_isa::{FReg, Inst, Program, Reg};
 use scd_ref::{ArchState, GuestMemory, RefCore};
-use std::sync::Arc;
 
 pub use scd_ref::MAX_BRANCH_IDS;
 
@@ -92,12 +91,10 @@ struct ScdTiming {
 #[derive(Debug)]
 pub struct Machine {
     cfg: SimConfig,
-    /// Decoded text, shared with the [`Program`] (and every other
-    /// machine built from it) — the sweep never re-clones a program.
-    insts: Arc<[Inst]>,
-    /// Per-instruction static metadata, parallel to `insts`; rebuilt by
-    /// [`Machine::set_annotations`]. See [`StaticInfo`].
-    static_info: Vec<StaticInfo>,
+    /// The decoded text, one [`Decoded`] entry per instruction (index =
+    /// (pc - text_base) / 4): what the run loop reads per retirement.
+    /// Built once, at construction.
+    text: Box<[Decoded]>,
     text_base: u64,
     text_end: u64,
 
@@ -189,13 +186,39 @@ struct Scratch {
     store: Option<u64>,
 }
 
+/// One entry of the machine's decoded text: the instruction and its
+/// static facts, side by side so one indexed load serves a retirement.
+/// 32 bytes, aligned so no entry straddles a cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
+struct Decoded {
+    inst: Inst,
+    info: StaticInfo,
+}
+
+const _: () = assert!(std::mem::size_of::<Decoded>() == 32);
+
+/// [`StaticInfo::vbbi`] of an instruction with no VBBI hint.
+const NO_HINT: u32 = u32::MAX;
+
+/// A [`StaticInfo`] register slot with no register. It indexes the
+/// always-ready scoreboard sentinel (entry 32 of the ready arrays), and
+/// its [`reg_bit`] is 0.
+const NO_REG: u8 = 32;
+
+/// Bit `r` of a 32-bit register mask; 0 for [`NO_REG`].
+#[inline]
+fn reg_bit(r: u8) -> u32 {
+    (1u64 << r) as u32
+}
+
 /// Static per-instruction metadata, precomputed once per (program,
 /// annotations) pair so the per-retirement hot path replaces every
-/// annotation-table search (`partition_point`/`binary_search` over
-/// dispatch ranges, dispatch jumps and VBBI hints) and every decode-fact
-/// recomputation (`InstClass::of`, `def_xreg`, `use_xregs`, ...) with
-/// one indexed load. Purely derived state: it never appears in
-/// snapshots and cannot alter timing or statistics.
+/// annotation-table search (dispatch ranges, dispatch jumps and VBBI
+/// hints) and every decode-fact recomputation (`InstClass::of`,
+/// `def_xreg`, `use_xregs`, ...) with one indexed load. Purely derived
+/// state: it never appears in snapshots and cannot alter timing or
+/// statistics.
 #[derive(Debug, Clone, Copy)]
 struct StaticInfo {
     /// Trace classification ([`InstClass::of`]).
@@ -206,73 +229,126 @@ struct StaticInfo {
     dispatch_jump: bool,
     /// Load or store (the dual-issue memory-port pairing hazard).
     is_mem: bool,
-    /// Destination integer register.
-    def_x: Option<Reg>,
-    /// Destination FP register.
-    def_f: Option<FReg>,
-    /// VBBI hint registered on this (jump) PC.
-    vbbi: Option<VbbiHint>,
-    /// Source slots as indices into the 33-entry ready arrays (32 = the
-    /// always-ready sentinel for absent slots), so the scoreboard reads
-    /// readiness without unpacking `Option`s.
+    /// Destination integer and FP register indices, [`NO_REG`] for none
+    /// (an x0 destination stays 0).
+    def_x: u8,
+    def_f: u8,
+    /// Source slots as indices into the 33-entry ready arrays
+    /// ([`NO_REG`] for absent slots), so the scoreboard reads readiness
+    /// without unpacking `Option`s.
     xsrc: [u8; 2],
     fsrc: [u8; 2],
-    /// Source register bitmasks (x0 excluded — it never carries a RAW
-    /// hazard) for the dual-issue pairing test.
-    src_x_mask: u32,
-    src_f_mask: u32,
-    /// Destination bitmasks (0 for none or x0), matched against the next
-    /// instruction's source masks.
-    def_x_mask: u32,
-    def_f_mask: u32,
+    /// Index into [`Annotations::vbbi_hints`] of the hint registered on
+    /// this (jump) PC, or [`NO_HINT`].
+    vbbi: u32,
 }
 
 impl StaticInfo {
-    /// The annotation-independent part; [`Machine::rebuild_static_info`]
-    /// fills in the PC-dependent fields.
+    /// The annotation-independent part; [`decode_text`] fills in the
+    /// PC-dependent fields.
     fn of(inst: &Inst) -> Self {
-        let use_x = inst.use_xregs();
-        let use_f = inst.use_fregs();
-        let def_x = inst.def_xreg();
-        let def_f = inst.def_freg();
-        let mut xsrc = [32u8; 2];
-        let mut src_x_mask = 0u32;
-        for (slot, r) in use_x.into_iter().flatten().enumerate() {
+        let mut xsrc = [NO_REG; 2];
+        for (slot, r) in inst.use_xregs().into_iter().flatten().enumerate() {
             xsrc[slot] = r.index() as u8;
-            if !r.is_zero() {
-                src_x_mask |= 1 << r.index();
-            }
         }
-        let mut fsrc = [32u8; 2];
-        let mut src_f_mask = 0u32;
-        for (slot, r) in use_f.into_iter().flatten().enumerate() {
+        let mut fsrc = [NO_REG; 2];
+        for (slot, r) in inst.use_fregs().into_iter().flatten().enumerate() {
             fsrc[slot] = r.index() as u8;
-            src_f_mask |= 1 << r.index();
         }
         StaticInfo {
             class: InstClass::of(inst),
             in_dispatch: false,
             dispatch_jump: false,
             is_mem: inst.is_load() || inst.is_store(),
-            def_x,
-            def_f,
-            vbbi: None,
+            def_x: inst.def_xreg().map_or(NO_REG, |r| r.index() as u8),
+            def_f: inst.def_freg().map_or(NO_REG, |r| r.index() as u8),
             xsrc,
             fsrc,
-            src_x_mask,
-            src_f_mask,
-            def_x_mask: def_x.map_or(0, |r| if r.is_zero() { 0 } else { 1 << r.index() }),
-            def_f_mask: def_f.map_or(0, |r| 1 << r.index()),
+            vbbi: NO_HINT,
         }
+    }
+
+    /// The destination integer register.
+    fn def_x(&self) -> Option<Reg> {
+        (self.def_x != NO_REG).then(|| Reg::new(self.def_x))
+    }
+
+    /// The destination FP register.
+    fn def_f(&self) -> Option<FReg> {
+        (self.def_f != NO_REG).then(|| FReg::new(self.def_f))
+    }
+
+    /// Source register bitmasks for the dual-issue pairing test (x0
+    /// excluded: it never carries a RAW hazard).
+    #[inline]
+    fn src_x_mask(&self) -> u32 {
+        (reg_bit(self.xsrc[0]) | reg_bit(self.xsrc[1])) & !1
+    }
+
+    #[inline]
+    fn src_f_mask(&self) -> u32 {
+        reg_bit(self.fsrc[0]) | reg_bit(self.fsrc[1])
+    }
+
+    /// Destination bitmasks (0 for none or x0), matched against the
+    /// next instruction's source masks.
+    #[inline]
+    fn def_x_mask(&self) -> u32 {
+        reg_bit(self.def_x) & !1
+    }
+
+    #[inline]
+    fn def_f_mask(&self) -> u32 {
+        reg_bit(self.def_f)
     }
 }
 
+/// Decodes `insts` (the text at `text_base`) into the run loop's table
+/// in one forward merge over `ann`'s sorted tables, which must be
+/// normalized ([`Annotations::normalize`]): dispatch ranges disjoint and
+/// non-empty, jump and hint PCs unique.
+fn decode_text(insts: &[Inst], text_base: u64, ann: &Annotations) -> Box<[Decoded]> {
+    let (mut r, mut j, mut h) = (0, 0, 0);
+    insts
+        .iter()
+        .enumerate()
+        .map(|(i, &inst)| {
+            let pc = text_base + 4 * i as u64;
+            while ann.dispatch_ranges.get(r).is_some_and(|&(_, end)| end <= pc) {
+                r += 1;
+            }
+            while ann.dispatch_jumps.get(j).is_some_and(|&p| p < pc) {
+                j += 1;
+            }
+            while ann.vbbi_hints.get(h).is_some_and(|x| x.jump_pc < pc) {
+                h += 1;
+            }
+            let mut info = StaticInfo::of(&inst);
+            info.in_dispatch = ann.dispatch_ranges.get(r).is_some_and(|&(start, _)| start <= pc);
+            info.dispatch_jump = ann.dispatch_jumps.get(j) == Some(&pc);
+            if ann.vbbi_hints.get(h).is_some_and(|x| x.jump_pc == pc) {
+                info.vbbi = u32::try_from(h).expect("fewer than 2^32 VBBI hints");
+            }
+            Decoded { inst, info }
+        })
+        .collect()
+}
+
 impl Machine {
-    /// Builds a machine for `cfg`, loading `program`'s text and rodata.
-    /// The decoded text is shared with `program` (no per-machine clone).
+    /// Builds a machine for `cfg`, loading `program`'s text and rodata,
+    /// with no guest annotations.
     pub fn new(cfg: SimConfig, program: &Program) -> Self {
+        Machine::with_annotations(cfg, program, Annotations::default())
+    }
+
+    /// Builds a machine for `cfg`, loading `program`'s text and rodata
+    /// and installing the guest annotations `ann` (dispatch ranges,
+    /// dispatch jumps, VBBI hints), which it normalizes
+    /// ([`Annotations::normalize`]).
+    pub fn with_annotations(cfg: SimConfig, program: &Program, mut ann: Annotations) -> Self {
+        ann.normalize();
         let flush_at = cfg.scd.flush_interval.unwrap_or(u64::MAX);
-        let mut m = Machine {
+        Machine {
             icache: Cache::new(cfg.icache),
             dcache: Cache::new(cfg.dcache),
             l2: cfg.l2.map(Cache::new),
@@ -296,7 +372,8 @@ impl Machine {
             prev_def_mask: 0,
             prev_fdef_mask: 0,
             prev_was_mem: false,
-            ann: Annotations::default(),
+            text: decode_text(&program.insts, program.text_base, &ann),
+            ann,
             next_flush_at: flush_at,
             profile: None,
             tracer: SinkSlot(None),
@@ -311,14 +388,10 @@ impl Machine {
             fetch_streak: 0,
             stats: SimStats::default(),
             guest: RefCore::from_program(program, cfg.scd.enabled, cfg.scd.branch_ids),
-            insts: Arc::clone(&program.insts),
-            static_info: Vec::new(),
             text_base: program.text_base,
             text_end: program.text_end(),
             cfg,
-        };
-        m.rebuild_static_info();
-        m
+        }
     }
 
     /// Maps an additional zero-filled memory segment.
@@ -341,43 +414,18 @@ impl Machine {
         &mut self.guest.mem
     }
 
-    /// Installs guest annotations (dispatch ranges, VBBI hints).
-    pub fn set_annotations(&mut self, mut ann: Annotations) {
-        ann.normalize();
-        self.ann = ann;
-        self.rebuild_static_info();
-    }
-
-    /// Recomputes the [`StaticInfo`] side-table from the decoded text and
-    /// the current annotations.
-    fn rebuild_static_info(&mut self) {
-        let info: Vec<StaticInfo> = self
-            .insts
-            .iter()
-            .enumerate()
-            .map(|(i, inst)| {
-                let pc = self.text_base + 4 * i as u64;
-                let mut si = StaticInfo::of(inst);
-                si.in_dispatch = self.ann.contains_dispatch(pc);
-                si.dispatch_jump = self.ann.dispatch_jumps.binary_search(&pc).is_ok();
-                si.vbbi = self
-                    .ann
-                    .vbbi_hints
-                    .binary_search_by_key(&pc, |h| h.jump_pc)
-                    .ok()
-                    .map(|j| self.ann.vbbi_hints[j]);
-                si
-            })
-            .collect();
-        self.static_info = info;
-    }
-
-    /// The static side-table entry for the instruction at `pc`, which
-    /// must lie inside the text section (the run loop bounds-checks
-    /// before every retirement).
+    /// The static facts of the instruction at `pc`, which must lie
+    /// inside the text section (the run loop bounds-checks before every
+    /// retirement).
     #[inline]
     fn sinfo(&self, pc: u64) -> &StaticInfo {
-        &self.static_info[((pc - self.text_base) / 4) as usize]
+        &self.text[((pc - self.text_base) / 4) as usize].info
+    }
+
+    /// The VBBI hint registered on the jump at `pc`, if any.
+    #[inline]
+    fn vbbi_hint(&self, pc: u64) -> Option<VbbiHint> {
+        self.ann.vbbi_hints.get(self.sinfo(pc).vbbi as usize).copied()
     }
 
     /// The machine configuration.
@@ -395,8 +443,8 @@ impl Machine {
     pub fn enable_profiling(&mut self) {
         self.profile = Some(Profile {
             text_base: self.text_base,
-            insts: vec![0; self.insts.len()],
-            cycles: vec![0; self.insts.len()],
+            insts: vec![0; self.text.len()],
+            cycles: vec![0; self.text.len()],
         });
     }
 
@@ -595,8 +643,7 @@ impl Machine {
                 return Err(SimError::PcOutOfRange { pc });
             }
             let idx = ((pc - self.text_base) / 4) as usize;
-            let inst = self.insts[idx];
-            let si = self.static_info[idx];
+            let Decoded { inst, info: si } = self.text[idx];
             if OBSERVED {
                 self.scratch = Scratch::default();
             }

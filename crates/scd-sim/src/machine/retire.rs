@@ -144,8 +144,8 @@ impl Machine {
     ) {
         if self.tracer.0.is_some() || self.invariants.is_some() {
             let arch = ArchInfo {
-                wx: si.def_x.map(|r| (r.index() as u8, self.guest.arch.regs[r.index()])),
-                wf: si.def_f.map(|r| (r.index() as u8, self.guest.arch.fregs[r.index()])),
+                wx: si.def_x().map(|r| (r.index() as u8, self.guest.arch.regs[r.index()])),
+                wf: si.def_f().map(|r| (r.index() as u8, self.guest.arch.fregs[r.index()])),
                 ea: self.scratch.ea,
                 store: self.scratch.store,
                 next_pc,

@@ -38,7 +38,7 @@ impl Machine {
     /// `begin_retirement`) before erroring out of the execute stage.
     fn replicate_error(&mut self, e: RefError, scd_cfg: &ScdConfig) -> SimError {
         let mut retire_faulting = |pc: u64| {
-            let si = self.static_info[((pc - self.text_base) / 4) as usize];
+            let si = *self.sinfo(pc);
             self.fetch_fast::<false>(pc);
             self.issue(&si);
             self.begin_retirement::<false>(si.in_dispatch, scd_cfg);

@@ -22,19 +22,25 @@ pub struct Annotations {
 }
 
 impl Annotations {
-    /// Sorts internal tables; call after populating the fields.
+    /// Puts the tables in the form the machine decodes against: sorted
+    /// dispatch ranges with empty ones dropped and overlapping ones
+    /// merged (a PC counts as dispatcher code if any range holds it),
+    /// sorted unique jump PCs, and one VBBI hint per jump PC (the first
+    /// registered). The machine normalizes whatever it is given.
     pub fn normalize(&mut self) {
+        self.dispatch_ranges.retain(|&(start, end)| start < end);
         self.dispatch_ranges.sort_unstable();
+        self.dispatch_ranges.dedup_by(|next, prev| {
+            let overlaps = next.0 < prev.1;
+            if overlaps {
+                prev.1 = prev.1.max(next.1);
+            }
+            overlaps
+        });
         self.dispatch_jumps.sort_unstable();
-        self.vbbi_hints.sort_unstable_by_key(|h| h.jump_pc);
-    }
-
-    /// Whether `pc` lies inside any (normalized) dispatcher range. Only
-    /// consulted when the static side-table is (re)built; the hot path
-    /// reads the precomputed per-instruction bit instead.
-    pub fn contains_dispatch(&self, pc: u64) -> bool {
-        let i = self.dispatch_ranges.partition_point(|&(_, end)| end <= pc);
-        self.dispatch_ranges.get(i).is_some_and(|&(start, _)| pc >= start)
+        self.dispatch_jumps.dedup();
+        self.vbbi_hints.sort_by_key(|h| h.jump_pc);
+        self.vbbi_hints.dedup_by_key(|h| h.jump_pc);
     }
 }
 
@@ -191,7 +197,7 @@ impl Machine {
         let mut h = snapshot::fnv1a(snapshot::FNV_OFFSET, format!("{:?}", self.cfg).as_bytes());
         h = snapshot::fnv1a(h, &self.text_base.to_le_bytes());
         h = snapshot::fnv1a(h, &self.text_end.to_le_bytes());
-        snapshot::fnv1a(h, &(self.insts.len() as u64).to_le_bytes())
+        snapshot::fnv1a(h, &(self.text.len() as u64).to_le_bytes())
     }
 
     /// Captures the complete machine state — architectural (registers,

@@ -974,3 +974,195 @@ fn taking_a_snapshot_changes_nothing() {
         assert_eq!(run_to_end(true), run_to_end(false), "warming: {warming}");
     }
 }
+
+// ---- the decoded table ----
+
+/// One instruction's annotation facts: `(in_dispatch, dispatch_jump,
+/// VBBI hint as (jump_pc, hint_reg, mask))`.
+type Facts = (bool, bool, Option<(u64, Reg, u64)>);
+
+/// The side-table derivation the one-pass merge replaced, kept as the
+/// oracle: per instruction, a range search and two binary searches over
+/// the normalized annotations.
+fn oracle_facts(n: usize, text_base: u64, ann: &Annotations) -> Vec<Facts> {
+    (0..n)
+        .map(|i| {
+            let pc = text_base + 4 * i as u64;
+            let r = ann.dispatch_ranges.partition_point(|&(_, end)| end <= pc);
+            let in_dispatch = ann.dispatch_ranges.get(r).is_some_and(|&(start, _)| pc >= start);
+            let dispatch_jump = ann.dispatch_jumps.binary_search(&pc).is_ok();
+            let vbbi = ann
+                .vbbi_hints
+                .binary_search_by_key(&pc, |h| h.jump_pc)
+                .ok()
+                .map(|j| ann.vbbi_hints[j])
+                .map(|h| (h.jump_pc, h.hint_reg, h.mask));
+            (in_dispatch, dispatch_jump, vbbi)
+        })
+        .collect()
+}
+
+/// The dual-issue pairing masks as the side-table stored them before
+/// they were derived from register indices: `[src_x, src_f, def_x,
+/// def_f]`, x0 left out of the integer masks.
+fn pairing_masks(inst: &Inst) -> [u32; 4] {
+    let x = |r: Reg| if r.is_zero() { 0 } else { 1u32 << r.index() };
+    let f = |r: scd_isa::FReg| 1u32 << r.index();
+    [
+        inst.use_xregs().into_iter().flatten().map(x).fold(0, |m, b| m | b),
+        inst.use_fregs().into_iter().flatten().map(f).fold(0, |m, b| m | b),
+        inst.def_xreg().map_or(0, x),
+        inst.def_freg().map_or(0, f),
+    ]
+}
+
+/// The machine's decoded table in the oracle's form, after checking
+/// that each entry holds the program's instruction and the
+/// annotation-independent facts of [`StaticInfo::of`].
+fn table_facts(m: &Machine, p: &scd_isa::Program) -> Vec<Facts> {
+    assert_eq!(m.text.len(), p.insts.len());
+    m.text
+        .iter()
+        .zip(p.insts.iter())
+        .enumerate()
+        .map(|(i, (d, inst))| {
+            assert_eq!(d.inst, *inst);
+            let (of, si) = (StaticInfo::of(inst), &d.info);
+            assert_eq!((of.class, of.def_x, of.def_f), (si.class, si.def_x, si.def_f));
+            assert_eq!((of.is_mem, of.xsrc, of.fsrc), (si.is_mem, si.xsrc, si.fsrc));
+            assert_eq!((si.def_x(), si.def_f()), (inst.def_xreg(), inst.def_freg()));
+            assert_eq!(
+                [si.src_x_mask(), si.src_f_mask(), si.def_x_mask(), si.def_f_mask()],
+                pairing_masks(inst),
+                "{inst}"
+            );
+            let pc = p.text_base + 4 * i as u64;
+            let hint = m.vbbi_hint(pc).map(|h| (h.jump_pc, h.hint_reg, h.mask));
+            (d.info.in_dispatch, d.info.dispatch_jump, hint)
+        })
+        .collect()
+}
+
+/// Checks the table a machine decodes against `ann` against the oracle
+/// run on the normalized annotations.
+fn check_table(p: &scd_isa::Program, ann: &Annotations) {
+    let mut norm = ann.clone();
+    norm.normalize();
+    let want = oracle_facts(p.insts.len(), p.text_base, &norm);
+    let m = Machine::with_annotations(SimConfig::embedded_a5(), p, ann.clone());
+    assert_eq!(table_facts(&m, p), want);
+}
+
+#[test]
+fn decoded_table_matches_the_oracle_on_the_real_guests() {
+    use scd_guest::{build_lvm_guest, build_svm_guest, layout, GuestOptions, Scheme};
+    let script = luma::parse("var s = 0; for i = 1, 10 { s = s + i; } emit(s);").unwrap();
+    let (lp, linit) = luma::lvm::compile_lvm(&script, &[]).unwrap();
+    let (sp, sinit) = luma::svm::compile_svm(&script, &[]).unwrap();
+    let limg = layout::build_lvm_image(&lp, &linit);
+    let simg = layout::build_svm_image(&sp, &sinit);
+    for scheme in Scheme::ALL {
+        for g in [
+            build_lvm_guest(&limg, scheme, GuestOptions::default()),
+            build_svm_guest(&simg, scheme, GuestOptions::default()),
+        ] {
+            let a = &g.annotations;
+            let ann = Annotations {
+                dispatch_ranges: a.dispatch_ranges.clone(),
+                dispatch_jumps: a.dispatch_jumps.clone(),
+                vbbi_hints: a
+                    .vbbi_hints
+                    .iter()
+                    .map(|h| VbbiHint { jump_pc: h.jump_pc, hint_reg: h.hint_reg, mask: h.mask })
+                    .collect(),
+            };
+            // The real guests register no duplicates and no overlapping
+            // ranges, so normalizing only sorts.
+            let mut norm = ann.clone();
+            norm.normalize();
+            assert_eq!(
+                (norm.dispatch_ranges.len(), norm.dispatch_jumps.len(), norm.vbbi_hints.len()),
+                (ann.dispatch_ranges.len(), ann.dispatch_jumps.len(), ann.vbbi_hints.len()),
+                "{scheme:?}"
+            );
+            let m = Machine::with_annotations(SimConfig::embedded_a5(), &g.program, ann.clone());
+            assert!(m.text.iter().any(|d| d.info.vbbi != NO_HINT), "{scheme:?}");
+            check_table(&g.program, &ann);
+        }
+    }
+}
+
+mod decoded_table_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A 64-instruction program at 0x1000 with a branch, a load and an
+    /// FP op among the nops.
+    fn program() -> scd_isa::Program {
+        let mut a = Asm::new(0x1000);
+        a.label("top");
+        for i in 0..60 {
+            match i % 5 {
+                0 => a.ld(Reg::T0, 8, Reg::SP),
+                1 => a.fadd(scd_isa::FReg::new(1), scd_isa::FReg::new(2), scd_isa::FReg::new(3)),
+                2 => a.bnez(Reg::T0, "top"),
+                _ => a.nop(),
+            };
+        }
+        halt(&mut a, Reg::ZERO);
+        a.finish().unwrap()
+    }
+
+    /// A PC near the text (0x1000..0x1100): before, inside, past the
+    /// end and, one time in four, unaligned.
+    fn pc(w: u64) -> u64 {
+        0x0fe0 + (w % 0x48) * 4 + u64::from(w % 4 == 3) * 2
+    }
+
+    proptest! {
+        #[test]
+        fn decoded_table_matches_the_oracle(
+            ranges in prop::collection::vec((any::<u64>(), 0u64..40), 0..8),
+            jumps in prop::collection::vec(any::<u64>(), 0..12),
+            hints in prop::collection::vec((any::<u64>(), 0u8..32, any::<u64>()), 0..12),
+        ) {
+            let p = program();
+            let ann = Annotations {
+                // Lengths up to 39 words, some empty or reversed, so
+                // ranges overlap, nest, touch and repeat.
+                dispatch_ranges: ranges
+                    .iter()
+                    .map(|&(s, len)| {
+                        let start = pc(s);
+                        if len % 7 == 6 { (start, start - 8) } else { (start, start + 4 * len) }
+                    })
+                    .collect(),
+                // Few distinct PCs, so duplicates are common.
+                dispatch_jumps: jumps.iter().map(|&w| pc(w % 24)).collect(),
+                vbbi_hints: hints
+                    .iter()
+                    .map(|&(w, r, mask)| {
+                        VbbiHint { jump_pc: pc(w % 24), hint_reg: Reg::new(r), mask }
+                    })
+                    .collect(),
+            };
+            check_table(&p, &ann);
+
+            // Normalizing defines the answer on duplicates and overlaps:
+            // a PC is dispatcher code if any range holds it, and a jump
+            // takes its first registered hint.
+            let m = Machine::with_annotations(SimConfig::embedded_a5(), &p, ann.clone());
+            for (i, d) in m.text.iter().enumerate() {
+                let pc = p.text_base + 4 * i as u64;
+                let any_range = ann.dispatch_ranges.iter().any(|&(s, e)| s <= pc && pc < e);
+                prop_assert_eq!(d.info.in_dispatch, any_range);
+                prop_assert_eq!(d.info.dispatch_jump, ann.dispatch_jumps.contains(&pc));
+                let first = ann.vbbi_hints.iter().find(|h| h.jump_pc == pc);
+                prop_assert_eq!(
+                    m.vbbi_hint(pc).map(|h| (h.hint_reg, h.mask)),
+                    first.map(|h| (h.hint_reg, h.mask))
+                );
+            }
+        }
+    }
+}

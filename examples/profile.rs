@@ -36,8 +36,8 @@ fn main() {
     let img = scd_guest::build_lvm_image(&p, &init);
     let guest = scd_guest::build_lvm_guest(&img, scheme, GuestOptions::default());
 
-    let mut m = Machine::new(SimConfig::embedded_a5(), &guest.program);
-    m.set_annotations(guest.annotations.clone());
+    let ann = guest.annotations.clone();
+    let mut m = Machine::with_annotations(SimConfig::embedded_a5(), &guest.program, ann);
     m.enable_profiling();
     m.map("image", scd_guest::layout::IMAGE_BASE, (img.bytes.len() as u64 + 4095) & !4095);
     m.mem_mut().write_bytes(scd_guest::layout::IMAGE_BASE, &img.bytes);
