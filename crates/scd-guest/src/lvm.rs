@@ -161,33 +161,33 @@ impl<'i> Builder<'i> {
         self.a.sub(dst, dst, T6);
     }
 
-    /// dst = address of R[field] (field already in dst).
+    /// dst = address of R\[field\] (field already in dst).
     fn reg_addr(&mut self, dst: Reg) {
         self.a.slli(dst, dst, 3);
         self.a.add(dst, dst, regs::BASE);
     }
 
-    /// Loads R[A]'s address into `dst`.
+    /// Loads R\[A\]'s address into `dst`.
     fn ra_addr(&mut self, dst: Reg) {
         self.dec_a(dst);
         self.reg_addr(dst);
     }
 
-    /// Loads R[B]'s value into `val` (clobbers `addr`).
+    /// Loads R\[B\]'s value into `val` (clobbers `addr`).
     fn load_rb(&mut self, val: Reg, addr: Reg) {
         self.dec_b(addr);
         self.reg_addr(addr);
         self.a.ld(val, 0, addr);
     }
 
-    /// Loads R[C]'s value into `val` (clobbers `addr`).
+    /// Loads R\[C\]'s value into `val` (clobbers `addr`).
     fn load_rc(&mut self, val: Reg, addr: Reg) {
         self.dec_c(addr);
         self.reg_addr(addr);
         self.a.ld(val, 0, addr);
     }
 
-    /// Loads K[C]'s value into `val` (clobbers `addr`).
+    /// Loads K\[C\]'s value into `val` (clobbers `addr`).
     fn load_kc(&mut self, val: Reg, addr: Reg) {
         self.dec_c(addr);
         self.a.slli(addr, addr, 3);
@@ -219,7 +219,7 @@ impl<'i> Builder<'i> {
         self.a.add(dst, regs::FALSE, flag);
     }
 
-    /// Stores `val` into R[A] (clobbers `tmp`).
+    /// Stores `val` into R\[A\] (clobbers `tmp`).
     fn store_ra(&mut self, val: Reg, tmp: Reg) {
         self.ra_addr(tmp);
         self.a.sd(val, 0, tmp);
@@ -350,7 +350,7 @@ impl<'i> Builder<'i> {
 
     /// Allocation tail shared by NewArr/NewArrI: element count in `len`
     /// (a plain integer register). Clobbers t3..t6; result stored to
-    /// R[A].
+    /// R\[A\].
     fn alloc_array(&mut self, len: Reg) {
         let trap = self.fresh("trap");
         let fill = self.fresh("fill");
@@ -745,7 +745,7 @@ impl<'i> Builder<'i> {
     }
 
     /// The CallB handler: a branch tree over the builtin id in B, each
-    /// arm operating on the register window at R[A].
+    /// arm operating on the register window at R\[A\].
     fn emit_callb(&mut self) {
         let trap = self.fresh("trap");
         self.ra_addr(T0); // address of R[A] (first argument / result)

@@ -1,7 +1,6 @@
 //! The sampled-simulation scheduler: drives the machine through the
-//! fast-forward → warm → measure cadence of a
-//! [`SamplingPlan`](crate::SamplingPlan) and produces the scaled
-//! whole-run estimate.
+//! fast-forward → warm → measure cadence of a [`SamplingPlan`] and
+//! produces the scaled whole-run estimate.
 //!
 //! Mode seams:
 //!
@@ -16,7 +15,7 @@
 //!   `run_warming` call that warms every structure for the plan's
 //!   `warmup` retirements;
 //! * *measure* is the stock detailed interleaved loop; its counter
-//!   deltas feed the [`SampleAccum`](crate::SampleAccum).
+//!   deltas feed the [`SampleAccum`].
 //!
 //! The emulated context-switch flush quantum is instruction-count
 //! driven and mode-independent: the fast-forward leg chunks the
