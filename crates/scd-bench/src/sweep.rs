@@ -628,11 +628,9 @@ mod tests {
         assert_eq!(stat(&warm_cache.stats.hits), cells, "every cell must hit");
         assert_eq!(stat(&warm_cache.stats.misses), 0);
 
-        // Truncate one committed entry mid-payload: quarantined, that
-        // one cell recomputes, and the numbers still match.
-        let victim = first_object(&dir);
-        let bytes = std::fs::read(&victim).expect("read entry");
-        std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("truncate entry");
+        // Flip one payload byte of one committed record: quarantined,
+        // that one cell recomputes, and the numbers still match.
+        flip_first_payload_byte(&dir);
         let hurt_cache = Cache::open(&dir).expect("reopen cache");
         let healed = sweep(&hurt_cache);
         assert_eq!(cold, healed, "recomputed results must be bit-identical");
@@ -780,19 +778,73 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// First committed entry file under `<dir>/objects/<fan-out>/`.
-    fn first_object(dir: &std::path::Path) -> std::path::PathBuf {
-        let objects = dir.join("objects");
-        for sub in std::fs::read_dir(&objects).expect("objects dir") {
-            let sub = sub.expect("dir entry").path();
-            if !sub.is_dir() {
-                continue;
-            }
-            if let Some(f) = std::fs::read_dir(&sub).expect("fan-out dir").next() {
-                return f.expect("dir entry").path();
-            }
+    /// Flips the first payload byte of the first record of the first
+    /// pack under `<dir>/packs/` (a record's payload follows its 32-byte
+    /// key and 24-byte header).
+    fn flip_first_payload_byte(dir: &std::path::Path) {
+        let mut packs: Vec<_> = std::fs::read_dir(dir.join("packs"))
+            .expect("packs dir")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        packs.sort();
+        let pack = packs.first().expect("a committed pack");
+        let mut bytes = std::fs::read(pack).expect("read pack");
+        bytes[56] ^= 0x01;
+        std::fs::write(pack, &bytes).expect("write pack");
+    }
+
+    /// The cache's contents do not depend on the thread count: the tiny
+    /// matrix run at 1 and at 3 threads into two fresh caches stores
+    /// every cell under the same key with the same bytes.
+    #[test]
+    fn cache_contents_are_thread_count_invariant() {
+        let a5 = SimConfig::embedded_a5();
+        let plan = |m: &mut RunMatrix| {
+            plan_matrix(
+                m,
+                &a5,
+                Vm::Lvm,
+                ArgScale::Tiny,
+                &[Variant::Baseline, Variant::Scd],
+                false,
+            );
+        };
+        let mut probe = RunMatrix::new();
+        plan(&mut probe);
+        let keys: Vec<String> = probe
+            .cells
+            .iter()
+            .map(|c| Cache::key(&c.job(probe.sample).cache_manifest()))
+            .collect();
+        let caches: Vec<(std::path::PathBuf, Cache)> = [1, 3]
+            .into_iter()
+            .map(|threads| {
+                let dir = std::env::temp_dir().join(format!(
+                    "scd-sweep-threads-{threads}-test-{}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let cache = Cache::open(&dir).expect("open cache");
+                let mut m = RunMatrix::new();
+                plan(&mut m);
+                m.run_cached(threads, false, Some(&cache), None)
+                    .expect("sweep clean");
+                assert_eq!(
+                    cache.stats.stores.load(Ordering::SeqCst),
+                    keys.len() as u64,
+                    "{threads} thread(s): one store per cell"
+                );
+                (dir, cache)
+            })
+            .collect();
+        for key in &keys {
+            let one = caches[0].1.load(key).expect("stored at 1 thread");
+            let three = caches[1].1.load(key).expect("stored at 3 threads");
+            assert!(one == three, "{key}: bytes differ between thread counts");
         }
-        panic!("no committed cache entries under {}", objects.display());
+        for (dir, _) in caches {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -16,6 +16,27 @@ pub struct Guest {
 /// `h_12`. A guest build names hundreds of labels, and writing the
 /// digits by hand costs about a third of `format!`.
 pub(crate) fn label_name(parts: &[&str], n: u32) -> String {
+    let mut name = String::with_capacity(parts.iter().map(|p| p.len()).sum::<usize>() + 10);
+    for p in parts {
+        name.push_str(p);
+    }
+    push_decimal(&mut name, n);
+    name
+}
+
+/// The label of builtin `id`'s arm in the dispatch tree numbered `tag`:
+/// `prefix`, `id`, `_`, `tag`, e.g. `cb_3_41`.
+pub(crate) fn arm_label(prefix: &str, id: u32, tag: u32) -> String {
+    let mut name = String::with_capacity(prefix.len() + 21);
+    name.push_str(prefix);
+    push_decimal(&mut name, id);
+    name.push('_');
+    push_decimal(&mut name, tag);
+    name
+}
+
+/// Appends `n` in decimal to `name`.
+fn push_decimal(name: &mut String, n: u32) {
     let mut digits = [0u8; 10];
     let mut at = digits.len();
     let mut v = n;
@@ -27,13 +48,7 @@ pub(crate) fn label_name(parts: &[&str], n: u32) -> String {
             break;
         }
     }
-    let digits = std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII");
-    let mut name = String::with_capacity(parts.iter().map(|p| p.len()).sum::<usize>() + 10);
-    for p in parts {
-        name.push_str(p);
-    }
-    name.push_str(digits);
-    name
+    name.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Dispatch scheme of a guest interpreter build (the three bars of the
@@ -162,6 +177,9 @@ mod tests {
             assert_eq!(label_name(&["trap", "_"], n), format!("trap_{n}"));
         }
         assert_eq!(label_name(&[], 5), "5");
+        for (id, tag) in [(0, 0), (3, 41), (9, u32::MAX)] {
+            assert_eq!(arm_label("cb_", id, tag), format!("cb_{id}_{tag}"));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! register-bytecode handlers, in three builds — baseline, jump-threaded
 //! (Fig. 1c) and SCD-transformed (Fig. 4).
 
-use crate::common::{label_name, regs, Guest, GuestOptions, Scheme};
+use crate::common::{arm_label, label_name, regs, Guest, GuestOptions, Scheme};
 use crate::layout::{self, Image};
 use luma::lvm::bytecode::{builtin_id, Op, NUM_OPS};
 use scd_isa::{Asm, FReg, LoadOp, Reg, Rounding};
@@ -752,18 +752,17 @@ impl<'i> Builder<'i> {
         self.a.ld(T2, 0, T0); // first argument
         self.dec_b(T1); // builtin id
 
-        let mk = |i: u32| format!("cb_{i}_");
+        let tag = self.fresh;
+        let arm = |id: u32| arm_label("cb_", id, tag);
         // Dispatch tree.
         for id in 0..builtin_id::COUNT {
             self.a.addi(T3, Reg::ZERO, id as i64);
-            self.a.beq(T1, T3, &format!("{}{}", mk(id), self.fresh));
+            self.a.beq(T1, T3, arm(id));
         }
         self.a.inst(scd_isa::Inst::Ebreak); // unknown builtin
 
-        let tag = self.fresh;
-
         // floor
-        self.a.label(&format!("{}{}", mk(builtin_id::FLOOR), tag));
+        self.a.label(arm(builtin_id::FLOOR));
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
         let skip = self.fresh("cbfl");
@@ -773,7 +772,7 @@ impl<'i> Builder<'i> {
         self.next();
 
         // sqrt
-        self.a.label(&format!("{}{}", mk(builtin_id::SQRT), tag));
+        self.a.label(arm(builtin_id::SQRT));
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
         self.a.fsqrt(FT1, FT0);
@@ -782,7 +781,7 @@ impl<'i> Builder<'i> {
         self.next();
 
         // abs
-        self.a.label(&format!("{}{}", mk(builtin_id::ABS), tag));
+        self.a.label(arm(builtin_id::ABS));
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
         self.a.fop(scd_isa::FpOp::FsgnjxD, FT1, FT0, FT0);
@@ -792,7 +791,7 @@ impl<'i> Builder<'i> {
 
         // min / max (second argument at R[A+1])
         for id in [builtin_id::MIN, builtin_id::MAX] {
-            self.a.label(&format!("{}{}", mk(id), tag));
+            self.a.label(arm(id));
             self.a.ld(T3, 8, T0);
             self.check_num(T2, T4, &trap);
             self.check_num(T3, T4, &trap);
@@ -810,7 +809,7 @@ impl<'i> Builder<'i> {
         }
 
         // emit: checksum = rotl(checksum, 1) ^ value
-        self.a.label(&format!("{}{}", mk(builtin_id::EMIT), tag));
+        self.a.label(arm(builtin_id::EMIT));
         self.a.slli(T4, regs::CHK, 1);
         self.a.srli(T5, regs::CHK, 63);
         self.a.or(T4, T4, T5);
@@ -818,7 +817,7 @@ impl<'i> Builder<'i> {
         self.next();
 
         // len
-        self.a.label(&format!("{}{}", mk(builtin_id::LEN), tag));
+        self.a.label(arm(builtin_id::LEN));
         self.check_array(T2, T4, &trap);
         self.payload(T4, T2);
         self.a.ld(T5, 0, T4);
@@ -828,7 +827,7 @@ impl<'i> Builder<'i> {
         self.next();
 
         // array
-        self.a.label(&format!("{}{}", mk(builtin_id::ARRAY), tag));
+        self.a.label(arm(builtin_id::ARRAY));
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
         self.a.fcvt_l_d(T2, FT0, Rounding::Rtz);
@@ -870,7 +869,7 @@ impl<'i> Builder<'i> {
 
         // ---- handlers ----
         for op in Op::ALL {
-            self.a.label(&label_name(&["h_"], op as u32));
+            self.a.label(label_name(&["h_"], op as u32));
             self.emit_handler(op);
         }
 
@@ -887,7 +886,7 @@ impl<'i> Builder<'i> {
         // ---- jump table ----
         self.a.ro_label("jt");
         for op in Op::ALL {
-            self.a.ro_addr(&label_name(&["h_"], op as u32));
+            self.a.ro_addr(label_name(&["h_"], op as u32));
         }
 
         let program = self.a.finish().expect("LVM guest assembles");

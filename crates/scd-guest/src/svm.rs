@@ -8,7 +8,7 @@
 //! (Section III-C), which is why the stack VM benefits less from SCD
 //! than the register VM, exactly as in the paper.
 
-use crate::common::{label_name, regs, Guest, GuestOptions, Scheme};
+use crate::common::{arm_label, label_name, regs, Guest, GuestOptions, Scheme};
 use crate::layout::{self, Image};
 use luma::svm::bytecode::{builtin_id, Op, NUM_IMPLEMENTED, NUM_OPS};
 use scd_isa::{Asm, FReg, LoadOp, Reg, Rounding};
@@ -691,15 +691,15 @@ impl<'i> Builder<'i> {
         let trap = self.fresh("trap");
         self.rd_u8(T1); // builtin id
         let tag = self.fresh;
-        let arm = |id: u32, tag: u32| format!("bi_{id}_{tag}");
+        let arm = |id: u32| arm_label("bi_", id, tag);
         for id in 0..builtin_id::COUNT {
             self.a.addi(T3, Reg::ZERO, id as i64);
-            self.a.beq(T1, T3, &arm(id, tag));
+            self.a.beq(T1, T3, arm(id));
         }
         self.a.inst(scd_isa::Inst::Ebreak);
 
         // floor
-        self.a.label(&arm(builtin_id::FLOOR, tag));
+        self.a.label(arm(builtin_id::FLOOR));
         self.a.ld(T2, -8, SP);
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
@@ -710,7 +710,7 @@ impl<'i> Builder<'i> {
         self.next(Op::Builtin);
 
         // sqrt
-        self.a.label(&arm(builtin_id::SQRT, tag));
+        self.a.label(arm(builtin_id::SQRT));
         self.a.ld(T2, -8, SP);
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
@@ -720,7 +720,7 @@ impl<'i> Builder<'i> {
         self.next(Op::Builtin);
 
         // abs
-        self.a.label(&arm(builtin_id::ABS, tag));
+        self.a.label(arm(builtin_id::ABS));
         self.a.ld(T2, -8, SP);
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
@@ -731,7 +731,7 @@ impl<'i> Builder<'i> {
 
         // min / max
         for id in [builtin_id::MIN, builtin_id::MAX] {
-            self.a.label(&arm(id, tag));
+            self.a.label(arm(id));
             self.a.ld(T3, -8, SP);
             self.a.ld(T2, -16, SP);
             self.check_num(T2, T4, &trap);
@@ -751,7 +751,7 @@ impl<'i> Builder<'i> {
         }
 
         // emit (value stays on the stack)
-        self.a.label(&arm(builtin_id::EMIT, tag));
+        self.a.label(arm(builtin_id::EMIT));
         self.a.ld(T2, -8, SP);
         self.a.slli(T4, regs::CHK, 1);
         self.a.srli(T5, regs::CHK, 63);
@@ -761,7 +761,7 @@ impl<'i> Builder<'i> {
 
         // len / array: not routed here by the compiler, but implemented
         // for completeness.
-        self.a.label(&arm(builtin_id::LEN, tag));
+        self.a.label(arm(builtin_id::LEN));
         self.pop(T2);
         self.check_array(T2, T4, &trap);
         self.payload(T4, T2);
@@ -771,7 +771,7 @@ impl<'i> Builder<'i> {
         self.push(T5);
         self.next(Op::Builtin);
 
-        self.a.label(&arm(builtin_id::ARRAY, tag));
+        self.a.label(arm(builtin_id::ARRAY));
         self.pop(T2);
         self.check_num(T2, T4, &trap);
         self.a.fmv_d_x(FT0, T2);
@@ -813,7 +813,7 @@ impl<'i> Builder<'i> {
 
         for n in 0..NUM_IMPLEMENTED {
             let op = Op::from_u8(n as u8).expect("dense opcode numbering");
-            self.a.label(&label_name(&["h_"], n));
+            self.a.label(label_name(&["h_"], n));
             self.emit_handler(op);
         }
         // Reserved opcodes share one trapping handler.
@@ -831,7 +831,7 @@ impl<'i> Builder<'i> {
         self.a.ro_label("jt");
         for n in 0..NUM_OPS {
             if n < NUM_IMPLEMENTED {
-                self.a.ro_addr(&label_name(&["h_"], n));
+                self.a.ro_addr(label_name(&["h_"], n));
             } else {
                 self.a.ro_addr("h_reserved");
             }

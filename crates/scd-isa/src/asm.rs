@@ -13,6 +13,7 @@
 use crate::code::{encode, CodeError};
 use crate::inst::{AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use crate::reg::{FReg, Reg};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -230,22 +231,30 @@ impl Asm {
         }
     }
 
-    /// The id of label `name`, interning it on first sight.
-    fn intern(&mut self, name: &str) -> LabelId {
-        if let Some(&id) = self.ids.get(name) {
+    /// The id of label `name`, interning it on first sight. Every
+    /// label-taking method accepts a `&str` or a `String`; an owned
+    /// name is moved into the table rather than copied.
+    fn intern(&mut self, name: Cow<'_, str>) -> LabelId {
+        if let Some(&id) = self.ids.get(&*name) {
             return id;
         }
         let id = LabelId::try_from(self.defs.len()).expect("fewer than 2^32 labels");
-        self.ids.insert(name.to_string(), id);
+        self.ids.insert(name.into_owned(), id);
         self.defs.push(LabelDef::default());
         id
     }
 
+    /// The name interned as `id`. A linear scan, for error paths only.
+    fn name_of(&self, id: LabelId) -> String {
+        let found = self.ids.iter().find(|&(_, &v)| v == id);
+        found.map(|(name, _)| name.clone()).unwrap_or_default()
+    }
+
     /// Defines a text label at the current position.
-    pub fn label(&mut self, name: &str) -> &mut Self {
-        let (id, at) = (self.intern(name), self.text_index());
+    pub fn label<'n>(&mut self, name: impl Into<Cow<'n, str>>) -> &mut Self {
+        let (id, at) = (self.intern(name.into()), self.text_index());
         if self.defs[id as usize].text.replace(at).is_some() {
-            self.set_err(AsmError::DuplicateLabel(name.to_string()));
+            self.set_err(AsmError::DuplicateLabel(self.name_of(id)));
         }
         self
     }
@@ -489,52 +498,58 @@ impl Asm {
     // ---- control flow ----
 
     /// Conditional branch to a label (must resolve within ±4 KiB).
-    pub fn br(&mut self, op: BranchOp, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
-        let id = self.intern(label);
+    pub fn br<'n>(
+        &mut self,
+        op: BranchOp,
+        rs1: Reg,
+        rs2: Reg,
+        label: impl Into<Cow<'n, str>>,
+    ) -> &mut Self {
+        let id = self.intern(label.into());
         self.inst_fix(Inst::Branch { op, rs1, rs2, offset: 0 }, Fixup::Branch(id))
     }
     /// Emits `beq`.
-    pub fn beq(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn beq<'n>(&mut self, rs1: Reg, rs2: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.br(BranchOp::Beq, rs1, rs2, label)
     }
     /// Emits `bne`.
-    pub fn bne(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn bne<'n>(&mut self, rs1: Reg, rs2: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.br(BranchOp::Bne, rs1, rs2, label)
     }
     /// Emits `blt`.
-    pub fn blt(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn blt<'n>(&mut self, rs1: Reg, rs2: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.br(BranchOp::Blt, rs1, rs2, label)
     }
     /// Emits `bge`.
-    pub fn bge(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn bge<'n>(&mut self, rs1: Reg, rs2: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.br(BranchOp::Bge, rs1, rs2, label)
     }
     /// Emits `bltu`.
-    pub fn bltu(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn bltu<'n>(&mut self, rs1: Reg, rs2: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.br(BranchOp::Bltu, rs1, rs2, label)
     }
     /// Emits `bgeu`.
-    pub fn bgeu(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn bgeu<'n>(&mut self, rs1: Reg, rs2: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.br(BranchOp::Bgeu, rs1, rs2, label)
     }
     /// Emits `beqz`.
-    pub fn beqz(&mut self, rs1: Reg, label: &str) -> &mut Self {
+    pub fn beqz<'n>(&mut self, rs1: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.beq(rs1, Reg::ZERO, label)
     }
     /// Emits `bnez`.
-    pub fn bnez(&mut self, rs1: Reg, label: &str) -> &mut Self {
+    pub fn bnez<'n>(&mut self, rs1: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
         self.bne(rs1, Reg::ZERO, label)
     }
 
     /// Unconditional jump (`jal x0`) to a label (±1 MiB).
-    pub fn j(&mut self, label: &str) -> &mut Self {
-        let id = self.intern(label);
+    pub fn j<'n>(&mut self, label: impl Into<Cow<'n, str>>) -> &mut Self {
+        let id = self.intern(label.into());
         self.inst_fix(Inst::Jal { rd: Reg::ZERO, offset: 0 }, Fixup::Jal(id))
     }
 
     /// Call (`jal ra`) to a label.
-    pub fn call(&mut self, label: &str) -> &mut Self {
-        let id = self.intern(label);
+    pub fn call<'n>(&mut self, label: impl Into<Cow<'n, str>>) -> &mut Self {
+        let id = self.intern(label.into());
         self.inst_fix(Inst::Jal { rd: Reg::RA, offset: 0 }, Fixup::Jal(id))
     }
 
@@ -624,8 +639,8 @@ impl Asm {
     ///
     /// All guest addresses fit in 31 bits, so this is always two
     /// instructions.
-    pub fn la(&mut self, rd: Reg, label: &str) -> &mut Self {
-        let id = self.intern(label);
+    pub fn la<'n>(&mut self, rd: Reg, label: impl Into<Cow<'n, str>>) -> &mut Self {
+        let id = self.intern(label.into());
         self.inst_fix(Inst::Lui { rd, imm: 0 }, Fixup::AbsHi(id));
         self.inst_fix(Inst::OpImm { op: AluOp::Addw, rd, rs1: rd, imm: 0 }, Fixup::AbsLo(id))
     }
@@ -633,11 +648,11 @@ impl Asm {
     // ---- rodata ----
 
     /// Defines a label in the rodata section at the current rodata offset.
-    pub fn ro_label(&mut self, name: &str) -> &mut Self {
-        let id = self.intern(name);
+    pub fn ro_label<'n>(&mut self, name: impl Into<Cow<'n, str>>) -> &mut Self {
+        let id = self.intern(name.into());
         let at = u32::try_from(self.ro_items.len()).expect("fewer than 2^32 rodata words");
         if self.defs[id as usize].ro.replace(at).is_some() {
-            self.set_err(AsmError::DuplicateLabel(name.to_string()));
+            self.set_err(AsmError::DuplicateLabel(self.name_of(id)));
         }
         self
     }
@@ -650,8 +665,8 @@ impl Asm {
 
     /// Emits the absolute address of a label as a 64-bit rodata word
     /// (the building block for software jump tables).
-    pub fn ro_addr(&mut self, label: &str) -> &mut Self {
-        let id = self.intern(label);
+    pub fn ro_addr<'n>(&mut self, label: impl Into<Cow<'n, str>>) -> &mut Self {
+        let id = self.intern(label.into());
         self.ro_items.push(RoItem::Addr(id));
         self
     }

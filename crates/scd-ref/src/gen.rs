@@ -212,7 +212,7 @@ pub fn generate(cfg: &GenConfig) -> Generated {
 
     let mut uniq = 0u64;
     for h in 1..=blocks {
-        a.label(&format!("handler{h}"));
+        a.label(format!("handler{h}"));
         gen_body(&mut a, &mut r, addr_mask, &mut uniq);
         // Advance the bytecode cursor and dispatch the next opcode with
         // this handler's bid (bids rotate so all four register sets and
@@ -238,7 +238,7 @@ pub fn generate(cfg: &GenConfig) -> Generated {
     a.ro_label("table");
     for idx in 0..=blocks * stride {
         let h = if idx % stride == 0 { idx / stride } else { 0 };
-        a.ro_addr(&format!("handler{h}"));
+        a.ro_addr(format!("handler{h}"));
     }
 
     let program = a.finish().expect("generated program must assemble");
@@ -334,21 +334,21 @@ fn gen_body(a: &mut Asm, r: &mut Rng, addr_mask: u64, uniq: &mut u64) {
             }
             8 => {
                 // Call/return through a tiny leaf: RAS + jalr traffic.
-                a.call(&format!("leaf{h}"));
-                a.j(&format!("after_leaf{h}"));
-                a.label(&format!("leaf{h}"));
+                a.call(format!("leaf{h}"));
+                a.j(format!("after_leaf{h}"));
+                a.label(format!("leaf{h}"));
                 a.xori(Reg::T3, SUM, 0x155);
                 a.ret();
-                a.label(&format!("after_leaf{h}"));
+                a.label(format!("after_leaf{h}"));
                 a.add(rd, Reg::T3, rs);
             }
             9 => {
                 // Small counted inner loop (conditional branch traffic).
                 a.li(rd, (1 + r.below(6)) as i64);
-                a.label(&format!("inner{h}"));
+                a.label(format!("inner{h}"));
                 a.addi(rd, rd, -1);
                 a.add(SUM, SUM, rd);
-                a.bnez(rd, &format!("inner{h}"));
+                a.bnez(rd, format!("inner{h}"));
             }
             10 => {
                 // Occasional jte.flush mid-handler: every Rop valid bit

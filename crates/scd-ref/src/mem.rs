@@ -35,11 +35,11 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Segment {
     name: &'static str,
     base: u64,
-    data: Vec<u8>,
+    data: Pages,
     /// Bytes-written high-water mark: every write through this memory
     /// raises it, so `data[hw..]` is untouched since mapping — i.e.
     /// still zero. The snapshot codec scans only `data[..hw]` for the
@@ -47,6 +47,21 @@ struct Segment {
     /// memory: a mostly-untouched 192 MiB heap is neither scanned (which
     /// would soft-fault every page in) nor cloned.
     hw: usize,
+}
+
+impl Clone for Segment {
+    /// Copies only the written prefix `..hw`: everything past it is
+    /// zero, as the fresh pages of the clone already are.
+    fn clone(&self) -> Self {
+        let mut data = Pages::zeroed(self.data.len());
+        data[..self.hw].copy_from_slice(&self.data[..self.hw]);
+        Segment {
+            name: self.name,
+            base: self.base,
+            data,
+            hw: self.hw,
+        }
+    }
 }
 
 impl Segment {
@@ -112,7 +127,7 @@ impl GuestMemory {
         self.segments.push(Segment {
             name,
             base,
-            data: vec![0; size as usize],
+            data: Pages::zeroed(size as usize),
             hw: 0,
         });
     }
@@ -190,9 +205,7 @@ impl GuestMemory {
     /// Iterates the mapped segments as `(name, base, data)`, in mapping
     /// order.
     pub fn segments(&self) -> impl Iterator<Item = (&'static str, u64, &[u8])> {
-        self.segments
-            .iter()
-            .map(|s| (s.name, s.base, s.data.as_slice()))
+        self.segments.iter().map(|s| (s.name, s.base, &s.data[..]))
     }
 
     /// Captures every segment zero-trimmed: (name, base, full size,
@@ -253,6 +266,153 @@ impl GuestMemory {
             s.hw = data.len();
         }
         Ok(())
+    }
+}
+
+/// A segment's bytes: zero when created, owned, and dereferencing to
+/// `[u8]`. On Linux each segment is a private anonymous mapping of its
+/// own, so a page costs memory only once touched and a dropped segment
+/// goes straight back to the kernel. (A `vec![0; n]` can instead be
+/// served from recycled heap that `calloc` must clear first: a ~200 MiB
+/// guest heap then costs a memset of every page on each set-up.)
+/// Elsewhere it is a plain zeroed `Vec`.
+#[cfg(all(
+    target_os = "linux",
+    not(any(target_arch = "mips", target_arch = "mips64"))
+))]
+mod pages {
+    use std::ffi::c_void;
+    use std::ops::{Deref, DerefMut};
+    use std::ptr::NonNull;
+
+    /// `PROT_READ | PROT_WRITE`.
+    const PROT_RW: i32 = 0x1 | 0x2;
+    /// `MAP_PRIVATE | MAP_ANONYMOUS` (MIPS numbers the flag differently
+    /// and keeps the `Vec` fallback).
+    const MAP_PRIVATE_ANON: i32 = 0x02 | 0x20;
+
+    extern "C" {
+        /// `mmap(2)`, reached through the libc `std` already links. The
+        /// offset is a C `long` on every Linux ABI.
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            off: isize,
+        ) -> *mut c_void;
+        /// `munmap(2)`.
+        fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+
+    /// `len` bytes of one anonymous mapping, unmapped on drop.
+    pub(super) struct Pages {
+        ptr: NonNull<u8>,
+        len: usize,
+    }
+
+    // SAFETY: `Pages` owns its mapping exclusively, as a `Vec<u8>` owns
+    // its buffer: shared references hand out only `&[u8]`, and mutation
+    // needs `&mut Pages`.
+    unsafe impl Send for Pages {}
+    // SAFETY: as above; `&Pages` permits reads only.
+    unsafe impl Sync for Pages {}
+
+    impl Pages {
+        /// `len` zero bytes.
+        ///
+        /// # Panics
+        /// Aborts through the allocation-error handler when the kernel
+        /// refuses the mapping, as `vec![0; len]` would.
+        pub(super) fn zeroed(len: usize) -> Pages {
+            if len == 0 {
+                return Pages {
+                    ptr: NonNull::dangling(),
+                    len,
+                };
+            }
+            // SAFETY: no address hint and no file: the kernel picks a
+            // fresh range that aliases no Rust object, and fills it with
+            // zeros on first touch.
+            let p = unsafe { mmap(std::ptr::null_mut(), len, PROT_RW, MAP_PRIVATE_ANON, -1, 0) };
+            // `MAP_FAILED` is `(void *)-1`; without `MAP_FIXED` a
+            // success is never null.
+            match NonNull::new(p.cast::<u8>()) {
+                Some(ptr) if p as isize != -1 => Pages { ptr, len },
+                _ => std::alloc::handle_alloc_error(
+                    std::alloc::Layout::array::<u8>(len).expect("segment size fits a layout"),
+                ),
+            }
+        }
+    }
+
+    impl Drop for Pages {
+        fn drop(&mut self) {
+            if self.len > 0 {
+                // SAFETY: `ptr..ptr + len` is the mapping `zeroed` made,
+                // unmapped only here; no borrow of it outlives `self`.
+                unsafe {
+                    munmap(self.ptr.as_ptr().cast(), self.len);
+                }
+            }
+        }
+    }
+
+    impl Deref for Pages {
+        type Target = [u8];
+        fn deref(&self) -> &[u8] {
+            // SAFETY: the mapping is `len` readable, initialized bytes
+            // (dangling but never read when `len` is 0) and lives as long
+            // as `self`; `&self` rules out a concurrent `&mut`.
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl DerefMut for Pages {
+        fn deref_mut(&mut self) -> &mut [u8] {
+            // SAFETY: as in `deref`, and `&mut self` makes this the only
+            // reference to the bytes.
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+        }
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    not(any(target_arch = "mips", target_arch = "mips64"))
+)))]
+mod pages {
+    use std::ops::{Deref, DerefMut};
+
+    /// `len` zeroed heap bytes.
+    pub(super) struct Pages(Vec<u8>);
+
+    impl Pages {
+        pub(super) fn zeroed(len: usize) -> Pages {
+            Pages(vec![0; len])
+        }
+    }
+
+    impl Deref for Pages {
+        type Target = [u8];
+        fn deref(&self) -> &[u8] {
+            &self.0
+        }
+    }
+
+    impl DerefMut for Pages {
+        fn deref_mut(&mut self) -> &mut [u8] {
+            &mut self.0
+        }
+    }
+}
+
+use pages::Pages;
+
+impl fmt::Debug for Pages {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -368,6 +528,19 @@ mod tests {
         assert_eq!(trimmed_len(&d), 42);
         d[97] = 1; // in the sub-word tail
         assert_eq!(trimmed_len(&d), 98);
+    }
+
+    #[test]
+    fn clones_and_empty_segments_keep_every_byte() {
+        let mut m = GuestMemory::new();
+        m.add_segment("big", 0x1000_0000, 64 << 20);
+        m.add_segment("empty", 0x100, 0);
+        m.write(0x1000_0000 + 12345, 8, 0x0102_0304_0506_0708).unwrap();
+        let c = m.clone();
+        assert!(m.segments().eq(c.segments()));
+        assert_eq!(c.read(0x1000_0000 + 12345, 8).unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(c.read(0x1000_0000 + (64 << 20) - 8, 8).unwrap(), 0);
+        assert!(c.read(0x100, 1).is_err(), "an empty segment holds nothing");
     }
 
     #[test]

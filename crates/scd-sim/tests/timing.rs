@@ -208,12 +208,12 @@ fn return_address_stack_depth_matters() {
         a.bnez(Reg::S1, "iter");
         a.j("done");
         for d in 1..=6 {
-            a.label(&format!("f{d}"));
+            a.label(format!("f{d}"));
             if d < 6 {
                 // save ra, call deeper, restore
                 a.li(Reg::T5, 0x10_0000 + d as i64 * 64);
                 a.sd(Reg::RA, 0, Reg::T5);
-                a.call(&format!("f{}", d + 1));
+                a.call(format!("f{}", d + 1));
                 a.li(Reg::T5, 0x10_0000 + d as i64 * 64);
                 a.ld(Reg::RA, 0, Reg::T5);
             }
