@@ -65,10 +65,8 @@ pub mod test_runner {
 
     impl Default for Config {
         fn default() -> Self {
-            let cases = std::env::var("PROPTEST_CASES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(64);
+            let cases =
+                std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64);
             Config { cases }
         }
     }
@@ -256,12 +254,12 @@ pub mod strategy {
             }
         };
     }
-    tuple_strategy!(A/a);
-    tuple_strategy!(A/a, B/b);
-    tuple_strategy!(A/a, B/b, C/c);
-    tuple_strategy!(A/a, B/b, C/c, D/d);
-    tuple_strategy!(A/a, B/b, C/c, D/d, E/e);
-    tuple_strategy!(A/a, B/b, C/c, D/d, E/e, F/f);
+    tuple_strategy!(A / a);
+    tuple_strategy!(A / a, B / b);
+    tuple_strategy!(A / a, B / b, C / c);
+    tuple_strategy!(A / a, B / b, C / c, D / d);
+    tuple_strategy!(A / a, B / b, C / c, D / d, E / e);
+    tuple_strategy!(A / a, B / b, C / c, D / d, E / e, F / f);
 }
 
 pub mod arbitrary {
@@ -384,7 +382,9 @@ pub mod prelude {
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::Config as ProptestConfig;
     pub use crate::test_runner::TestCaseError;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Declares property tests. Supports an optional leading

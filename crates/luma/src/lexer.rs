@@ -159,16 +159,13 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     }
                 }
                 let text = &src[start..i];
-                let n: f64 = text
-                    .parse()
-                    .map_err(|_| err(line, format!("malformed number `{text}`")))?;
+                let n: f64 =
+                    text.parse().map_err(|_| err(line, format!("malformed number `{text}`")))?;
                 out.push(Spanned { tok: Tok::Num(n), line });
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 let word = &src[start..i];
@@ -245,43 +242,40 @@ mod tests {
 
     #[test]
     fn numbers() {
-        assert_eq!(toks("1 2.5 1e3 1.5e-2"), vec![
-            Tok::Num(1.0),
-            Tok::Num(2.5),
-            Tok::Num(1000.0),
-            Tok::Num(0.015),
-            Tok::Eof
-        ]);
+        assert_eq!(
+            toks("1 2.5 1e3 1.5e-2"),
+            vec![Tok::Num(1.0), Tok::Num(2.5), Tok::Num(1000.0), Tok::Num(0.015), Tok::Eof]
+        );
     }
 
     #[test]
     fn keywords_and_idents() {
-        assert_eq!(toks("fn foo var x"), vec![
-            Tok::Fn,
-            Tok::Ident("foo".into()),
-            Tok::Var,
-            Tok::Ident("x".into()),
-            Tok::Eof
-        ]);
+        assert_eq!(
+            toks("fn foo var x"),
+            vec![Tok::Fn, Tok::Ident("foo".into()), Tok::Var, Tok::Ident("x".into()), Tok::Eof]
+        );
     }
 
     #[test]
     fn operators() {
-        assert_eq!(toks("== != <= >= < > = + - * / %"), vec![
-            Tok::EqEq,
-            Tok::NotEq,
-            Tok::Le,
-            Tok::Ge,
-            Tok::Lt,
-            Tok::Gt,
-            Tok::Assign,
-            Tok::Plus,
-            Tok::Minus,
-            Tok::Star,
-            Tok::Slash,
-            Tok::Percent,
-            Tok::Eof
-        ]);
+        assert_eq!(
+            toks("== != <= >= < > = + - * / %"),
+            vec![
+                Tok::EqEq,
+                Tok::NotEq,
+                Tok::Le,
+                Tok::Ge,
+                Tok::Lt,
+                Tok::Gt,
+                Tok::Assign,
+                Tok::Plus,
+                Tok::Minus,
+                Tok::Star,
+                Tok::Slash,
+                Tok::Percent,
+                Tok::Eof
+            ]
+        );
     }
 
     #[test]

@@ -127,10 +127,7 @@ impl<'s> FnGen<'s> {
         if r >= 200 {
             return err("too many locals");
         }
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .push((name.to_string(), r));
+        self.scopes.last_mut().expect("scope stack never empty").push((name.to_string(), r));
         self.nlocals += 1;
         self.freereg = self.nlocals;
         self.maxreg = self.maxreg.max(self.freereg);
@@ -231,7 +228,7 @@ impl<'s> FnGen<'s> {
                     return err("array literal too long");
                 }
                 let a = self.expr_fresh(&Expr::ArrayLit(Vec::new()))?; // placeholder unreachable
-                // The line above would recurse; build directly instead.
+                                                                       // The line above would recurse; build directly instead.
                 let _ = a;
                 unreachable!("ArrayLit handled in expr_fresh/expr_to wrapper");
             }
@@ -369,7 +366,13 @@ impl<'s> FnGen<'s> {
         Ok(base)
     }
 
-    fn binary_to(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr, dst: u32) -> Result<(), CompileError> {
+    fn binary_to(
+        &mut self,
+        op: BinOp,
+        lhs: &Expr,
+        rhs: &Expr,
+        dst: u32,
+    ) -> Result<(), CompileError> {
         // Constant folding over whole literal subtrees.
         if let (Some(a), Some(b)) = (const_eval(lhs), const_eval(rhs)) {
             if let Some(folded) = fold(op, a, b) {
@@ -478,10 +481,8 @@ impl<'s> FnGen<'s> {
             Stmt::Var { name, init } => {
                 if self.is_main && self.scopes.len() == 1 {
                     // Top-level var: global (slot pre-registered).
-                    let g = self
-                        .shared
-                        .global_slot(name)
-                        .expect("top-level globals pre-registered");
+                    let g =
+                        self.shared.global_slot(name).expect("top-level globals pre-registered");
                     let saved = self.freereg;
                     let r = self.expr_fresh(init)?;
                     self.emit(abx(Op::SetGlobal, r, g));
@@ -610,10 +611,7 @@ impl<'s> FnGen<'s> {
                     return err("`break` outside a loop");
                 }
                 let j = self.emit_jump(Op::Jmp, 0);
-                self.breaks
-                    .last_mut()
-                    .expect("checked non-empty")
-                    .push(j);
+                self.breaks.last_mut().expect("checked non-empty").push(j);
             }
             Stmt::Expr(e) => {
                 let saved = self.freereg;
@@ -830,8 +828,7 @@ mod tests {
 
     #[test]
     fn predefined_globals_get_slots() {
-        let (p, init) =
-            compile_lvm(&parse("emit(N);").unwrap(), &[("N", 42.0)]).unwrap();
+        let (p, init) = compile_lvm(&parse("emit(N);").unwrap(), &[("N", 42.0)]).unwrap();
         assert_eq!(p.nglobals, 1);
         assert_eq!(init[0], value::num(42.0));
     }
@@ -880,11 +877,16 @@ mod tests {
         // Force >512 distinct constants so late K-form candidates cannot
         // fit the 9-bit C field and must fall back to LoadK + register
         // form.
-        let mut src = String::from("var a = 0;
-");
+        let mut src = String::from(
+            "var a = 0;
+",
+        );
         for i in 0..600 {
-            src.push_str(&format!("a = a + {}.5;
-", i + 200000));
+            src.push_str(&format!(
+                "a = a + {}.5;
+",
+                i + 200000
+            ));
         }
         src.push_str("emit(a);");
         let (p, init) = compile_lvm(&parse(&src).unwrap(), &[]).unwrap();

@@ -54,11 +54,7 @@ pub fn listing(p: &SvmProgram) -> String {
         for &(fo, fi) in &starts {
             if fo as usize == off {
                 let f = p.funcs[fi];
-                let _ = writeln!(
-                    out,
-                    "fn_{fi}:  # params={} locals={}",
-                    f.nparams, f.nlocals
-                );
+                let _ = writeln!(out, "fn_{fi}:  # params={} locals={}", f.nparams, f.nlocals);
             }
         }
         match disasm_at(&p.code, off) {

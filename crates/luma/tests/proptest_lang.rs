@@ -60,8 +60,7 @@ fn arb_expr(depth: u32) -> BoxedStrategy<String> {
             (sub.clone(),).prop_map(|(x,)| format!("({x} / 7)")),
             (sub.clone(),).prop_map(|(x,)| format!("({x} % 13)")),
             (sub.clone(),).prop_map(|(x,)| format!("(0 - {x})")),
-            (sub.clone(), sub.clone())
-                .prop_map(|(x, y)| format!("min({x}, {y})")),
+            (sub.clone(), sub.clone()).prop_map(|(x, y)| format!("min({x}, {y})")),
             (sub.clone(), sub).prop_map(|(x, y)| format!("max({x}, {y})")),
         ]
         .boxed()

@@ -49,10 +49,8 @@ fn main() {
     let scale = arg_scale_from_cli(ArgScale::Sim);
     let threads = threads_from_cli();
 
-    let benches: Vec<_> = luma::scripts::BENCHMARKS
-        .iter()
-        .filter(|b| BENCHES.contains(&b.name))
-        .collect();
+    let benches: Vec<_> =
+        luma::scripts::BENCHMARKS.iter().filter(|b| BENCHES.contains(&b.name)).collect();
     assert_eq!(benches.len(), BENCHES.len(), "seed benchmark went missing");
 
     // ---- lockstep matrix ----
@@ -162,10 +160,7 @@ fn main() {
         }
     }
 
-    let min_speedup = speed
-        .iter()
-        .map(|(_, _, _, m, _, r)| r / m)
-        .fold(f64::INFINITY, f64::min);
+    let min_speedup = speed.iter().map(|(_, _, _, m, _, r)| r / m).fold(f64::INFINITY, f64::min);
     let json = bench_json(&rows, &work, &speed, min_speedup, scale);
     scd_bench::write_artifact("BENCH_oracle.json", &json);
     eprintln!("oracle: min ref-vs-machine speedup {min_speedup:.1}x -> BENCH_oracle.json");
@@ -194,8 +189,7 @@ fn bench_json(
     let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
     let _ = writeln!(s, "  \"min_ref_speedup\": {min_speedup:.3},");
     s.push_str("  \"lockstep\": [\n");
-    for (i, ((b, vm, scheme, cfg), (_, wall, checked, failed))) in
-        work.iter().zip(rows).enumerate()
+    for (i, ((b, vm, scheme, cfg), (_, wall, checked, failed))) in work.iter().zip(rows).enumerate()
     {
         let _ = write!(
             s,

@@ -72,13 +72,7 @@ struct Cell {
 
 impl Cell {
     fn key(&self) -> String {
-        format!(
-            "{}/{}/{}/{}",
-            self.preset,
-            self.vm.name(),
-            self.bench,
-            self.scheme.name()
-        )
+        format!("{}/{}/{}/{}", self.preset, self.vm.name(), self.bench, self.scheme.name())
     }
 
     fn mips(&self) -> f64 {
@@ -106,12 +100,7 @@ impl WarmCell {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let has = |f: &str| argv.iter().any(|a| a == f);
-    let arg_of = |f: &str| {
-        argv.iter()
-            .position(|a| a == f)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
-    };
+    let arg_of = |f: &str| argv.iter().position(|a| a == f).and_then(|i| argv.get(i + 1)).cloned();
     let quick = has("--quick");
     let budget = if quick { QUICK_BUDGET } else { FULL_BUDGET };
     let reference = arg_of("--ref").map(|p| load_record(&p));
@@ -123,17 +112,11 @@ fn main() {
     // the failure, finish the matrix so the full picture is reported,
     // then exit non-zero.
     let mut failures: Vec<String> = Vec::new();
-    eprintln!(
-        "simperf: {} cells, {budget} insts each",
-        configs.len() * 2 * 3 * BENCHES.len()
-    );
+    eprintln!("simperf: {} cells, {budget} insts each", configs.len() * 2 * 3 * BENCHES.len());
     for cfg in &configs {
         for vm in Vm::ALL {
             for name in BENCHES {
-                let b = BENCHMARKS
-                    .iter()
-                    .find(|b| b.name == name)
-                    .expect("pinned benchmark");
+                let b = BENCHMARKS.iter().find(|b| b.name == name).expect("pinned benchmark");
                 for scheme in Scheme::ALL {
                     let key = format!("{}/{}/{name}/{}", cfg.name, vm.name(), scheme.name());
                     let mut session = match Session::from_source(
@@ -201,10 +184,7 @@ fn main() {
     let mut warm_cells: Vec<WarmCell> = Vec::new();
     eprintln!("simperf: warming loop, {budget} insts each");
     for name in BENCHES {
-        let b = BENCHMARKS
-            .iter()
-            .find(|b| b.name == name)
-            .expect("pinned benchmark");
+        let b = BENCHMARKS.iter().find(|b| b.name == name).expect("pinned benchmark");
         let key = format!("embedded-a5/lvm/{name}/scd warming");
         let mut session = match Session::from_source(
             SimConfig::embedded_a5(),
@@ -473,9 +453,7 @@ fn load_record(path: &str) -> Record {
 fn parse_record(text: &str) -> Result<Record, String> {
     let v = json::parse(text)?;
     let rate = |v: &Value, name: &str| {
-        v.get(name)
-            .and_then(Value::as_f64)
-            .filter(|m| m.is_finite() && *m > 0.0)
+        v.get(name).and_then(Value::as_f64).filter(|m| m.is_finite() && *m > 0.0)
     };
     let cells = v
         .get("cells")
@@ -498,11 +476,7 @@ fn parse_record(text: &str) -> Result<Record, String> {
     if cells.is_empty() {
         return Err("it contains no cells".to_string());
     }
-    Ok(Record {
-        cells,
-        warming_mips: rate(&v, "warming_mips"),
-        ref_mips: rate(&v, "ref_mips"),
-    })
+    Ok(Record { cells, warming_mips: rate(&v, "warming_mips"), ref_mips: rate(&v, "ref_mips") })
 }
 
 #[cfg(test)]
@@ -526,11 +500,9 @@ mod tests {
         assert_eq!((r.ref_mips, r.warming_mips), (Some(2.5), None));
         let no_mips = r#"{"cells": [{"key": "a/lvm/fibo/scd", "base_mips": 1.5}]}"#;
         let no_cells = r#"{"ref_mips": 2.5, "cells": []}"#;
-        for (bad, what) in [
-            (no_mips, "mips"),
-            (no_cells, "no cells"),
-            (&ok[..ok.len() - 3], "expected ','"),
-        ] {
+        for (bad, what) in
+            [(no_mips, "mips"), (no_cells, "no cells"), (&ok[..ok.len() - 3], "expected ','")]
+        {
             let err = parse_record(bad).expect_err(bad);
             assert!(err.contains(what), "{bad}: {err}");
         }

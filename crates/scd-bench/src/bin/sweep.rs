@@ -113,10 +113,9 @@ fn main() {
                 })
             })
             .collect(),
-        None if smoke => SMOKE_REPORTS
-            .iter()
-            .map(|n| figures::report(n).expect("smoke report"))
-            .collect(),
+        None if smoke => {
+            SMOKE_REPORTS.iter().map(|n| figures::report(n).expect("smoke report")).collect()
+        }
         None => REPORTS.iter().collect(),
     };
     if sample.is_some() {
@@ -124,11 +123,7 @@ fn main() {
         // every retirement), so keeping fig7/fig10 in a sampled sweep
         // would spend ~20% of the full-detail wall for previews that
         // sampling cannot accelerate. Skip them instead.
-        let skipped: Vec<&str> = selected
-            .iter()
-            .filter(|r| r.traced)
-            .map(|r| r.name)
-            .collect();
+        let skipped: Vec<&str> = selected.iter().filter(|r| r.traced).map(|r| r.name).collect();
         if !skipped.is_empty() {
             eprintln!(
                 "sweep: skipping traced report(s) {} — their cells need full-detail \
@@ -154,11 +149,7 @@ fn main() {
     let plans: Vec<(&Report, Box<dyn Render>)> = selected
         .iter()
         .map(|rep| {
-            let scale = if quick {
-                ArgScale::Tiny
-            } else {
-                rep.default_scale
-            };
+            let scale = if quick { ArgScale::Tiny } else { rep.default_scale };
             (*rep, (rep.plan)(&mut m, scale))
         })
         .collect();
@@ -236,17 +227,11 @@ fn main() {
         // full-detail BENCH_sweep.json (the reference wall time the
         // sampled speedup is quoted against) is never overwritten by a
         // preview pass.
-        let artifact = if sample.is_some() {
-            "BENCH_sweep_sampled.json"
-        } else {
-            "BENCH_sweep.json"
-        };
+        let artifact =
+            if sample.is_some() { "BENCH_sweep_sampled.json" } else { "BENCH_sweep.json" };
         write_artifact(artifact, &json);
         let wall = results.wall.as_secs_f64();
-        let total_insts: u64 = results
-            .iter()
-            .map(|(_, _, out)| out.run.stats.instructions)
-            .sum();
+        let total_insts: u64 = results.iter().map(|(_, _, out)| out.run.stats.instructions).sum();
         let unique_s = results.serial_unique().as_secs_f64();
         eprintln!(
             "sweep: {} cells in {wall:.1}s wall ({:.1}s summed cell time, {:.1}s dedup-unaware \
@@ -407,13 +392,11 @@ fn sample_gate(threads: usize, quick: bool, plan: Option<SamplingPlan>) {
     let sampled = gate_headlines(threads, scale, Some(plan));
 
     let pairs = || {
-        full.table4.named().into_iter().chain(full.edp.named()).zip(
-            sampled
-                .table4
-                .named()
-                .into_iter()
-                .chain(sampled.edp.named()),
-        )
+        full.table4
+            .named()
+            .into_iter()
+            .chain(full.edp.named())
+            .zip(sampled.table4.named().into_iter().chain(sampled.edp.named()))
     };
     let mut drifted = 0u32;
     let mut worst = 0.0f64;
@@ -469,19 +452,13 @@ fn gate_headlines(threads: usize, scale: ArgScale, sample: Option<SamplingPlan>)
         .collect();
     let r = m.run(threads, true);
     let table4 = Table4Headline::compute(
-        rows.iter()
-            .map(|&(b, j, s)| (&r.get(b).stats, &r.get(j).stats, &r.get(s).stats)),
+        rows.iter().map(|&(b, j, s)| (&r.get(b).stats, &r.get(j).stats, &r.get(s).stats)),
     );
     let edp = EdpHeadline::compute(
-        rows.iter()
-            .map(|&(b, _, s)| (&r.get(b).stats, &r.get(s).stats)),
+        rows.iter().map(|&(b, _, s)| (&r.get(b).stats, &r.get(s).stats)),
         scd_model::table_v(&cfg).power_increase,
     );
-    GateHeadlines {
-        table4,
-        edp,
-        serial: r.serial_unique().as_secs_f64(),
-    }
+    GateHeadlines { table4, edp, serial: r.serial_unique().as_secs_f64() }
 }
 
 /// Parses `--only a,b` / `--only=a,b` into a name list.
@@ -496,10 +473,7 @@ fn parse_only(argv: &[String]) -> Option<Vec<String>> {
         };
         if let Some(list) = list {
             sel = Some(
-                list.split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect(),
+                list.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect(),
             );
         }
     }
@@ -586,11 +560,7 @@ fn bench_json(
     let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let reports_line = format!(
         "\"reports\": [{}],",
-        reports
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
+        reports.iter().map(|n| format!("\"{n}\"")).collect::<Vec<_>>().join(", ")
     );
     let mut s = String::new();
     s.push_str("{\n");
@@ -612,61 +582,33 @@ fn bench_json(
         let full = read_record("BENCH_sweep.json");
         if let Some(full_ms) = full.as_ref().and_then(record_wall).filter(|_| !quick) {
             let _ = writeln!(s, "  \"full_detail_wall_ms\": {full_ms:.3},");
-            let _ = writeln!(
-                s,
-                "  \"speedup_vs_full_detail\": {:.3},",
-                full_ms / wall_ms.max(1e-9)
-            );
+            let _ =
+                writeln!(s, "  \"speedup_vs_full_detail\": {:.3},", full_ms / wall_ms.max(1e-9));
         }
         // The sampled record this run replaces, when it covers the same
         // plan and reports: running the previous build's sweep first on
         // the same host makes this a same-host before/after.
         let prev = read_record("BENCH_sweep_sampled.json").filter(|prev| {
             prev.get("sample").and_then(Value::as_str) == Some(p.to_string().as_str())
-                && prev
-                    .get("reports")
-                    .and_then(Value::as_arr)
-                    .is_some_and(|names| {
-                        names
-                            .iter()
-                            .map(Value::as_str)
-                            .eq(reports.iter().map(|r| Some(*r)))
-                    })
+                && prev.get("reports").and_then(Value::as_arr).is_some_and(|names| {
+                    names.iter().map(Value::as_str).eq(reports.iter().map(|r| Some(*r)))
+                })
         });
         if let Some(prev_ms) = prev.as_ref().and_then(record_wall).filter(|_| !quick) {
             let _ = writeln!(s, "  \"previous_wall_ms\": {prev_ms:.3},");
-            let _ = writeln!(
-                s,
-                "  \"speedup_vs_previous\": {:.3},",
-                prev_ms / wall_ms.max(1e-9)
-            );
+            let _ = writeln!(s, "  \"speedup_vs_previous\": {:.3},", prev_ms / wall_ms.max(1e-9));
         }
     }
     let _ = writeln!(s, "  {reports_line}");
     let _ = writeln!(s, "  \"cells\": {},", r.len());
-    let _ = writeln!(
-        s,
-        "  \"cells_requested\": {},",
-        r.iter().map(|(_, h, _)| h).sum::<usize>()
-    );
+    let _ = writeln!(s, "  \"cells_requested\": {},", r.iter().map(|(_, h, _)| h).sum::<usize>());
     let _ = writeln!(s, "  \"wall_ms\": {wall_ms:.3},");
     let _ = writeln!(s, "  \"serial_unique_ms\": {unique_ms:.3},");
     let _ = writeln!(s, "  \"serial_requested_ms\": {requested_ms:.3},");
-    let _ = writeln!(
-        s,
-        "  \"parallel_speedup\": {:.3},",
-        unique_ms / wall_ms.max(1e-9)
-    );
-    let _ = writeln!(
-        s,
-        "  \"dedup_speedup\": {:.3},",
-        requested_ms / unique_ms.max(1e-9)
-    );
-    let _ = writeln!(
-        s,
-        "  \"speedup_vs_sequential_bins\": {:.3},",
-        requested_ms / wall_ms.max(1e-9)
-    );
+    let _ = writeln!(s, "  \"parallel_speedup\": {:.3},", unique_ms / wall_ms.max(1e-9));
+    let _ = writeln!(s, "  \"dedup_speedup\": {:.3},", requested_ms / unique_ms.max(1e-9));
+    let _ =
+        writeln!(s, "  \"speedup_vs_sequential_bins\": {:.3},", requested_ms / wall_ms.max(1e-9));
     let _ = writeln!(s, "  \"total_instructions\": {total_insts},");
     let _ = writeln!(s, "  \"aggregate_mips\": {aggregate_mips:.2},");
     s.push_str("  \"per_cell\": [\n");

@@ -38,11 +38,8 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     // Quick mode shrinks the budget, not the grid: the point of the CI
     // run is exercising every window, not reproducing the numbers.
-    let (budget, period, measure) = if quick {
-        (4_000_000, 250_000, 10_000)
-    } else {
-        (40_000_000, 1_000_000, 20_000)
-    };
+    let (budget, period, measure) =
+        if quick { (4_000_000, 250_000, 10_000) } else { (40_000_000, 1_000_000, 20_000) };
     let cfg = SimConfig::embedded_a5();
     let mut out = String::new();
     let _ = writeln!(
@@ -53,10 +50,7 @@ fn main() {
     );
 
     for name in BENCHES {
-        let b = BENCHMARKS
-            .iter()
-            .find(|b| b.name == name)
-            .expect("pinned benchmark");
+        let b = BENCHMARKS.iter().find(|b| b.name == name).expect("pinned benchmark");
         let arg = if quick { b.tiny_arg } else { b.sim_arg };
         let predefined = [("N", arg)];
         let req = RunRequest::new(cfg.clone(), Vm::Lvm, b.source)
@@ -66,11 +60,8 @@ fn main() {
 
         let full = run(&req, None);
         let _ = writeln!(out, "{name}: full-detail reference {full} cycles");
-        let _ = writeln!(
-            out,
-            "  {:<12}{:>10}{:>16}{:>10}",
-            "sweep", "window", "cycles-est", "drift%"
-        );
+        let _ =
+            writeln!(out, "  {:<12}{:>10}{:>16}{:>10}", "sweep", "window", "cycles-est", "drift%");
 
         for w in WINDOWS {
             let plan = SamplingPlan::new(period, w, measure).unwrap_or_else(|e| die(&e));
@@ -91,11 +82,8 @@ fn main() {
 /// Runs the request (sampled under `plan`, or full detail) and returns
 /// total cycles — estimated for sampled runs, exact for full detail.
 fn run(req: &RunRequest<'_>, plan: Option<SamplingPlan>) -> u64 {
-    let r = req
-        .clone()
-        .sample(plan)
-        .run_with(|m| m.disable_invariants())
-        .unwrap_or_else(|e| die(&e));
+    let r =
+        req.clone().sample(plan).run_with(|m| m.disable_invariants()).unwrap_or_else(|e| die(&e));
     r.stats.cycles
 }
 

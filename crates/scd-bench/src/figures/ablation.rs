@@ -88,7 +88,13 @@ pub fn plan(m: &mut RunMatrix, scale: ArgScale) -> Box<dyn Render> {
     // 3. Interpreter weight.
     let weight = vec![
         pairs(m, &a5, &a5, dflt, scale),
-        pairs(m, &a5, &a5, GuestOptions { production_weight: false, scheduled_fetch: false }, scale),
+        pairs(
+            m,
+            &a5,
+            &a5,
+            GuestOptions { production_weight: false, scheduled_fetch: false },
+            scale,
+        ),
     ];
 
     // 4. Jump-threading I-cache pressure: baseline vs threaded builds at
@@ -247,8 +253,7 @@ impl Render for Plan {
         // 6. BTB overlay vs dedicated (CBT-style) JTE table, at a small BTB
         //    where contention between B entries and JTEs is worst.
         let _ = writeln!(out, "\n6. JTE storage organization at a 64-entry BTB:");
-        let _ =
-            writeln!(out, "   BTB overlay (SCD, no extra table): {:+.1}%", gain(&self.overlay));
+        let _ = writeln!(out, "   BTB overlay (SCD, no extra table): {:+.1}%", gain(&self.overlay));
         let _ = writeln!(out, "   dedicated table (CBT-style)      : {:+.1}%", gain(&self.cbt));
 
         out

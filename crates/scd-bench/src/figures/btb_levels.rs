@@ -54,15 +54,8 @@ fn org_configs() -> Vec<(&'static str, SimConfig)> {
     let mut ideal_fa = a5.clone();
     ideal_fa.btb = BtbConfig::fully_assoc(256, Replacement::Lru);
     let two8 = a5.clone().with_two_level_btb(TwoLevelBtbConfig::arm_like());
-    let two7 = a5
-        .clone()
-        .with_two_level_btb(TwoLevelBtbConfig::arm_like().with_fold_bits(7));
-    vec![
-        ("ideal-fa", ideal_fa),
-        ("ideal-sa", a5),
-        ("2lvl-f8", two8),
-        ("2lvl-f7", two7),
-    ]
+    let two7 = a5.clone().with_two_level_btb(TwoLevelBtbConfig::arm_like().with_fold_bits(7));
+    vec![("ideal-fa", ideal_fa), ("ideal-sa", a5), ("2lvl-f8", two8), ("2lvl-f7", two7)]
 }
 
 fn cell(
@@ -138,10 +131,7 @@ fn run_alias(cfg: &SimConfig, g: &Generated, label: &str) -> AliasRun {
         Ok(_) | Err(SimError::InstLimit { .. }) => {}
         Err(e) => panic!("btb_levels adversarial run {label}: {e}"),
     }
-    AliasRun {
-        two_level: m.btb().two_level_stats(),
-        stats: m.stats,
-    }
+    AliasRun { two_level: m.btb().two_level_stats(), stats: m.stats }
 }
 
 impl Render for Plan {
@@ -159,7 +149,10 @@ impl Render for Plan {
         let _ = writeln!(out, "Organizations:");
         let _ = writeln!(out, "  ideal-fa  256e fully-assoc, raw index (no conflicts)");
         let _ = writeln!(out, "  ideal-sa  256e 2-way, raw index (paper simulator config)");
-        let _ = writeln!(out, "  2lvl-f8   32e/2w L0 + 512e/4w L1, 8-bit fold, 14-bit tags, 2 L1 bubbles");
+        let _ = writeln!(
+            out,
+            "  2lvl-f8   32e/2w L0 + 512e/4w L1, 8-bit fold, 14-bit tags, 2 L1 bubbles"
+        );
         let _ = writeln!(out, "  2lvl-f7   same banks, 7-bit fold (different aliasing classes)\n");
 
         // 1. SCD speedup over the same-organization baseline, uncapped.
@@ -191,10 +184,8 @@ impl Render for Plan {
         //    also leans on the BTB (one indirect branch per handler).
         let _ = writeln!(out, "2. Jump-threading speedup over baseline (geomean):");
         for (oi, (name, _)) in orgs.iter().enumerate() {
-            let s: Vec<f64> = self.rows[oi]
-                .iter()
-                .map(|ob| speedup(ob.base, ob.threaded))
-                .collect();
+            let s: Vec<f64> =
+                self.rows[oi].iter().map(|ob| speedup(ob.base, ob.threaded)).collect();
             let _ = writeln!(
                 out,
                 "   {name:<10}: {:+.1}%",
@@ -213,10 +204,8 @@ impl Render for Plan {
         for (oi, (name, _)) in orgs.iter().enumerate() {
             let _ = write!(out, "{name:<18}");
             for ci in 0..CAPS.len() {
-                let s: Vec<f64> = self.rows[oi]
-                    .iter()
-                    .map(|ob| speedup(ob.base, ob.scd[ci]))
-                    .collect();
+                let s: Vec<f64> =
+                    self.rows[oi].iter().map(|ob| speedup(ob.base, ob.scd[ci])).collect();
                 let _ = write!(out, "{:>10.3}", geomean(&s).expect("positive speedups"));
             }
             let _ = writeln!(out);
@@ -270,12 +259,8 @@ impl Render for Plan {
         }
         let gi = geomean(&wins_ideal).expect("positive wins");
         let gt = geomean(&wins_two).expect("positive wins");
-        let _ = writeln!(
-            out,
-            "{:<10}{gi:>12.3}{gt:>12.3}{:>9.1}%",
-            "GEOMEAN",
-            100.0 * (gt / gi - 1.0)
-        );
+        let _ =
+            writeln!(out, "{:<10}{gi:>12.3}{gt:>12.3}{:>9.1}%", "GEOMEAN", 100.0 * (gt / gi - 1.0));
         let _ = writeln!(out, "\n   Two-level traffic under SCD (the aliased JTE working set):");
         let _ = writeln!(
             out,

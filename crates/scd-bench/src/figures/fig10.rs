@@ -45,8 +45,7 @@ impl Render for Plan {
             // What the misses cost: fetch-stall cycles per
             // kilo-instruction, and how much of that stalling lands in
             // dispatcher code.
-            let _ =
-                writeln!(out, "Fetch-stall attribution from trace events [{}]", m.vm.name());
+            let _ = writeln!(out, "Fetch-stall attribution from trace events [{}]", m.vm.name());
             let _ = writeln!(
                 out,
                 "{:<16}{:>16}{:>16}{:>16}",

@@ -14,7 +14,14 @@ use std::fmt::Write as _;
 const SIZES: [usize; 4] = [64, 128, 256, 512];
 const CAPS: [(Option<usize>, &str); 3] = [(Some(4), "4"), (Some(16), "16"), (None, "inf")];
 
-fn cell(m: &mut RunMatrix, cfg: &SimConfig, vm: Vm, b: &'static Benchmark, scale: ArgScale, v: Variant) -> CellId {
+fn cell(
+    m: &mut RunMatrix,
+    cfg: &SimConfig,
+    vm: Vm,
+    b: &'static Benchmark,
+    scale: ArgScale,
+    v: Variant,
+) -> CellId {
     m.cell(CellSpec {
         cfg: v.configure(cfg),
         vm,
@@ -90,11 +97,8 @@ impl Render for Plan {
         let mut out = String::new();
 
         for (vi, vm) in Vm::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "Figure 11a/b: SCD speedup vs BTB size [{}] ({scale:?})",
-                vm.name()
-            );
+            let _ =
+                writeln!(out, "Figure 11a/b: SCD speedup vs BTB size [{}] ({scale:?})", vm.name());
             let _ = write!(out, "{:<18}", "benchmark");
             for s in SIZES {
                 let _ = write!(out, "{s:>10}");

@@ -80,11 +80,7 @@ impl Render for Plan {
             );
         }
         let h = Table4Headline::compute(self.rows.iter().map(|&(base_id, jt_id, scd_id)| {
-            (
-                &r.get(base_id).stats,
-                &r.get(jt_id).stats,
-                &r.get(scd_id).stats,
-            )
+            (&r.get(base_id).stats, &r.get(jt_id).stats, &r.get(scd_id).stats)
         }));
         let _ = writeln!(
             out,

@@ -67,10 +67,8 @@ impl Render for Plan {
         // Two methods: (i) constant-power (the paper's arithmetic: chip
         // power delta x squared runtime ratio) and (ii) activity-based
         // energy from the simulator's event counts.
-        let _ = writeln!(
-            out,
-            "\nEDP improvement (per benchmark, Rocket config, {scale:?} inputs):"
-        );
+        let _ =
+            writeln!(out, "\nEDP improvement (per benchmark, Rocket config, {scale:?} inputs):");
         let eparams = EnergyParams::default();
         for (b, &(base_id, scd_id)) in BENCHMARKS.iter().zip(&self.rows) {
             let base = r.get(base_id);

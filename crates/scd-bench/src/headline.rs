@@ -92,10 +92,7 @@ impl EdpHeadline {
             edps_measured.push(1.0 - edp_improvement_measured(base, scd, &eparams));
         }
         let gm = |v: &[f64]| geomean(v).expect("positive EDP ratios");
-        EdpHeadline {
-            const_power: gm(&edps),
-            activity: gm(&edps_measured),
-        }
+        EdpHeadline { const_power: gm(&edps), activity: gm(&edps_measured) }
     }
 
     /// The two ratios with stable labels, for comparison reports.
@@ -112,11 +109,7 @@ mod tests {
     use super::*;
 
     fn stats(instructions: u64, cycles: u64) -> SimStats {
-        SimStats {
-            instructions,
-            cycles,
-            ..Default::default()
-        }
+        SimStats { instructions, cycles, ..Default::default() }
     }
 
     #[test]

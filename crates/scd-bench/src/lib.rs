@@ -43,12 +43,8 @@ pub enum Variant {
 }
 
 impl Variant {
-    pub const ALL: [Variant; 4] = [
-        Variant::Baseline,
-        Variant::JumpThreading,
-        Variant::Vbbi,
-        Variant::Scd,
-    ];
+    pub const ALL: [Variant; 4] =
+        [Variant::Baseline, Variant::JumpThreading, Variant::Vbbi, Variant::Scd];
 
     pub fn name(self) -> &'static str {
         match self {
@@ -255,10 +251,7 @@ pub fn threads_from_cli() -> usize {
             if let Some(n) = args.next().and_then(|s| s.parse::<usize>().ok()) {
                 return n.max(1);
             }
-        } else if let Some(n) = a
-            .strip_prefix("--threads=")
-            .and_then(|s| s.parse::<usize>().ok())
-        {
+        } else if let Some(n) = a.strip_prefix("--threads=").and_then(|s| s.parse::<usize>().ok()) {
             return n.max(1);
         }
     }
@@ -298,11 +291,7 @@ mod tests {
         assert!(t.contains("MEAN"));
         assert!(t.contains("fibo"));
         // SCD wins on geomean even at tiny scale.
-        let speedups: Vec<f64> = matrix
-            .rows
-            .iter()
-            .map(|r| r.speedup(Variant::Scd))
-            .collect();
+        let speedups: Vec<f64> = matrix.rows.iter().map(|r| r.speedup(Variant::Scd)).collect();
         assert!(geomean(&speedups).expect("positive speedups") > 1.0);
     }
 }

@@ -70,12 +70,7 @@ pub struct CellSpec {
 impl CellSpec {
     /// Progress and error label: `bench [vm / scheme]`.
     fn label(&self) -> String {
-        format!(
-            "{} [{} / {}]",
-            self.bench.name,
-            self.vm.name(),
-            self.scheme.name()
-        )
+        format!("{} [{} / {}]", self.bench.name, self.vm.name(), self.scheme.name())
     }
 
     /// The serve job that runs this cell. A traced cell always runs full
@@ -249,12 +244,8 @@ impl RunMatrix {
         };
         let mut cells = Vec::with_capacity(total);
         let mut failure = None;
-        run_batch(
-            &jobs,
-            threads,
-            interrupt.unwrap_or(&never),
-            runner,
-            |_, job, outcome| match outcome {
+        run_batch(&jobs, threads, interrupt.unwrap_or(&never), runner, |_, job, outcome| {
+            match outcome {
                 JobOutcome::Done(d) => cells.push((**d).clone()),
                 JobOutcome::Failed { error, .. } => {
                     let msg = format!("{}: {} failure: {}", job.id, error.kind(), error.message());
@@ -263,17 +254,12 @@ impl RunMatrix {
                 JobOutcome::Cancelled => {
                     failure.get_or_insert(SweepError::Interrupted);
                 }
-            },
-        );
+            }
+        });
         if let Some(e) = failure {
             return Err(e);
         }
-        Ok(SweepResults {
-            specs: self.cells,
-            hits: self.hits,
-            cells,
-            wall: started.elapsed(),
-        })
+        Ok(SweepResults { specs: self.cells, hits: self.hits, cells, wall: started.elapsed() })
     }
 }
 
@@ -383,11 +369,7 @@ impl SweepResults {
     /// # Panics
     /// Panics when the cell was planned untraced.
     pub fn breakdown(&self, id: CellId) -> &CycleBreakdown {
-        self.cells[id.0]
-            .run
-            .breakdown
-            .as_ref()
-            .expect("cell was planned traced")
+        self.cells[id.0].run.breakdown.as_ref().expect("cell was planned traced")
     }
 
     /// Sum of per-cell host runtimes: what the deduplicated matrix would
@@ -409,11 +391,7 @@ impl SweepResults {
 
     /// Iterates `(spec, times-requested, result)` in planning order.
     pub fn iter(&self) -> impl Iterator<Item = (&CellSpec, usize, &JobDone)> {
-        self.specs
-            .iter()
-            .zip(&self.hits)
-            .zip(&self.cells)
-            .map(|((s, &h), c)| (s, h, c))
+        self.specs.iter().zip(&self.hits).zip(&self.cells).map(|((s, &h), c)| (s, h, c))
     }
 }
 
@@ -457,11 +435,7 @@ impl MatrixPlan {
             rows: self
                 .rows
                 .iter()
-                .map(|(b, cells)| MatrixRow {
-                    bench: b,
-                    cells: cells.clone(),
-                    results: r,
-                })
+                .map(|(b, cells)| MatrixRow { bench: b, cells: cells.clone(), results: r })
                 .collect(),
         }
     }
@@ -486,11 +460,7 @@ pub struct MatrixRow<'r> {
 
 impl<'r> MatrixRow<'r> {
     fn id(&self, v: Variant) -> CellId {
-        self.cells
-            .iter()
-            .find(|(vv, _)| *vv == v)
-            .expect("variant present")
-            .1
+        self.cells.iter().find(|(vv, _)| *vv == v).expect("variant present").1
     }
 
     /// The validated run of variant `v`.
@@ -564,15 +534,8 @@ mod tests {
         }))
         .expect_err("the worker panic must surface");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("injected cell failure"),
-            "message preserved: {msg}"
-        );
-        assert_eq!(
-            completed.load(Ordering::SeqCst),
-            7,
-            "the other items still ran"
-        );
+        assert!(msg.contains("injected cell failure"), "message preserved: {msg}");
+        assert_eq!(completed.load(Ordering::SeqCst), 7, "the other items still ran");
     }
 
     /// End-to-end for the persistent cache: a cold sweep populates it, a
@@ -596,20 +559,13 @@ mod tests {
                 &[Variant::Baseline, Variant::Scd],
                 true,
             );
-            let r = m
-                .run_cached(2, false, Some(cache), None)
-                .expect("sweep clean");
+            let r = m.run_cached(2, false, Some(cache), None).expect("sweep clean");
             let matrix = plan.resolve(&r);
             let mut snap = Vec::new();
             for row in &matrix.rows {
                 for v in [Variant::Baseline, Variant::Scd] {
                     let run = row.get(v);
-                    snap.push((
-                        run.checksum,
-                        run.dispatches,
-                        run.stats.clone(),
-                        *row.breakdown(v),
-                    ));
+                    snap.push((run.checksum, run.dispatches, run.stats.clone(), *row.breakdown(v)));
                 }
             }
             snap
@@ -635,17 +591,9 @@ mod tests {
         let healed = sweep(&hurt_cache);
         assert_eq!(cold, healed, "recomputed results must be bit-identical");
         assert_eq!(stat(&hurt_cache.stats.quarantined), 1);
-        assert_eq!(
-            stat(&hurt_cache.stats.misses),
-            0,
-            "quarantines are counted apart"
-        );
+        assert_eq!(stat(&hurt_cache.stats.misses), 0, "quarantines are counted apart");
         assert_eq!(stat(&hurt_cache.stats.hits), cells - 1);
-        assert_eq!(
-            stat(&hurt_cache.stats.stores),
-            1,
-            "the healed entry is re-committed"
-        );
+        assert_eq!(stat(&hurt_cache.stats.stores), 1, "the healed entry is re-committed");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -656,10 +604,8 @@ mod tests {
     /// sampling tentpole.
     #[test]
     fn sampled_matrix_validates_and_caches_separately() {
-        let dir = std::env::temp_dir().join(format!(
-            "scd-sweep-sample-cache-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir()
+            .join(format!("scd-sweep-sample-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let a5 = SimConfig::embedded_a5();
         let plan = SamplingPlan::parse("60k:10k:6k").expect("valid plan");
@@ -674,9 +620,7 @@ mod tests {
                 &[Variant::Baseline, Variant::Scd],
                 false,
             );
-            let r = m
-                .run_cached(2, false, Some(cache), None)
-                .expect("sweep clean");
+            let r = m.run_cached(2, false, Some(cache), None).expect("sweep clean");
             let matrix = p.resolve(&r);
             let mut snap = Vec::new();
             for row in &matrix.rows {
@@ -699,11 +643,7 @@ mod tests {
         // a single full-detail entry as a hit (the plan splits the key).
         let smp_cache = Cache::open(&dir).expect("reopen cache");
         let smp = sweep(Some(plan), &smp_cache);
-        assert_eq!(
-            stat(&smp_cache.stats.hits),
-            0,
-            "plans must split cache keys"
-        );
+        assert_eq!(stat(&smp_cache.stats.hits), 0, "plans must split cache keys");
         assert_eq!(stat(&smp_cache.stats.stores), cells);
         assert!(smp.iter().all(|&(_, _, sampled)| sampled));
         // Architectural results are exact under sampling: checksums and
@@ -715,11 +655,7 @@ mod tests {
         // sample report still attached.
         let warm_cache = Cache::open(&dir).expect("reopen cache");
         let warm = sweep(Some(plan), &warm_cache);
-        assert_eq!(
-            stat(&warm_cache.stats.hits),
-            cells,
-            "every sampled cell must hit"
-        );
+        assert_eq!(stat(&warm_cache.stats.hits), cells, "every sampled cell must hit");
         assert_eq!(smp, warm);
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -731,10 +667,8 @@ mod tests {
     /// equal to the sweep's result field for field.
     #[test]
     fn sweep_cache_serves_serve_jobs() {
-        let dir = std::env::temp_dir().join(format!(
-            "scd-sweep-serve-interop-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir()
+            .join(format!("scd-sweep-serve-interop-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let a5 = SimConfig::embedded_a5();
         let b = &BENCHMARKS[0];
@@ -743,15 +677,11 @@ mod tests {
         let mut m = RunMatrix::new();
         let detailed = m.variant(&a5, Vm::Lvm, b, ArgScale::Tiny, Variant::Baseline, false);
         let traced = m.variant(&a5, Vm::Svm, b, ArgScale::Tiny, Variant::Scd, true);
-        let full = m
-            .run_cached(2, false, Some(&cache), None)
-            .expect("sweep clean");
+        let full = m.run_cached(2, false, Some(&cache), None).expect("sweep clean");
         let mut m = RunMatrix::new();
         m.set_sample(Some(SamplingPlan::parse("60k:10k:6k").expect("valid plan")));
         let sampled = m.variant(&a5, Vm::Lvm, b, ArgScale::Tiny, Variant::Scd, false);
-        let smp = m
-            .run_cached(1, false, Some(&cache), None)
-            .expect("sweep clean");
+        let smp = m.run_cached(1, false, Some(&cache), None).expect("sweep clean");
         assert!(full.get(traced).breakdown.is_some());
         assert!(smp.get(sampled).sample.is_some());
 
@@ -800,35 +730,22 @@ mod tests {
     fn cache_contents_are_thread_count_invariant() {
         let a5 = SimConfig::embedded_a5();
         let plan = |m: &mut RunMatrix| {
-            plan_matrix(
-                m,
-                &a5,
-                Vm::Lvm,
-                ArgScale::Tiny,
-                &[Variant::Baseline, Variant::Scd],
-                false,
-            );
+            plan_matrix(m, &a5, Vm::Lvm, ArgScale::Tiny, &[Variant::Baseline, Variant::Scd], false);
         };
         let mut probe = RunMatrix::new();
         plan(&mut probe);
-        let keys: Vec<String> = probe
-            .cells
-            .iter()
-            .map(|c| Cache::key(&c.job(probe.sample).cache_manifest()))
-            .collect();
+        let keys: Vec<String> =
+            probe.cells.iter().map(|c| Cache::key(&c.job(probe.sample).cache_manifest())).collect();
         let caches: Vec<(std::path::PathBuf, Cache)> = [1, 3]
             .into_iter()
             .map(|threads| {
-                let dir = std::env::temp_dir().join(format!(
-                    "scd-sweep-threads-{threads}-test-{}",
-                    std::process::id()
-                ));
+                let dir = std::env::temp_dir()
+                    .join(format!("scd-sweep-threads-{threads}-test-{}", std::process::id()));
                 let _ = std::fs::remove_dir_all(&dir);
                 let cache = Cache::open(&dir).expect("open cache");
                 let mut m = RunMatrix::new();
                 plan(&mut m);
-                m.run_cached(threads, false, Some(&cache), None)
-                    .expect("sweep clean");
+                m.run_cached(threads, false, Some(&cache), None).expect("sweep clean");
                 assert_eq!(
                     cache.stats.stores.load(Ordering::SeqCst),
                     keys.len() as u64,
@@ -862,16 +779,10 @@ mod tests {
             );
             let r = m.run(threads, false);
             let matrix = plan.resolve(&r);
-            let speedups: Vec<f64> = matrix
-                .rows
-                .iter()
-                .map(|row| row.speedup(Variant::Scd))
-                .collect();
-            let events: Vec<u64> = matrix
-                .rows
-                .iter()
-                .map(|row| row.breakdown(Variant::Scd).events)
-                .collect();
+            let speedups: Vec<f64> =
+                matrix.rows.iter().map(|row| row.speedup(Variant::Scd)).collect();
+            let events: Vec<u64> =
+                matrix.rows.iter().map(|row| row.breakdown(Variant::Scd).events).collect();
             (speedups, events)
         };
         let one = plan_and_run(1);

@@ -13,9 +13,9 @@ use scd_sim::{SamplingPlan, SimConfig};
 
 /// FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 #[test]
@@ -45,10 +45,7 @@ fn reopened_cache_returns_the_encoded_runs() {
          {{{common}, \"vm\": \"lvm\", \"scheme\": \"scd\", \"sample\": \"60k:10k:6k\"}}\n"
     );
     let jobs = parse_jobs(&text).expect("jobs parse");
-    let keys: Vec<String> = jobs
-        .iter()
-        .map(|j| Cache::key(&j.cache_manifest()))
-        .collect();
+    let keys: Vec<String> = jobs.iter().map(|j| Cache::key(&j.cache_manifest())).collect();
     let encoded: Vec<String> = runs.iter().map(|r| payload::encode(r)).collect();
 
     {
@@ -60,20 +57,14 @@ fn reopened_cache_returns_the_encoded_runs() {
     let cache = Cache::open(&dir).expect("reopen cache");
     let mut digests = Vec::new();
     for ((key, bytes), job) in keys.iter().zip(&encoded).zip(&jobs) {
-        let got = cache
-            .load(key)
-            .unwrap_or_else(|| panic!("{}: entry lost", job.id));
+        let got = cache.load(key).unwrap_or_else(|| panic!("{}: entry lost", job.id));
         assert_eq!(got, bytes.as_bytes(), "{}: loaded bytes differ", job.id);
         digests.push(fnv1a(&got));
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         digests,
-        [
-            0x8333_6e63_e251_0991,
-            0xb6f9_3099_7f67_559a,
-            0x84f3_5a55_524a_a780
-        ],
+        [0x8333_6e63_e251_0991, 0xb6f9_3099_7f67_559a, 0x84f3_5a55_524a_a780],
         "payload digests moved"
     );
 }

@@ -159,8 +159,7 @@ fn repro_for(cfg: &GenConfig) -> Repro {
 /// handler-block count while the failure (any divergence, same variant)
 /// persists. Returns the smallest still-failing config.
 fn shrink(cfg: GenConfig, variant: &str, max_insts: u64) -> GenConfig {
-    let still_fails =
-        |c: &GenConfig| run_one(&repro_for(c), variant, max_insts).is_err();
+    let still_fails = |c: &GenConfig| run_one(&repro_for(c), variant, max_insts).is_err();
     let mut best = cfg;
     loop {
         let mut reduced = false;

@@ -215,9 +215,8 @@ fn run_with_checkpoints(
     file: &str,
 ) -> Result<GuestRun, RunFailure> {
     loop {
-        let limit = every.map_or(u64::MAX, |n| {
-            session.machine.stats.instructions.saturating_add(n)
-        });
+        let limit =
+            every.map_or(u64::MAX, |n| session.machine.stats.instructions.saturating_add(n));
         match session.machine.run(limit) {
             Ok(exit) => return session.validate(&exit).map_err(RunFailure::Guest),
             Err(SimError::InstLimit { .. }) if every.is_some() => {
@@ -271,9 +270,7 @@ fn cmd_run(o: Opts) {
     let src = read_script(&path);
     let args: Vec<(&str, f64)> = o.args.iter().map(|(k, v)| (k.as_str(), *v)).collect();
 
-    let req = RunRequest::new(o.cfg.clone(), o.vm, &src)
-        .predefined(&args)
-        .scheme(o.scheme);
+    let req = RunRequest::new(o.cfg.clone(), o.vm, &src).predefined(&args).scheme(o.scheme);
     let mut session = match req.session() {
         Ok(s) => s,
         Err(e) => {
@@ -296,9 +293,7 @@ fn cmd_run(o: Opts) {
         session.machine.set_cycle_budget(c);
     }
     if let Some(s) = o.wall_budget {
-        session
-            .machine
-            .set_wall_budget(std::time::Duration::from_secs_f64(s));
+        session.machine.set_wall_budget(std::time::Duration::from_secs_f64(s));
     }
     if let Some(plan) = &o.sample {
         session.machine.disable_invariants();
@@ -312,14 +307,8 @@ fn cmd_run(o: Opts) {
                 if r.exact_fallback {
                     println!("sampling      : exact fallback (guest too short for plan {plan})");
                 } else {
-                    println!(
-                        "sampling      : {} interval(s) under plan {plan}",
-                        r.intervals
-                    );
-                    println!(
-                        "cycles (est)  : {} ± {} (95% CI)",
-                        r.cycles_est, r.cycles_ci95
-                    );
+                    println!("sampling      : {} interval(s) under plan {plan}", r.intervals);
+                    println!("cycles (est)  : {} ± {} (95% CI)", r.cycles_est, r.cycles_ci95);
                     println!("CPI (est)     : {:.4} ± {:.4}", r.cpi_mean, r.cpi_ci95);
                 }
             }
@@ -349,10 +338,7 @@ fn cmd_run(o: Opts) {
             eprintln!("cannot resume from {rp}: {e}");
             exit(EXIT_INTERNAL);
         }
-        eprintln!(
-            "resumed {rp} at instruction {}",
-            session.machine.stats.instructions
-        );
+        eprintln!("resumed {rp} at instruction {}", session.machine.stats.instructions);
     }
 
     // StatInvariants failures surface as panics deep in the simulator;
@@ -449,10 +435,7 @@ fn cmd_listing(o: Opts) {
 }
 
 fn cmd_bench_list() {
-    println!(
-        "{:<18} {:>8} {:>9} {:>7}  description",
-        "name", "sim-N", "fpga-N", "tiny-N"
-    );
+    println!("{:<18} {:>8} {:>9} {:>7}  description", "name", "sim-N", "fpga-N", "tiny-N");
     for b in &luma::scripts::BENCHMARKS {
         println!(
             "{:<18} {:>8} {:>9} {:>7}  {}",

@@ -52,11 +52,7 @@ fn parse_serve_opts(mut argv: impl Iterator<Item = String>) -> ServeOpts {
             "--cache-stats" => cache_stats = true,
             "--threads" => {
                 let v = argv.next().unwrap_or_else(|| usage());
-                threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage());
+                threads = v.parse::<usize>().ok().filter(|&n| n > 0).unwrap_or_else(|| usage());
             }
             "--timeout" => {
                 let v = argv.next().unwrap_or_else(|| usage());
@@ -69,13 +65,7 @@ fn parse_serve_opts(mut argv: impl Iterator<Item = String>) -> ServeOpts {
             _ => usage(),
         }
     }
-    ServeOpts {
-        jobs: jobs.unwrap_or_else(|| usage()),
-        cache,
-        cache_stats,
-        threads,
-        timeout,
-    }
+    ServeOpts { jobs: jobs.unwrap_or_else(|| usage()), cache, cache_stats, threads, timeout }
 }
 
 pub(crate) fn cmd_serve(argv: impl Iterator<Item = String>) {
@@ -105,13 +95,8 @@ pub(crate) fn cmd_serve(argv: impl Iterator<Item = String>) {
         "serve: {} job(s), {} thread(s){}{}",
         jobs.len(),
         o.threads,
-        o.timeout
-            .map(|t| format!(", {:.0}s/job timeout", t.as_secs_f64()))
-            .unwrap_or_default(),
-        o.cache
-            .as_ref()
-            .map(|d| format!(", cache {d}"))
-            .unwrap_or_default(),
+        o.timeout.map(|t| format!(", {:.0}s/job timeout", t.as_secs_f64())).unwrap_or_default(),
+        o.cache.as_ref().map(|d| format!(", cache {d}")).unwrap_or_default(),
     );
 
     let stdout = std::io::stdout();
@@ -130,12 +115,7 @@ pub(crate) fn cmd_serve(argv: impl Iterator<Item = String>) {
                 exit(EXIT_INTERNAL);
             }
             if let JobOutcome::Failed { error, .. } = outcome {
-                eprintln!(
-                    "serve: job {} failed ({}): {}",
-                    job.id,
-                    error.kind(),
-                    error.message()
-                );
+                eprintln!("serve: job {} failed ({}): {}", job.id, error.kind(), error.message());
             }
         },
     );

@@ -116,10 +116,8 @@ pub fn differential_check(
     clean.machine.set_trace_sink(Box::new(LockstepSink::new(&clean.machine)));
     let clean_run =
         clean.run_and_validate(max_insts).map_err(|e| DifferentialError::Clean(e.to_string()))?;
-    if let Some(sink) = clean
-        .machine
-        .take_trace_sink()
-        .and_then(scd_sim::downcast_sink::<LockstepSink>)
+    if let Some(sink) =
+        clean.machine.take_trace_sink().and_then(scd_sim::downcast_sink::<LockstepSink>)
     {
         if let Some(d) = sink.divergence() {
             let dump = sink.dump("clean-lockstep");
@@ -195,8 +193,7 @@ mod tests {
 
     #[test]
     fn faults_never_shorten_the_retired_path() {
-        let report =
-            differential_check(&req(Vm::Svm), FaultPlan::jte_corruption(7), 256).unwrap();
+        let report = differential_check(&req(Vm::Svm), FaultPlan::jte_corruption(7), 256).unwrap();
         assert!(report.faulted.stats.instructions >= report.clean.stats.instructions);
     }
 }

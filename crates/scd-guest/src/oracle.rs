@@ -63,8 +63,8 @@ mod tests {
                     .predefined(&N)
                     .scheme(scheme)
                     .max_insts(200_000_000);
-                let report = lockstep_check(&req)
-                    .unwrap_or_else(|e| panic!("{vm:?}/{scheme:?}: {e}"));
+                let report =
+                    lockstep_check(&req).unwrap_or_else(|e| panic!("{vm:?}/{scheme:?}: {e}"));
                 assert!(report.checked > 10_000, "{vm:?}/{scheme:?}: {}", report.checked);
                 assert_eq!(report.checked, report.run.stats.instructions);
             }

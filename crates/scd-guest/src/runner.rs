@@ -121,11 +121,7 @@ impl fmt::Debug for GuestRun {
 /// run.
 fn build_machine(cfg: SimConfig, guest: Guest, img: &Image) -> Machine {
     let mut m = Machine::with_annotations(cfg, &guest.program, guest.annotations);
-    m.map(
-        "image",
-        layout::IMAGE_BASE,
-        (img.bytes.len() as u64 + 4095) & !4095,
-    );
+    m.map("image", layout::IMAGE_BASE, (img.bytes.len() as u64 + 4095) & !4095);
     m.mem_mut().write_bytes(layout::IMAGE_BASE, &img.bytes);
     m.map("globals", layout::GLOBALS_BASE, 1 << 20);
     for (i, g) in img.global_init.iter().enumerate() {
@@ -133,11 +129,7 @@ fn build_machine(cfg: SimConfig, guest: Guest, img: &Image) -> Machine {
             .write(layout::GLOBALS_BASE + 8 * i as u64, 8, *g)
             .expect("globals segment mapped");
     }
-    m.map(
-        "vstack+ctl",
-        layout::VSTACK_BASE,
-        layout::VSTACK_SIZE + layout::VMCTL_SIZE,
-    );
+    m.map("vstack+ctl", layout::VSTACK_BASE, layout::VSTACK_SIZE + layout::VMCTL_SIZE);
     m.map("frames", layout::FRAME_BASE, layout::FRAME_SIZE);
     m.map("heap", layout::HEAP_BASE, layout::HEAP_SIZE);
     m
@@ -206,11 +198,7 @@ impl Session {
                 (Compiled::Svm { program: p, init }, img, guest)
             }
         };
-        Ok(Session {
-            machine: build_machine(cfg, guest, &img),
-            compiled,
-            opts,
-        })
+        Ok(Session { machine: build_machine(cfg, guest, &img), compiled, opts })
     }
 
     /// Runs the machine to completion and validates the result; the
@@ -247,16 +235,10 @@ impl Session {
                 .expect("oracle agrees the program terminates"),
         };
         if oracle.checksum != checksum {
-            return Err(GuestError::ChecksumMismatch {
-                guest: checksum,
-                oracle: oracle.checksum,
-            });
+            return Err(GuestError::ChecksumMismatch { guest: checksum, oracle: oracle.checksum });
         }
         if self.opts.production_weight && dispatches != oracle.steps {
-            return Err(GuestError::DispatchMismatch {
-                guest: dispatches,
-                oracle: oracle.steps,
-            });
+            return Err(GuestError::DispatchMismatch { guest: dispatches, oracle: oracle.steps });
         }
         // The sink (if any) stays on the machine: the caller holds the
         // session and takes it from there.

@@ -551,21 +551,20 @@ impl<'i> Builder<'i> {
                 self.a.add(T4, T4, regs::FUNCTAB);
                 self.a.lwu(T5, 0, T4); // code_off
                 self.a.lwu(T6, 8, T4); // nlocals
-                // Push the frame record.
+                                       // Push the frame record.
                 self.a.sd(regs::VPC, 0, regs::FRAMES);
                 self.a.sd(regs::BASE, 8, regs::FRAMES);
                 self.a.addi(T4, T2, -8);
                 self.a.sd(T4, 16, regs::FRAMES); // fun slot address
                 self.a.addi(regs::FRAMES, regs::FRAMES, 24);
-                self.a
-                    .li(T4, (layout::FRAME_BASE + layout::FRAME_SIZE) as i64);
+                self.a.li(T4, (layout::FRAME_BASE + layout::FRAME_SIZE) as i64);
                 self.a.bgeu(regs::FRAMES, T4, &trap);
                 // Switch frames.
                 self.a.mv(regs::BASE, T2);
                 self.a.slli(T6, T6, 3);
                 self.a.add(T6, T6, regs::BASE); // new sp = locals + nlocals*8
                 self.a.bltu(regs::CTL, T6, &trap); // stack overflow
-                // Nil-fill the non-parameter locals (from sp to new sp).
+                                                   // Nil-fill the non-parameter locals (from sp to new sp).
                 self.a.label(&fill);
                 self.a.beq(SP, T6, &done);
                 self.a.sd(regs::BOX, 0, SP);
@@ -738,11 +737,8 @@ impl<'i> Builder<'i> {
             self.check_num(T3, T4, &trap);
             self.a.fmv_d_x(FT0, T2);
             self.a.fmv_d_x(FT1, T3);
-            let op = if id == builtin_id::MIN {
-                scd_isa::FpOp::FminD
-            } else {
-                scd_isa::FpOp::FmaxD
-            };
+            let op =
+                if id == builtin_id::MIN { scd_isa::FpOp::FminD } else { scd_isa::FpOp::FmaxD };
             self.a.fop(op, FT2, FT0, FT1);
             self.a.fmv_x_d(T5, FT2);
             self.a.sd(T5, -16, SP);
@@ -798,8 +794,7 @@ impl<'i> Builder<'i> {
         self.a.li(regs::FALSE, luma::value::FALSE as i64);
         self.a.la(regs::JT, "jt");
         self.a.li(regs::BASE, layout::VSTACK_BASE as i64);
-        self.a
-            .li(SP, (layout::VSTACK_BASE + 8 * img.main_frame_slots) as i64);
+        self.a.li(SP, (layout::VSTACK_BASE + 8 * img.main_frame_slots) as i64);
         self.a.li(regs::VPC, (img.code_base + img.main_off) as i64);
         if self.scheme == Scheme::Scd {
             self.a.li(T0, 0xFF);
@@ -902,29 +897,17 @@ mod tests {
     fn scd_covers_only_patched_paths() {
         let g = guest_for("emit(1);", Scheme::Scd);
         // jru appears exactly once (common dispatcher).
-        let jrus = g
-            .program
-            .insts
-            .iter()
-            .filter(|i| matches!(i, scd_isa::Inst::Jru { .. }))
-            .count();
+        let jrus =
+            g.program.insts.iter().filter(|i| matches!(i, scd_isa::Inst::Jru { .. })).count();
         assert_eq!(jrus, 1);
         // .op loads: common + the patched tails.
-        let ops = g
-            .program
-            .insts
-            .iter()
-            .filter(|i| matches!(i, scd_isa::Inst::LoadOp { .. }))
-            .count();
-        let patched = (0..NUM_IMPLEMENTED)
-            .filter(|&n| scd_patched(Op::from_u8(n as u8).unwrap()))
-            .count();
+        let ops =
+            g.program.insts.iter().filter(|i| matches!(i, scd_isa::Inst::LoadOp { .. })).count();
+        let patched =
+            (0..NUM_IMPLEMENTED).filter(|&n| scd_patched(Op::from_u8(n as u8).unwrap())).count();
         assert_eq!(ops, 1 + patched);
         // Uncovered private tails still use plain indirect jumps.
-        let plain_jr = g
-            .annotations
-            .dispatch_jumps
-            .len();
+        let plain_jr = g.annotations.dispatch_jumps.len();
         assert!(plain_jr > 1);
     }
 }

@@ -41,9 +41,9 @@ fn digest(g: &Guest) -> (usize, u64, u64, u64) {
     let words = p.words.iter().fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
     let mut syms: Vec<(&str, u64)> = p.symbols.iter().map(|(n, &a)| (n.as_str(), a)).collect();
     syms.sort_unstable();
-    let symbols = syms.iter().fold(FNV_OFFSET, |h, (n, a)| {
-        fnv1a(fnv1a(fnv1a(h, n.as_bytes()), &[0]), &a.to_le_bytes())
-    });
+    let symbols = syms
+        .iter()
+        .fold(FNV_OFFSET, |h, (n, a)| fnv1a(fnv1a(fnv1a(h, n.as_bytes()), &[0]), &a.to_le_bytes()));
     (p.words.len(), words, fnv1a(FNV_OFFSET, &p.rodata), symbols)
 }
 

@@ -133,10 +133,7 @@ impl Program {
     /// Panics if the label does not exist (programming error in the guest
     /// builder, not a user input).
     pub fn sym(&self, name: &str) -> u64 {
-        *self
-            .symbols
-            .get(name)
-            .unwrap_or_else(|| panic!("no symbol `{name}`"))
+        *self.symbols.get(name).unwrap_or_else(|| panic!("no symbol `{name}`"))
     }
 
     /// End address (exclusive) of the text section.

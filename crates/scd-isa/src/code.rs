@@ -179,7 +179,10 @@ pub fn encode(inst: Inst) -> Result<u32, CodeError> {
         Inst::Branch { op, rs1, rs2, offset } => {
             check_range("branch offset", offset, -4096, 4094)?;
             if offset & 1 != 0 {
-                return Err(CodeError::FieldRange { what: "branch offset alignment", value: offset });
+                return Err(CodeError::FieldRange {
+                    what: "branch offset alignment",
+                    value: offset,
+                });
             }
             enc_b(OPC_BRANCH, op.funct3(), x(rs1), x(rs2), offset)
         }
@@ -339,10 +342,7 @@ pub fn decode(w: u32) -> Result<Inst, CodeError> {
             Inst::Jalr { rd: dec_reg(rd), rs1: dec_reg(rs1), offset: dec_i_imm(w) }
         }
         OPC_BRANCH => {
-            let op = BranchOp::ALL
-                .into_iter()
-                .find(|b| b.funct3() == f3)
-                .ok_or_else(ill)?;
+            let op = BranchOp::ALL.into_iter().find(|b| b.funct3() == f3).ok_or_else(ill)?;
             Inst::Branch { op, rs1: dec_reg(rs1), rs2: dec_reg(rs2), offset: dec_b_off(w) }
         }
         OPC_LOAD => {
@@ -350,10 +350,7 @@ pub fn decode(w: u32) -> Result<Inst, CodeError> {
             Inst::Load { op, rd: dec_reg(rd), rs1: dec_reg(rs1), offset: dec_i_imm(w) }
         }
         OPC_STORE => {
-            let op = StoreOp::ALL
-                .into_iter()
-                .find(|s| s.funct3() == f3)
-                .ok_or_else(ill)?;
+            let op = StoreOp::ALL.into_iter().find(|s| s.funct3() == f3).ok_or_else(ill)?;
             Inst::Store { op, rs2: dec_reg(rs2), rs1: dec_reg(rs1), offset: dec_s_imm(w) }
         }
         OPC_OPIMM | OPC_OPIMM32 => {
@@ -409,11 +406,33 @@ pub fn decode(w: u32) -> Result<Inst, CodeError> {
             Inst::Fsd { rs2: dec_freg(rs2), rs1: dec_reg(rs1), offset: dec_s_imm(w) }
         }
         OPC_OPFP => match f7 {
-            0b0000001 => Inst::FOp { op: FpOp::FaddD, rd: dec_freg(rd), rs1: dec_freg(rs1), rs2: dec_freg(rs2) },
-            0b0000101 => Inst::FOp { op: FpOp::FsubD, rd: dec_freg(rd), rs1: dec_freg(rs1), rs2: dec_freg(rs2) },
-            0b0001001 => Inst::FOp { op: FpOp::FmulD, rd: dec_freg(rd), rs1: dec_freg(rs1), rs2: dec_freg(rs2) },
-            0b0001101 => Inst::FOp { op: FpOp::FdivD, rd: dec_freg(rd), rs1: dec_freg(rs1), rs2: dec_freg(rs2) },
-            0b0101101 => Inst::FOp { op: FpOp::FsqrtD, rd: dec_freg(rd), rs1: dec_freg(rs1), rs2: FReg::FT0 },
+            0b0000001 => Inst::FOp {
+                op: FpOp::FaddD,
+                rd: dec_freg(rd),
+                rs1: dec_freg(rs1),
+                rs2: dec_freg(rs2),
+            },
+            0b0000101 => Inst::FOp {
+                op: FpOp::FsubD,
+                rd: dec_freg(rd),
+                rs1: dec_freg(rs1),
+                rs2: dec_freg(rs2),
+            },
+            0b0001001 => Inst::FOp {
+                op: FpOp::FmulD,
+                rd: dec_freg(rd),
+                rs1: dec_freg(rs1),
+                rs2: dec_freg(rs2),
+            },
+            0b0001101 => Inst::FOp {
+                op: FpOp::FdivD,
+                rd: dec_freg(rd),
+                rs1: dec_freg(rs1),
+                rs2: dec_freg(rs2),
+            },
+            0b0101101 => {
+                Inst::FOp { op: FpOp::FsqrtD, rd: dec_freg(rd), rs1: dec_freg(rs1), rs2: FReg::FT0 }
+            }
             0b0010001 => {
                 let op = match f3 {
                     0b000 => FpOp::FsgnjD,
@@ -444,10 +463,7 @@ pub fn decode(w: u32) -> Result<Inst, CodeError> {
                 if rs2 != 2 {
                     return Err(ill());
                 }
-                let rm = Rounding::ALL
-                    .into_iter()
-                    .find(|r| r.field() == f3)
-                    .ok_or_else(ill)?;
+                let rm = Rounding::ALL.into_iter().find(|r| r.field() == f3).ok_or_else(ill)?;
                 Inst::FcvtLD { rd: dec_reg(rd), rs1: dec_freg(rs1), rm }
             }
             0b1101001 => {
@@ -539,7 +555,12 @@ mod tests {
         roundtrip(Inst::Fld { rd: FReg::FA0, rs1: Reg::SP, offset: 16 });
         roundtrip(Inst::Fsd { rs2: FReg::FA1, rs1: Reg::SP, offset: -16 });
         for op in FpOp::ALL {
-            roundtrip(Inst::FOp { op, rd: FReg::FT0, rs1: FReg::FT1, rs2: if op == FpOp::FsqrtD { FReg::FT0 } else { FReg::FT2 } });
+            roundtrip(Inst::FOp {
+                op,
+                rd: FReg::FT0,
+                rs1: FReg::FT1,
+                rs2: if op == FpOp::FsqrtD { FReg::FT0 } else { FReg::FT2 },
+            });
         }
         for op in FCmpOp::ALL {
             roundtrip(Inst::FCmp { op, rd: Reg::A0, rs1: FReg::FA0, rs2: FReg::FA1 });
@@ -559,7 +580,13 @@ mod tests {
             roundtrip(Inst::Bop { bid });
             roundtrip(Inst::Jru { bid, rs1: Reg::T2 });
             roundtrip(Inst::LoadOp { op: LoadOp::Lw, bid, rd: Reg::A0, rs1: Reg::T0, offset: 12 });
-            roundtrip(Inst::LoadOp { op: LoadOp::Lbu, bid, rd: Reg::A0, rs1: Reg::T0, offset: 1023 });
+            roundtrip(Inst::LoadOp {
+                op: LoadOp::Lbu,
+                bid,
+                rd: Reg::A0,
+                rs1: Reg::T0,
+                offset: 1023,
+            });
         }
         roundtrip(Inst::JteFlush);
         roundtrip(Inst::Ecall);
@@ -569,13 +596,29 @@ mod tests {
 
     #[test]
     fn range_errors() {
-        assert!(encode(Inst::Branch { op: BranchOp::Beq, rs1: Reg::A0, rs2: Reg::A1, offset: 5000 }).is_err());
-        assert!(encode(Inst::Branch { op: BranchOp::Beq, rs1: Reg::A0, rs2: Reg::A1, offset: 3 }).is_err());
-        assert!(encode(Inst::Load { op: LoadOp::Lw, rd: Reg::A0, rs1: Reg::A1, offset: 3000 }).is_err());
+        assert!(encode(Inst::Branch {
+            op: BranchOp::Beq,
+            rs1: Reg::A0,
+            rs2: Reg::A1,
+            offset: 5000
+        })
+        .is_err());
+        assert!(encode(Inst::Branch { op: BranchOp::Beq, rs1: Reg::A0, rs2: Reg::A1, offset: 3 })
+            .is_err());
+        assert!(
+            encode(Inst::Load { op: LoadOp::Lw, rd: Reg::A0, rs1: Reg::A1, offset: 3000 }).is_err()
+        );
         assert!(encode(Inst::OpImm { op: AluOp::Sub, rd: Reg::A0, rs1: Reg::A1, imm: 1 }).is_err());
         assert!(encode(Inst::OpImm { op: AluOp::Sll, rd: Reg::A0, rs1: Reg::A1, imm: 64 }).is_err());
         assert!(encode(Inst::Bop { bid: 4 }).is_err());
-        assert!(encode(Inst::LoadOp { op: LoadOp::Lw, bid: 0, rd: Reg::A0, rs1: Reg::A1, offset: 1024 }).is_err());
+        assert!(encode(Inst::LoadOp {
+            op: LoadOp::Lw,
+            bid: 0,
+            rd: Reg::A0,
+            rs1: Reg::A1,
+            offset: 1024
+        })
+        .is_err());
     }
 
     #[test]

@@ -78,15 +78,8 @@ pub enum LoadOp {
 
 impl LoadOp {
     /// All load kinds.
-    pub const ALL: [LoadOp; 7] = [
-        LoadOp::Lb,
-        LoadOp::Lh,
-        LoadOp::Lw,
-        LoadOp::Ld,
-        LoadOp::Lbu,
-        LoadOp::Lhu,
-        LoadOp::Lwu,
-    ];
+    pub const ALL: [LoadOp; 7] =
+        [LoadOp::Lb, LoadOp::Lh, LoadOp::Lw, LoadOp::Ld, LoadOp::Lbu, LoadOp::Lhu, LoadOp::Lwu];
 
     /// The funct3 field value of this operation.
     pub fn funct3(self) -> u32 {
@@ -551,10 +544,7 @@ impl Inst {
 
     /// True if the instruction reads memory.
     pub fn is_load(&self) -> bool {
-        matches!(
-            self,
-            Inst::Load { .. } | Inst::Fld { .. } | Inst::LoadOp { .. }
-        )
+        matches!(self, Inst::Load { .. } | Inst::Fld { .. } | Inst::LoadOp { .. })
     }
 
     /// True if the instruction writes memory.

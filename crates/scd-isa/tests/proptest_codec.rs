@@ -19,35 +19,18 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
         (arb_reg(), -524288i64..524287).prop_map(|(rd, i)| Inst::Lui { rd, imm: i << 12 }),
         (arb_reg(), -524288i64..524287).prop_map(|(rd, i)| Inst::Auipc { rd, imm: i << 12 }),
         (arb_reg(), -524288i64..524287).prop_map(|(rd, o)| Inst::Jal { rd, offset: o * 2 }),
-        (arb_reg(), arb_reg(), -2048i64..=2047)
-            .prop_map(|(rd, rs1, offset)| Inst::Jalr { rd, rs1, offset }),
-        (
-            prop::sample::select(&BranchOp::ALL[..]),
-            arb_reg(),
-            arb_reg(),
-            -2048i64..2047
-        )
+        (arb_reg(), arb_reg(), -2048i64..=2047).prop_map(|(rd, rs1, offset)| Inst::Jalr {
+            rd,
+            rs1,
+            offset
+        }),
+        (prop::sample::select(&BranchOp::ALL[..]), arb_reg(), arb_reg(), -2048i64..2047)
             .prop_map(|(op, rs1, rs2, o)| Inst::Branch { op, rs1, rs2, offset: o * 2 }),
-        (
-            prop::sample::select(&LoadOp::ALL[..]),
-            arb_reg(),
-            arb_reg(),
-            -2048i64..=2047
-        )
+        (prop::sample::select(&LoadOp::ALL[..]), arb_reg(), arb_reg(), -2048i64..=2047)
             .prop_map(|(op, rd, rs1, offset)| Inst::Load { op, rd, rs1, offset }),
-        (
-            prop::sample::select(&StoreOp::ALL[..]),
-            arb_reg(),
-            arb_reg(),
-            -2048i64..=2047
-        )
+        (prop::sample::select(&StoreOp::ALL[..]), arb_reg(), arb_reg(), -2048i64..=2047)
             .prop_map(|(op, rs2, rs1, offset)| Inst::Store { op, rs2, rs1, offset }),
-        (
-            prop::sample::select(&AluOp::ALL[..]),
-            arb_reg(),
-            arb_reg(),
-            arb_reg()
-        )
+        (prop::sample::select(&AluOp::ALL[..]), arb_reg(), arb_reg(), arb_reg())
             .prop_map(|(op, rd, rs1, rs2)| Inst::Op { op, rd, rs1, rs2 }),
         (
             prop::sample::select(
@@ -70,28 +53,25 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
             0i64..32
         )
             .prop_map(|(op, rd, rs1, imm)| Inst::OpImm { op, rd, rs1, imm }),
-        (arb_freg(), arb_reg(), -2048i64..=2047)
-            .prop_map(|(rd, rs1, offset)| Inst::Fld { rd, rs1, offset }),
-        (arb_freg(), arb_reg(), -2048i64..=2047)
-            .prop_map(|(rs2, rs1, offset)| Inst::Fsd { rs2, rs1, offset }),
-        (
-            prop::sample::select(&FpOp::ALL[..]),
-            arb_freg(),
-            arb_freg(),
-            arb_freg()
-        )
-            .prop_map(|(op, rd, rs1, rs2)| Inst::FOp {
+        (arb_freg(), arb_reg(), -2048i64..=2047).prop_map(|(rd, rs1, offset)| Inst::Fld {
+            rd,
+            rs1,
+            offset
+        }),
+        (arb_freg(), arb_reg(), -2048i64..=2047).prop_map(|(rs2, rs1, offset)| Inst::Fsd {
+            rs2,
+            rs1,
+            offset
+        }),
+        (prop::sample::select(&FpOp::ALL[..]), arb_freg(), arb_freg(), arb_freg()).prop_map(
+            |(op, rd, rs1, rs2)| Inst::FOp {
                 op,
                 rd,
                 rs1,
                 rs2: if op == FpOp::FsqrtD { FReg::FT0 } else { rs2 }
-            }),
-        (
-            prop::sample::select(&FCmpOp::ALL[..]),
-            arb_reg(),
-            arb_freg(),
-            arb_freg()
-        )
+            }
+        ),
+        (prop::sample::select(&FCmpOp::ALL[..]), arb_reg(), arb_freg(), arb_freg())
             .prop_map(|(op, rd, rs1, rs2)| Inst::FCmp { op, rd, rs1, rs2 }),
         (arb_reg(), arb_freg(), prop::sample::select(&Rounding::ALL[..]))
             .prop_map(|(rd, rs1, rm)| Inst::FcvtLD { rd, rs1, rm }),
@@ -105,13 +85,7 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
         (0u8..4).prop_map(|bid| Inst::Bop { bid }),
         (0u8..4, arb_reg()).prop_map(|(bid, rs1)| Inst::Jru { bid, rs1 }),
         Just(Inst::JteFlush),
-        (
-            prop::sample::select(&LoadOp::ALL[..]),
-            0u8..4,
-            arb_reg(),
-            arb_reg(),
-            0i64..=1023
-        )
+        (prop::sample::select(&LoadOp::ALL[..]), 0u8..4, arb_reg(), arb_reg(), 0i64..=1023)
             .prop_map(|(op, bid, rd, rs1, offset)| Inst::LoadOp { op, bid, rd, rs1, offset }),
     ]
 }

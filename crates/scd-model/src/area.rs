@@ -39,20 +39,12 @@ impl ChipEstimate {
 
     /// Area of one named module (own, non-child).
     pub fn module_area(&self, name: &str) -> f64 {
-        self.modules
-            .iter()
-            .filter(|m| m.name == name)
-            .map(|m| m.area_mm2)
-            .sum()
+        self.modules.iter().filter(|m| m.name == name).map(|m| m.area_mm2).sum()
     }
 
     /// Power of one named module.
     pub fn module_power(&self, name: &str) -> f64 {
-        self.modules
-            .iter()
-            .filter(|m| m.name == name)
-            .map(|m| m.power_mw)
-            .sum()
+        self.modules.iter().filter(|m| m.name == name).map(|m| m.power_mw).sum()
     }
 
     /// Renders the Table V-style breakdown, optionally side by side with
@@ -161,10 +153,8 @@ pub fn estimate(cfg: &SimConfig, scd: bool) -> ChipEstimate {
             depth: 3,
             area_mm2: area_of(ArrayKind::RegFile, btb_rf_bits)
                 + area_of(ArrayKind::Logic, btb_gates),
-            power_mw: power_of(
-                ArrayKind::RegFile,
-                area_of(ArrayKind::RegFile, btb_rf_bits),
-            ) + power_of(ArrayKind::Logic, area_of(ArrayKind::Logic, btb_gates)),
+            power_mw: power_of(ArrayKind::RegFile, area_of(ArrayKind::RegFile, btb_rf_bits))
+                + power_of(ArrayKind::Logic, area_of(ArrayKind::Logic, btb_gates)),
         },
         module("ICache/Array", 3, ArrayKind::Sram, icache_bits),
         module("ICache/ITLB", 3, ArrayKind::RegFile, itlb_bits),

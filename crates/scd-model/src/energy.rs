@@ -84,8 +84,7 @@ pub fn energy_of_run(stats: &SimStats, p: &EnergyParams) -> EnergyEstimate {
     let dynamic_pj = stats.instructions as f64 * p.inst_pj
         + stats.icache.accesses as f64 * p.icache_access_pj
         + stats.dcache.accesses as f64 * p.dcache_access_pj
-        + (stats.icache.misses + stats.dcache.misses + stats.l2.misses) as f64
-            * p.dram_access_pj
+        + (stats.icache.misses + stats.dcache.misses + stats.l2.misses) as f64 * p.dram_access_pj
         + (branches + stats.bop_executed + stats.btb.jte_inserts) as f64 * p.btb_access_pj
         + (stats.itlb.accesses + stats.dtlb.accesses) as f64 * p.tlb_access_pj
         + stats.total_mispredictions() as f64 * p.flush_pj;

@@ -186,8 +186,11 @@ pub fn generate(cfg: &GenConfig) -> Generated {
     // The aliasing bias instead keeps every mask full-width: its strided
     // opcodes must reach the JTE key un-truncated so each (bid, opcode)
     // pair stays a distinct entry fighting for the same hashed set.
-    let masks: [(u8, i64); 4] =
-        if aliasing { [(0, 0xFF), (1, 0xFF), (2, 0xFF), (3, 0xFF)] } else { [(0, 0xFF), (1, 0xFF), (2, 0x3F), (3, 0x1F)] };
+    let masks: [(u8, i64); 4] = if aliasing {
+        [(0, 0xFF), (1, 0xFF), (2, 0xFF), (3, 0xFF)]
+    } else {
+        [(0, 0xFF), (1, 0xFF), (2, 0x3F), (3, 0x1F)]
+    };
     for (bid, mask) in masks {
         a.li(Reg::T6, mask);
         a.setmask(bid, Reg::T6);

@@ -178,10 +178,9 @@ impl std::fmt::Display for RefError {
             RefError::PcOutOfRange { pc } => write!(f, "ref: pc out of range: {pc:#x}"),
             RefError::BadInst { pc } => write!(f, "ref: undecodable word at {pc:#x}"),
             RefError::Break { pc } => write!(f, "ref: guest trap at {pc:#x}"),
-            RefError::BopUntrained { pc, bid, rop_d } => write!(
-                f,
-                "ref: bop hit at {pc:#x} on untrained (bid {bid}, rop {rop_d:#x})"
-            ),
+            RefError::BopUntrained { pc, bid, rop_d } => {
+                write!(f, "ref: bop hit at {pc:#x} on untrained (bid {bid}, rop {rop_d:#x})")
+            }
             RefError::BopNotValid { pc, bid } => {
                 write!(f, "ref: bop hit at {pc:#x} with Rop[{bid}].v clear")
             }
@@ -253,15 +252,9 @@ impl RefCore {
     /// `program.text_base`, rodata mapped when non-empty, PC at the text
     /// base, all registers zero.
     pub fn from_program(program: &Program, scd_enabled: bool, nbids: usize) -> Self {
-        let text = Text::new(
-            program.text_base,
-            program.insts.iter().copied().map(Some).collect(),
-        );
+        let text = Text::new(program.text_base, program.insts.iter().copied().map(Some).collect());
         let mem = GuestMemory::from_program(program);
-        let arch = ArchState {
-            pc: program.text_base,
-            ..ArchState::default()
-        };
+        let arch = ArchState { pc: program.text_base, ..ArchState::default() };
         RefCore::with_text(text, mem, arch, scd_enabled, nbids)
     }
 
@@ -388,8 +381,7 @@ impl RefCore {
         let bid = self.bid(bid);
         let target = rs1 & !1;
         if self.scd_enabled && self.arch.scd[bid].rop_v {
-            self.jte_map
-                .insert((bid as u8, self.arch.scd[bid].rop_d), target);
+            self.jte_map.insert((bid as u8, self.arch.scd[bid].rop_d), target);
             self.arch.scd[bid].rop_v = false;
         }
         target
@@ -441,41 +433,24 @@ impl RefCore {
                 next_pc = self.arch.regs[rs1.index()].wrapping_add(offset as u64) & !1;
                 self.wx(rd, pc + 4);
             }
-            Inst::Branch {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => {
+            Inst::Branch { op, rs1, rs2, offset } => {
                 let x = &self.arch.regs;
                 if exec::branch_taken(op, x[rs1.index()], x[rs2.index()]) {
                     next_pc = pc.wrapping_add(offset as u64);
                 }
             }
-            Inst::Load {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
+            Inst::Load { op, rd, rs1, offset } => {
                 let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
                 let raw = self.mem.read(addr, exec::load_width(op)).map_err(fault)?;
                 self.wx(rd, exec::load_extend(op, raw));
             }
-            Inst::Store {
-                op,
-                rs2,
-                rs1,
-                offset,
-            } => {
+            Inst::Store { op, rs2, rs1, offset } => {
                 let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
                 let v = exec::store_truncate(op, self.arch.regs[rs2.index()]);
                 store = Some(v);
-                self.mem
-                    .write(addr, exec::store_width(op), v)
-                    .map_err(fault)?;
+                self.mem.write(addr, exec::store_width(op), v).map_err(fault)?;
             }
             Inst::OpImm { op, rd, rs1, imm } => {
                 let v = exec::alu(op, self.arch.regs[rs1.index()], imm as u64);
@@ -533,13 +508,12 @@ impl RefCore {
                             return Err(RefError::BopNotValid { pc, bid: b as u8 });
                         }
                         let rop_d = self.arch.scd[b].rop_d;
-                        Some(self.jte_map.get(&(b as u8, rop_d)).copied().ok_or(
-                            RefError::BopUntrained {
-                                pc,
-                                bid: b as u8,
-                                rop_d,
-                            },
-                        )?)
+                        Some(
+                            self.jte_map
+                                .get(&(b as u8, rop_d))
+                                .copied()
+                                .ok_or(RefError::BopUntrained { pc, bid: b as u8, rop_d })?,
+                        )
                     }
                     BopHint::Miss => None,
                 };
@@ -550,13 +524,7 @@ impl RefCore {
             }
             Inst::Jru { bid, rs1 } => next_pc = self.jru_train(bid, self.arch.regs[rs1.index()]),
             Inst::JteFlush => self.flush_rop(),
-            Inst::LoadOp {
-                op,
-                bid,
-                rd,
-                rs1,
-                offset,
-            } => {
+            Inst::LoadOp { op, bid, rd, rs1, offset } => {
                 let addr = self.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 ea = Some(addr);
                 let raw = self.mem.read(addr, exec::load_width(op)).map_err(fault)?;
@@ -573,12 +541,8 @@ impl RefCore {
             *out = StepArch {
                 pc,
                 next_pc,
-                wx: inst
-                    .def_xreg()
-                    .map(|r| (r.index() as u8, self.arch.regs[r.index()])),
-                wf: inst
-                    .def_freg()
-                    .map(|r| (r.index() as u8, self.arch.fregs[r.index()])),
+                wx: inst.def_xreg().map(|r| (r.index() as u8, self.arch.regs[r.index()])),
+                wf: inst.def_freg().map(|r| (r.index() as u8, self.arch.fregs[r.index()])),
                 ea,
                 store,
                 exited,
@@ -717,13 +681,7 @@ mod tests {
         halt(&mut a, 0);
         let p = a.finish().unwrap();
         let mut c = RefCore::from_program(&p, true, 4);
-        assert_eq!(
-            c.step(BopHint::Hit),
-            Err(RefError::BopNotValid {
-                pc: 0x1_0000,
-                bid: 0
-            })
-        );
+        assert_eq!(c.step(BopHint::Hit), Err(RefError::BopNotValid { pc: 0x1_0000, bid: 0 }));
     }
 
     #[test]
@@ -753,10 +711,7 @@ mod tests {
         let p = a.finish().unwrap();
         let mut c = RefCore::from_program(&p, false, 4);
         let e = c.run(100).unwrap_err();
-        assert!(
-            matches!(e, RefError::Mem { fault, .. } if !fault.write),
-            "{e:?}"
-        );
+        assert!(matches!(e, RefError::Mem { fault, .. } if !fault.write), "{e:?}");
     }
 
     #[test]
@@ -774,11 +729,7 @@ mod tests {
             let p = a.finish().unwrap();
             let fault = RefError::Mem {
                 pc: p.text_end() - 16,
-                fault: MemFault {
-                    addr: (-(width as i64) / 2) as u64,
-                    size: width,
-                    write: store,
-                },
+                fault: MemFault { addr: (-(width as i64) / 2) as u64, size: width, write: store },
             };
             let mut stepped = RefCore::from_program(&p, false, 4);
             stepped.mem.add_segment("low", 0, 64);

@@ -55,12 +55,7 @@ impl Clone for Segment {
     fn clone(&self) -> Self {
         let mut data = Pages::zeroed(self.data.len());
         data[..self.hw].copy_from_slice(&self.data[..self.hw]);
-        Segment {
-            name: self.name,
-            base: self.base,
-            data,
-            hw: self.hw,
-        }
+        Segment { name: self.name, base: self.base, data, hw: self.hw }
     }
 }
 
@@ -70,9 +65,7 @@ impl Segment {
     #[inline]
     fn holds(&self, addr: u64, size: u64) -> bool {
         addr >= self.base
-            && addr
-                .checked_add(size)
-                .is_some_and(|end| end <= self.base + self.data.len() as u64)
+            && addr.checked_add(size).is_some_and(|end| end <= self.base + self.data.len() as u64)
     }
 }
 
@@ -124,12 +117,7 @@ impl GuestMemory {
                 s.base
             );
         }
-        self.segments.push(Segment {
-            name,
-            base,
-            data: Pages::zeroed(size as usize),
-            hw: 0,
-        });
+        self.segments.push(Segment { name, base, data: Pages::zeroed(size as usize), hw: 0 });
     }
 
     /// Copies `bytes` into memory at `addr` (must be within one segment).
@@ -167,11 +155,7 @@ impl GuestMemory {
     /// A [`MemFault`] when the range is not inside one segment.
     #[inline]
     pub fn read(&self, addr: u64, size: u64) -> Result<u64, MemFault> {
-        let (seg, off) = self.locate(addr, size).ok_or(MemFault {
-            addr,
-            size,
-            write: false,
-        })?;
+        let (seg, off) = self.locate(addr, size).ok_or(MemFault { addr, size, write: false })?;
         let d = &self.segments[seg].data[off..off + size as usize];
         Ok(match *d {
             [a] => a as u64,
@@ -188,11 +172,7 @@ impl GuestMemory {
     /// segment.
     #[inline]
     pub fn write(&mut self, addr: u64, size: u64, v: u64) -> Result<(), MemFault> {
-        let (seg, off) = self.locate(addr, size).ok_or(MemFault {
-            addr,
-            size,
-            write: true,
-        })?;
+        let (seg, off) = self.locate(addr, size).ok_or(MemFault { addr, size, write: true })?;
         let s = &mut self.segments[seg];
         let end = off + size as usize;
         s.data[off..end].copy_from_slice(&v.to_le_bytes()[..size as usize]);
@@ -218,12 +198,7 @@ impl GuestMemory {
             .iter()
             .map(|s| {
                 let live = trimmed_len(&s.data[..s.hw]);
-                (
-                    s.name.to_string(),
-                    s.base,
-                    s.data.len() as u64,
-                    s.data[..live].to_vec(),
-                )
+                (s.name.to_string(), s.base, s.data.len() as u64, s.data[..live].to_vec())
             })
             .collect()
     }
@@ -276,10 +251,7 @@ impl GuestMemory {
 /// served from recycled heap that `calloc` must clear first: a ~200 MiB
 /// guest heap then costs a memset of every page on each set-up.)
 /// Elsewhere it is a plain zeroed `Vec`.
-#[cfg(all(
-    target_os = "linux",
-    not(any(target_arch = "mips", target_arch = "mips64"))
-))]
+#[cfg(all(target_os = "linux", not(any(target_arch = "mips", target_arch = "mips64"))))]
 mod pages {
     use std::ffi::c_void;
     use std::ops::{Deref, DerefMut};
@@ -327,10 +299,7 @@ mod pages {
         /// refuses the mapping, as `vec![0; len]` would.
         pub(super) fn zeroed(len: usize) -> Pages {
             if len == 0 {
-                return Pages {
-                    ptr: NonNull::dangling(),
-                    len,
-                };
+                return Pages { ptr: NonNull::dangling(), len };
             }
             // SAFETY: no address hint and no file: the kernel picks a
             // fresh range that aliases no Rust object, and fills it with
@@ -378,10 +347,7 @@ mod pages {
     }
 }
 
-#[cfg(not(all(
-    target_os = "linux",
-    not(any(target_arch = "mips", target_arch = "mips64"))
-)))]
+#[cfg(not(all(target_os = "linux", not(any(target_arch = "mips", target_arch = "mips64")))))]
 mod pages {
     use std::ops::{Deref, DerefMut};
 

@@ -127,11 +127,7 @@ impl Text {
     /// The text of `insts` (one per 4-byte word, `None` for an
     /// undecodable word) laid out from `base`.
     pub(crate) fn new(base: u64, insts: Vec<Option<Inst>>) -> Self {
-        Text {
-            base,
-            insts,
-            blocks: OnceLock::new(),
-        }
+        Text { base, insts, blocks: OnceLock::new() }
     }
 
     /// The threaded-code tables, built on first use.
@@ -191,14 +187,8 @@ impl Text {
     /// terminator that ends a straight run there.
     fn lower(&self, i: usize) -> Result<Op, Term> {
         let pc = self.pc_of(i);
-        let op = |h: Handler, rd: u8, rs1: u8, rs2: u8, imm: u64| Op {
-            h,
-            imm,
-            rd,
-            rs1,
-            rs2,
-            bid: 0,
-        };
+        let op =
+            |h: Handler, rd: u8, rs1: u8, rs2: u8, imm: u64| Op { h, imm, rd, rs1, rs2, bid: 0 };
         let x = |r: Reg| r.index() as u8;
         let f = |r: FReg| r.index() as u8;
         let direct = |offset: i64| self.index(pc.wrapping_add(offset as u64)).map(|t| t as u32);
@@ -210,78 +200,30 @@ impl Text {
         match inst {
             Inst::Lui { rd, imm } => straight(op(li, x(rd), 0, 0, imm as u64)),
             Inst::Auipc { rd, imm } => straight(op(li, x(rd), 0, 0, pc.wrapping_add(imm as u64))),
-            Inst::OpImm {
-                op: a,
-                rd,
-                rs1,
-                imm,
-            } => straight(op(
-                ALU_RI[pos(&AluOp::ALL, a)],
-                x(rd),
-                x(rs1),
-                0,
-                imm as u64,
-            )),
-            Inst::Op {
-                op: a,
-                rd,
-                rs1,
-                rs2,
-            } => straight(op(ALU_RR[pos(&AluOp::ALL, a)], x(rd), x(rs1), x(rs2), 0)),
-            Inst::Load {
-                op: l,
-                rd,
-                rs1,
-                offset,
-            } => straight(op(
-                LOAD[pos(&LoadOp::ALL, l)],
-                x(rd),
-                x(rs1),
-                0,
-                offset as u64,
-            )),
-            Inst::LoadOp {
-                op: l,
+            Inst::OpImm { op: a, rd, rs1, imm } => {
+                straight(op(ALU_RI[pos(&AluOp::ALL, a)], x(rd), x(rs1), 0, imm as u64))
+            }
+            Inst::Op { op: a, rd, rs1, rs2 } => {
+                straight(op(ALU_RR[pos(&AluOp::ALL, a)], x(rd), x(rs1), x(rs2), 0))
+            }
+            Inst::Load { op: l, rd, rs1, offset } => {
+                straight(op(LOAD[pos(&LoadOp::ALL, l)], x(rd), x(rs1), 0, offset as u64))
+            }
+            Inst::LoadOp { op: l, bid, rd, rs1, offset } => straight(Op {
                 bid,
-                rd,
-                rs1,
-                offset,
-            } => straight(Op {
-                bid,
-                ..op(
-                    LOAD_OP[pos(&LoadOp::ALL, l)],
-                    x(rd),
-                    x(rs1),
-                    0,
-                    offset as u64,
-                )
+                ..op(LOAD_OP[pos(&LoadOp::ALL, l)], x(rd), x(rs1), 0, offset as u64)
             }),
-            Inst::Store {
-                op: s,
-                rs2,
-                rs1,
-                offset,
-            } => straight(op(
-                STORE[pos(&StoreOp::ALL, s)],
-                0,
-                x(rs1),
-                x(rs2),
-                offset as u64,
-            )),
+            Inst::Store { op: s, rs2, rs1, offset } => {
+                straight(op(STORE[pos(&StoreOp::ALL, s)], 0, x(rs1), x(rs2), offset as u64))
+            }
             Inst::Fld { rd, rs1, offset } => straight(op(fld, f(rd), x(rs1), 0, offset as u64)),
             Inst::Fsd { rs2, rs1, offset } => straight(op(fsd, 0, x(rs1), f(rs2), offset as u64)),
-            Inst::FOp {
-                op: fop,
-                rd,
-                rs1,
-                rs2,
-            } => straight(op(FP[pos(&FpOp::ALL, fop)], f(rd), f(rs1), f(rs2), 0)),
-            Inst::FCmp {
-                op: fop,
-                rd,
-                rs1,
-                rs2,
-            } => straight(op(FCMP[pos(&FCmpOp::ALL, fop)], x(rd), f(rs1), f(rs2), 0)),
+            Inst::FOp { op: fop, rd, rs1, rs2 } => {
+                straight(op(FP[pos(&FpOp::ALL, fop)], f(rd), f(rs1), f(rs2), 0))
+            }
+            Inst::FCmp { op: fop, rd, rs1, rs2 } => {
+                straight(op(FCMP[pos(&FCmpOp::ALL, fop)], x(rd), f(rs1), f(rs2), 0))
+            }
             Inst::FcvtLD { rd, rs1, rm } => {
                 straight(op(FCVT_L_D[pos(&Rounding::ALL, rm)], x(rd), f(rs1), 0, 0))
             }
@@ -289,31 +231,14 @@ impl Text {
             Inst::FmvXD { rd, rs1 } => straight(op(fmv_x_d, x(rd), f(rs1), 0, 0)),
             Inst::FmvDX { rd, rs1 } => straight(op(fmv_d_x, f(rd), x(rs1), 0, 0)),
             Inst::Fence => straight(op(nop, 0, 0, 0, 0)),
-            Inst::SetMask { bid, rs1 } => straight(Op {
-                bid,
-                ..op(setmask, 0, x(rs1), 0, 0)
-            }),
+            Inst::SetMask { bid, rs1 } => straight(Op { bid, ..op(setmask, 0, x(rs1), 0, 0) }),
             Inst::JteFlush => straight(op(jte_flush, 0, 0, 0, 0)),
-            Inst::Branch {
-                op: b,
-                rs1,
-                rs2,
-                offset,
-            } => term(match direct(offset) {
-                Some(taken) => Term::Branch {
-                    op: b,
-                    rs1: x(rs1),
-                    rs2: x(rs2),
-                    taken,
-                },
+            Inst::Branch { op: b, rs1, rs2, offset } => term(match direct(offset) {
+                Some(taken) => Term::Branch { op: b, rs1: x(rs1), rs2: x(rs2), taken },
                 None => Term::Slow,
             }),
             Inst::Jal { rd, offset } => term(match direct(offset) {
-                Some(target) => Term::Jal {
-                    rd: x(rd),
-                    target,
-                    link: pc.wrapping_add(4),
-                },
+                Some(target) => Term::Jal { rd: x(rd), target, link: pc.wrapping_add(4) },
                 None => Term::Slow,
             }),
             Inst::Jalr { rd, rs1, offset } => term(Term::Jalr {
@@ -332,9 +257,7 @@ impl Text {
 /// Position of `x` in one of the `scd_isa` `ALL` tables (which list
 /// every variant, so the lookup cannot miss).
 fn pos<T: PartialEq + Copy>(all: &[T], x: T) -> usize {
-    all.iter()
-        .position(|&a| a == x)
-        .expect("ALL lists every variant")
+    all.iter().position(|&a| a == x).expect("ALL lists every variant")
 }
 
 impl RefCore {
@@ -364,9 +287,7 @@ impl RefCore {
     /// retired.
     #[inline(always)]
     fn straight(&mut self, ops: &[Op]) -> usize {
-        ops.iter()
-            .position(|o| !(o.h)(self, o))
-            .unwrap_or(ops.len())
+        ops.iter().position(|o| !(o.h)(self, o)).unwrap_or(ops.len())
     }
 
     /// Executes whole blocks from `self.arch.pc` while the budget allows and
@@ -400,26 +321,18 @@ impl RefCore {
                     self.arch.pc = t.pc_of(j);
                     return;
                 }
-                Term::Branch {
-                    op,
-                    rs1,
-                    rs2,
-                    taken,
-                } => Next::Index(if exec::branch_taken(op, self.x(rs1), self.x(rs2)) {
-                    taken as usize
-                } else {
-                    j + 1
-                }),
+                Term::Branch { op, rs1, rs2, taken } => {
+                    Next::Index(if exec::branch_taken(op, self.x(rs1), self.x(rs2)) {
+                        taken as usize
+                    } else {
+                        j + 1
+                    })
+                }
                 Term::Jal { rd, target, link } => {
                     self.set_x(rd, link);
                     Next::Index(target as usize)
                 }
-                Term::Jalr {
-                    rd,
-                    rs1,
-                    offset,
-                    link,
-                } => {
+                Term::Jalr { rd, rs1, offset, link } => {
                     // Target before the link write: `jalr ra, 0(ra)`
                     // must use the incoming ra.
                     let target = self.x(rs1).wrapping_add(offset) & !1;
@@ -454,14 +367,7 @@ impl RefCore {
 
 /// The `ops` placeholder at terminator slots; never reached through
 /// `straight`, and it would report a fault if it were.
-const SLOW: Op = Op {
-    h: slow,
-    imm: 0,
-    rd: 0,
-    rs1: 0,
-    rs2: 0,
-    bid: 0,
-};
+const SLOW: Op = Op { h: slow, imm: 0, rd: 0, rs1: 0, rs2: 0, bid: 0 };
 
 fn slow(_: &mut RefCore, _: &Op) -> bool {
     false
@@ -491,8 +397,7 @@ fn load<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
     let op = LoadOp::ALL[K];
     let addr = c.x(o.rs1).wrapping_add(o.imm);
     let raw = c.mem.read(addr, exec::load_width(op));
-    raw.map(|raw| c.set_x(o.rd, exec::load_extend(op, raw)))
-        .is_ok()
+    raw.map(|raw| c.set_x(o.rd, exec::load_extend(op, raw))).is_ok()
 }
 
 fn load_op<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
@@ -510,9 +415,7 @@ fn load_op<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
 fn store<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
     let op = StoreOp::ALL[K];
     let v = exec::store_truncate(op, c.x(o.rs2));
-    c.mem
-        .write(c.x(o.rs1).wrapping_add(o.imm), exec::store_width(op), v)
-        .is_ok()
+    c.mem.write(c.x(o.rs1).wrapping_add(o.imm), exec::store_width(op), v).is_ok()
 }
 
 fn fld(c: &mut RefCore, o: &Op) -> bool {
@@ -521,9 +424,7 @@ fn fld(c: &mut RefCore, o: &Op) -> bool {
 }
 
 fn fsd(c: &mut RefCore, o: &Op) -> bool {
-    c.mem
-        .write(c.x(o.rs1).wrapping_add(o.imm), 8, c.f(o.rs2))
-        .is_ok()
+    c.mem.write(c.x(o.rs1).wrapping_add(o.imm), 8, c.f(o.rs2)).is_ok()
 }
 
 fn fp<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
@@ -532,10 +433,7 @@ fn fp<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
 }
 
 fn fcmp<const K: usize>(c: &mut RefCore, o: &Op) -> bool {
-    c.set_x(
-        o.rd,
-        exec::fcmp(FCmpOp::ALL[K], c.f(o.rs1), c.f(o.rs2)) as u64,
-    );
+    c.set_x(o.rd, exec::fcmp(FCmpOp::ALL[K], c.f(o.rs1), c.f(o.rs2)) as u64);
     true
 }
 

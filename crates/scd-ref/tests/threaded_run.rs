@@ -29,13 +29,7 @@ fn step_loop(c: &mut RefCore, max_insts: u64) -> Result<u64, RefError> {
 /// (through what `bop` would do on each bid).
 fn observe(c: &RefCore) -> impl PartialEq + std::fmt::Debug {
     let jtes: Vec<_> = (0..4).map(|b| c.bop_auto_target(b)).collect();
-    (
-        c.arch.clone(),
-        c.instructions,
-        c.output.clone(),
-        jtes,
-        c.mem.snapshot_segments(),
-    )
+    (c.arch.clone(), c.instructions, c.output.clone(), jtes, c.mem.snapshot_segments())
 }
 
 /// Runs `core` both ways under `max_insts` and asserts the outcomes are
@@ -46,11 +40,7 @@ fn check(core: &RefCore, max_insts: u64, what: &str) -> Result<u64, RefError> {
     let r_run = threaded.run(max_insts);
     let r_step = step_loop(&mut stepped, max_insts);
     assert_eq!(r_run, r_step, "{what}: result, budget {max_insts}");
-    assert_eq!(
-        observe(&threaded),
-        observe(&stepped),
-        "{what}: state, budget {max_insts}"
-    );
+    assert_eq!(observe(&threaded), observe(&stepped), "{what}: state, budget {max_insts}");
     r_step
 }
 
@@ -66,11 +56,7 @@ fn check_chunked(core: &RefCore, chunks: &[u64], what: &str) {
         let r_run = threaded.run(stop);
         let r_step = step_loop(&mut stepped, stop);
         assert_eq!(r_run, r_step, "{what}: chunk {k} result");
-        assert_eq!(
-            observe(&threaded),
-            observe(&stepped),
-            "{what}: chunk {k} state"
-        );
+        assert_eq!(observe(&threaded), observe(&stepped), "{what}: chunk {k} state");
         if !matches!(r_run, Err(RefError::InstLimit { .. })) {
             return;
         }
@@ -80,11 +66,8 @@ fn check_chunked(core: &RefCore, chunks: &[u64], what: &str) {
 }
 
 fn generated(seed: u64, aliasing: bool) -> RefCore {
-    let cfg = if aliasing {
-        GenConfig::aliasing_from_seed(seed)
-    } else {
-        GenConfig::from_seed(seed)
-    };
+    let cfg =
+        if aliasing { GenConfig::aliasing_from_seed(seed) } else { GenConfig::from_seed(seed) };
     let g = generate(&cfg);
     let mut c = RefCore::from_program(&g.program, true, 4);
     c.mem.add_segment("fuzzdata", g.data_base, g.data_size);
@@ -221,10 +204,7 @@ fn a_fault_mid_run_stops_at_the_exact_pc_and_count() {
         let mut t = c.clone();
         let _ = t.run(1_000);
         assert_eq!(t.arch.pc, pc, "pc rests on the faulting instruction");
-        assert_eq!(
-            t.inst_at(pc).map(|i| i.is_load() || i.is_store()),
-            Some(true)
-        );
+        assert_eq!(t.inst_at(pc).map(|i| i.is_load() || i.is_store()), Some(true));
         // Every cut before the fault is a budget stop, not a fault.
         for budget in 0..=t.instructions + 1 {
             let _ = check(&c, budget, "fault cuts");
@@ -240,11 +220,7 @@ fn bad_jump_targets_fault_where_the_step_loop_does() {
         let mut a = Asm::new(TEXT);
         a.li(Reg::T0, target);
         a.addi(Reg::T1, Reg::T1, 1);
-        a.inst(Inst::Jalr {
-            rd: Reg::RA,
-            rs1: Reg::T0,
-            offset: 0,
-        });
+        a.inst(Inst::Jalr { rd: Reg::RA, rs1: Reg::T0, offset: 0 });
         a.ecall();
         a.finish().unwrap()
     };
@@ -259,20 +235,9 @@ fn bad_jump_targets_fault_where_the_step_loop_does() {
         indirect(TEXT as i64 + 6),
         indirect(TEXT as i64 + 4 * 100),
         indirect(0x40),
-        direct(Inst::Jal {
-            rd: Reg::RA,
-            offset: 4096,
-        }),
-        direct(Inst::Jal {
-            rd: Reg::ZERO,
-            offset: -64,
-        }),
-        direct(Inst::Branch {
-            op: BranchOp::Bne,
-            rs1: Reg::T1,
-            rs2: Reg::ZERO,
-            offset: 2046,
-        }),
+        direct(Inst::Jal { rd: Reg::RA, offset: 4096 }),
+        direct(Inst::Jal { rd: Reg::ZERO, offset: -64 }),
+        direct(Inst::Branch { op: BranchOp::Bne, rs1: Reg::T1, rs2: Reg::ZERO, offset: 2046 }),
     ];
     for p in &programs {
         let c = core_of(p);
@@ -307,13 +272,9 @@ fn from_state_holes_fault_only_when_reached() {
     let p = a.finish().unwrap();
     let hole = 0xFFFF_FFFFu32;
     assert!(scd_isa::decode(hole).is_err());
-    let nop = encode(Inst::OpImm {
-        op: scd_isa::AluOp::Add,
-        rd: Reg::ZERO,
-        rs1: Reg::ZERO,
-        imm: 0,
-    })
-    .unwrap();
+    let nop =
+        encode(Inst::OpImm { op: scd_isa::AluOp::Add, rd: Reg::ZERO, rs1: Reg::ZERO, imm: 0 })
+            .unwrap();
     let text: Vec<u8> = p
         .words
         .iter()
@@ -323,10 +284,7 @@ fn from_state_holes_fault_only_when_reached() {
     let mut mem = GuestMemory::from_program(&p);
     mem.write_bytes(TEXT, &text);
     mem.add_segment("data", DATA, 64);
-    let arch = ArchState {
-        pc: TEXT,
-        ..ArchState::default()
-    };
+    let arch = ArchState { pc: TEXT, ..ArchState::default() };
     let c = RefCore::from_state(mem, arch, true, 4);
     let r = check(&c, 100, "holes");
     let Err(RefError::BadInst { pc }) = r else {
@@ -355,8 +313,7 @@ fn pinned_corpus_runs_identically() {
         let repro = scd_ref::corpus::load(&text).expect("pinned reproducer parses");
         for scd in [true, false] {
             let mut c = RefCore::from_program(&repro.program, scd, 4);
-            c.mem
-                .add_segment("fuzzdata", repro.data_base, repro.data_size);
+            c.mem.add_segment("fuzzdata", repro.data_base, repro.data_size);
             let what = format!("{} scd={scd}", path.display());
             let _ = check(&c, 2_000_000, &what);
             check_chunked(&c, &[997, 64, 4093], &what);
@@ -369,21 +326,11 @@ fn pinned_corpus_runs_identically() {
 #[test]
 fn pc_relative_values_and_self_linking_jumps_match() {
     let mut a = Asm::new(TEXT);
-    a.inst(Inst::Auipc {
-        rd: Reg::T0,
-        imm: 4096,
-    });
-    a.inst(Inst::Lui {
-        rd: Reg::T1,
-        imm: 4096,
-    });
+    a.inst(Inst::Auipc { rd: Reg::T0, imm: 4096 });
+    a.inst(Inst::Lui { rd: Reg::T1, imm: 4096 });
     a.sub(Reg::T0, Reg::T0, Reg::T1);
     a.addi(Reg::T0, Reg::T0, 24); // t0 = address of "target"
-    a.inst(Inst::Jalr {
-        rd: Reg::T0,
-        rs1: Reg::T0,
-        offset: 0,
-    });
+    a.inst(Inst::Jalr { rd: Reg::T0, rs1: Reg::T0, offset: 0 });
     a.li(Reg::A7, 0); // skipped
     a.label("target");
     a.mv(Reg::A0, Reg::T0);

@@ -175,14 +175,7 @@ struct Slot {
     loc: Loc,
 }
 
-const EMPTY: Slot = Slot {
-    key: [0; KEY],
-    loc: Loc {
-        off: 0,
-        pack: VACANT,
-        len: 0,
-    },
-};
+const EMPTY: Slot = Slot { key: [0; KEY], loc: Loc { off: 0, pack: VACANT, len: 0 } };
 
 /// An open-addressed (linear probing) map from raw key to record
 /// location. Keys are SHA-256 digests, so their first eight bytes are
@@ -196,10 +189,7 @@ struct Index {
 impl Index {
     fn with_records(records: usize) -> Index {
         let n = (2 * records).max(MIN_SLOTS).next_power_of_two();
-        Index {
-            slots: vec![EMPTY; n],
-            used: 0,
-        }
+        Index { slots: vec![EMPTY; n], used: 0 }
     }
 
     /// The slot holding `key`, or the vacant slot where it belongs.
@@ -364,10 +354,7 @@ fn read_record(file: &File, key: &[u8; KEY], loc: Loc) -> io::Result<Vec<u8>> {
         && head.len == u64::from(loc.len)
         && head.fnv == checksum(key, &rec[HEAD..]);
     if !ok {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "record fails verification",
-        ));
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "record fails verification"));
     }
     Ok(rec)
 }
@@ -467,13 +454,7 @@ impl Cache {
                 // A store racing this load may already have replaced
                 // the record; only the bad one is set aside.
                 if packs.index.get(&raw) == Some(loc) {
-                    packs.index.insert(
-                        raw,
-                        Loc {
-                            pack: QUARANTINED,
-                            ..loc
-                        },
-                    );
+                    packs.index.insert(raw, Loc { pack: QUARANTINED, ..loc });
                 }
                 bump(&self.stats.quarantined);
                 None
@@ -484,19 +465,12 @@ impl Cache {
     /// Creates this cache's own pack and registers it with the index.
     fn create_pack(&self) -> io::Result<Writer> {
         let dir = self.root.join("packs");
-        let stamp = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_nanos());
+        let stamp = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos());
         let pid = std::process::id();
         let mut n = 0u32;
         let file = loop {
             let path = dir.join(format!("{stamp:020}-{pid}-{n}.pack"));
-            match OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create_new(true)
-                .open(&path)
-            {
+            match OpenOptions::new().read(true).append(true).create_new(true).open(&path) {
                 Ok(f) => break f,
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => n += 1,
                 Err(e) => return Err(e),
@@ -513,12 +487,7 @@ impl Cache {
             .filter(|&p| p < QUARANTINED)
             .ok_or_else(|| io::Error::other("too many packs"))?;
         packs.files.push(Arc::clone(&file));
-        Ok(Writer {
-            pack,
-            file,
-            end: 0,
-            buf: Vec::new(),
-        })
+        Ok(Writer { pack, file, end: 0, buf: Vec::new() })
     }
 
     /// Stores `payload` under `key`: one record appended to this
@@ -533,10 +502,7 @@ impl Cache {
     /// append failed is never appended to again.
     pub fn store(&self, key: &str, payload: &[u8]) -> io::Result<()> {
         let raw = parse_key(key).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("bad cache key {key:?}"),
-            )
+            io::Error::new(io::ErrorKind::InvalidInput, format!("bad cache key {key:?}"))
         })?;
         let len = u32::try_from(payload.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "payload of 4 GiB or more"))?;
@@ -550,24 +516,16 @@ impl Cache {
         w.buf.extend_from_slice(&MAGIC);
         w.buf.extend_from_slice(&VERSION.to_le_bytes());
         w.buf.extend_from_slice(&u64::from(len).to_le_bytes());
-        w.buf
-            .extend_from_slice(&checksum(&raw, payload).to_le_bytes());
+        w.buf.extend_from_slice(&checksum(&raw, payload).to_le_bytes());
         w.buf.extend_from_slice(payload);
-        if let Err(e) = (&*w.file)
-            .write_all(&w.buf)
-            .and_then(|()| w.file.sync_data())
-        {
+        if let Err(e) = (&*w.file).write_all(&w.buf).and_then(|()| w.file.sync_data()) {
             // Cut the partial record off if possible; either way the
             // next store starts a fresh pack.
             let _ = w.file.set_len(w.end);
             *writer = None;
             return Err(e);
         }
-        let loc = Loc {
-            off: w.end,
-            pack: w.pack,
-            len,
-        };
+        let loc = Loc { off: w.end, pack: w.pack, len };
         w.end += w.buf.len() as u64;
         lock(&self.packs).index.insert(raw, loc);
         bump(&self.stats.stores);
@@ -638,9 +596,7 @@ mod tests {
 
     /// `n` stored entries of distinct sizes, as (key, payload).
     fn entries(n: usize) -> Vec<(String, Vec<u8>)> {
-        (0..n)
-            .map(|i| (Cache::key(&format!("entry {i}")), vec![i as u8; 10 + i * 3]))
-            .collect()
+        (0..n).map(|i| (Cache::key(&format!("entry {i}")), vec![i as u8; 10 + i * 3])).collect()
     }
 
     #[test]
@@ -691,14 +647,7 @@ mod tests {
         let n = 3 * MIN_SLOTS;
         let key = |i: usize| parse_key(&Cache::key(&i.to_string())).expect("hex key");
         for i in 0..n {
-            index.insert(
-                key(i),
-                Loc {
-                    off: i as u64,
-                    pack: 0,
-                    len: 1,
-                },
-            );
+            index.insert(key(i), Loc { off: i as u64, pack: 0, len: 1 });
         }
         assert!(index.slots.len() >= 4 * MIN_SLOTS);
         for i in 0..n {
@@ -730,10 +679,7 @@ mod tests {
         partial.extend_from_slice(&checksum(&raw, &[7; 100]).to_le_bytes());
         partial.extend_from_slice(&[7; 50]);
         let pack = only_pack(dir.path());
-        let mut f = OpenOptions::new()
-            .append(true)
-            .open(&pack)
-            .expect("open pack");
+        let mut f = OpenOptions::new().append(true).open(&pack).expect("open pack");
         f.write_all(&partial).expect("append partial record");
         drop(f);
 
@@ -767,11 +713,7 @@ mod tests {
             assert_eq!(cache.load(&b), None, "cut {cut}: torn record served");
             cache.store(&b, b"second payload").expect("re-store");
             assert_eq!(cache.load(&b).as_deref(), Some(&b"second payload"[..]));
-            assert_eq!(
-                packs(dir.path()).len(),
-                2,
-                "old packs are never appended to"
-            );
+            assert_eq!(packs(dir.path()).len(), 2, "old packs are never appended to");
         }
     }
 
@@ -789,20 +731,13 @@ mod tests {
         let evidence = fs::read(&pack).expect("read pack");
 
         let cache = Cache::open(dir.path()).expect("reopen");
-        assert_eq!(
-            cache.load(&key),
-            None,
-            "bit-flipped entry must read as a miss"
-        );
+        assert_eq!(cache.load(&key), None, "bit-flipped entry must read as a miss");
         assert_eq!(stat(&cache.stats.quarantined), 1);
         assert_eq!(cache.load(&key), None, "still a miss until recomputed");
         assert_eq!(stat(&cache.stats.quarantined), 1, "quarantined once");
         assert_eq!(stat(&cache.stats.misses), 1);
         cache.store(&key, b"payload under test").expect("re-store");
-        assert_eq!(
-            cache.load(&key).as_deref(),
-            Some(&b"payload under test"[..])
-        );
+        assert_eq!(cache.load(&key).as_deref(), Some(&b"payload under test"[..]));
         let now = fs::read(&pack).expect("read pack");
         assert_eq!(now, evidence, "the bad bytes stay as evidence");
         drop(cache);
@@ -810,10 +745,7 @@ mod tests {
         // Both copies are indexed at the next open; the one that
         // verifies is served.
         let cache = Cache::open(dir.path()).expect("reopen again");
-        assert_eq!(
-            cache.load(&key).as_deref(),
-            Some(&b"payload under test"[..])
-        );
+        assert_eq!(cache.load(&key).as_deref(), Some(&b"payload under test"[..]));
         assert_eq!(stat(&cache.stats.quarantined), 0);
     }
 
@@ -832,11 +764,7 @@ mod tests {
 
         let cache = Cache::open(dir.path()).expect("reopen");
         assert_eq!(cache.load(&key), None, "the original key lost its record");
-        assert_eq!(
-            cache.load(&flipped),
-            None,
-            "the flipped key must not serve it"
-        );
+        assert_eq!(cache.load(&flipped), None, "the flipped key must not serve it");
         assert_eq!(stat(&cache.stats.quarantined), 1);
     }
 
@@ -919,11 +847,7 @@ mod tests {
             b.store(kb, pb).expect("store b");
         }
         assert_eq!(packs(dir.path()).len(), 2, "one pack per writer");
-        assert_eq!(
-            a.load(&two[0].0),
-            None,
-            "visible at the next open, not at once"
-        );
+        assert_eq!(a.load(&two[0].0), None, "visible at the next open, not at once");
         drop((a, b));
         for _ in 0..2 {
             let c = Cache::open(dir.path()).expect("reopen");

@@ -112,11 +112,8 @@ where
     let threads = threads.clamp(1, jobs.len().max(1));
     if threads == 1 {
         for (i, job) in jobs.iter().enumerate() {
-            let outcome = if interrupt.load(Ordering::SeqCst) {
-                JobOutcome::Cancelled
-            } else {
-                attempt(job)
-            };
+            let outcome =
+                if interrupt.load(Ordering::SeqCst) { JobOutcome::Cancelled } else { attempt(job) };
             tally(&outcome);
             emit(i, job, &outcome);
         }
@@ -182,17 +179,14 @@ pub fn simulate_job(
     timeout: Option<Duration>,
 ) -> Result<JobDone, JobError> {
     let started = Instant::now();
-    let key = cache
-        .map(|_| Cache::key(&job.cache_manifest()))
-        .unwrap_or_default();
+    let key = cache.map(|_| Cache::key(&job.cache_manifest())).unwrap_or_default();
     if let Some(c) = cache {
         if let Some(bytes) = c.load(&key) {
             // The checksum passed but the payload may still predate a
             // format change; a decode failure (or a breakdown missing
             // where the job needs one) degrades to recompute.
-            if let Ok(run) = std::str::from_utf8(&bytes)
-                .map_err(|e| e.to_string())
-                .and_then(payload::decode)
+            if let Ok(run) =
+                std::str::from_utf8(&bytes).map_err(|e| e.to_string()).and_then(payload::decode)
             {
                 // A traced job needs a breakdown; a sampled job needs a
                 // sample report (and a detailed job must not get one) —
@@ -219,13 +213,7 @@ pub fn simulate_job(
         c.store(&key, text.as_bytes())
             .map_err(|e| JobError::Io(format!("cache store {}: {e}", c.root().display())))?;
     }
-    Ok(JobDone {
-        key,
-        cached: false,
-        attempts: 1,
-        run,
-        wall: started.elapsed(),
-    })
+    Ok(JobDone { key, cached: false, attempts: 1, run, wall: started.elapsed() })
 }
 
 /// Simulates and oracle-validates one job (no cache involvement).
@@ -250,10 +238,9 @@ fn compute_job(job: &JobSpec, timeout: Option<Duration>) -> Result<CachedRun, Jo
         };
         let run = match run {
             Ok(run) => run,
-            Err(GuestError::Sim(SimError::Watchdog {
-                kind: WatchdogKind::WallClock,
-                ..
-            })) => return Err(JobError::Timeout(timeout.unwrap_or_default())),
+            Err(GuestError::Sim(SimError::Watchdog { kind: WatchdogKind::WallClock, .. })) => {
+                return Err(JobError::Timeout(timeout.unwrap_or_default()))
+            }
             Err(e) => return Err(JobError::Guest(e.to_string())),
         };
         let breakdown = if job.traced {
@@ -318,9 +305,8 @@ mod tests {
         runner: impl Fn(&JobSpec) -> Result<JobDone, JobError> + Sync,
     ) -> (BatchSummary, Vec<(usize, JobOutcome)>) {
         let mut seen = Vec::new();
-        let summary = run_batch(jobs, threads, interrupt, runner, |i, _, o| {
-            seen.push((i, o.clone()))
-        });
+        let summary =
+            run_batch(jobs, threads, interrupt, runner, |i, _, o| seen.push((i, o.clone())));
         (summary, seen)
     }
 
@@ -347,25 +333,11 @@ mod tests {
                 }
                 Ok(done())
             });
-            assert_eq!(
-                summary,
-                BatchSummary {
-                    ok: 3,
-                    failed: 1,
-                    cancelled: 0
-                }
-            );
+            assert_eq!(summary, BatchSummary { ok: 3, failed: 1, cancelled: 0 });
             let order: Vec<usize> = seen.iter().map(|(i, _)| *i).collect();
-            assert_eq!(
-                order,
-                vec![0, 1, 2, 3],
-                "threads={threads}: order must be input order"
-            );
+            assert_eq!(order, vec![0, 1, 2, 3], "threads={threads}: order must be input order");
             match &seen[1].1 {
-                JobOutcome::Failed {
-                    error: JobError::Panic(msg),
-                    attempts: 2,
-                } => {
+                JobOutcome::Failed { error: JobError::Panic(msg), attempts: 2 } => {
                     assert!(msg.contains("injected worker panic"), "payload kept: {msg}");
                 }
                 other => panic!("want Panic after one retry, got {other:?}"),
@@ -399,18 +371,11 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(JobError::Guest("checksum mismatch".to_string()))
         });
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            1,
-            "guest errors repeat; don't retry them"
-        );
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "guest errors repeat; don't retry them");
         assert_eq!(summary.failed, 1);
         assert!(matches!(
             &seen[0].1,
-            JobOutcome::Failed {
-                error: JobError::Guest(_),
-                attempts: 1
-            }
+            JobOutcome::Failed { error: JobError::Guest(_), attempts: 1 }
         ));
     }
 
@@ -422,18 +387,8 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(JobError::Io("disk full".to_string()))
         });
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            2,
-            "I/O errors are transient: one retry"
-        );
-        assert!(matches!(
-            &seen[0].1,
-            JobOutcome::Failed {
-                error: JobError::Io(_),
-                attempts: 2
-            }
-        ));
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "I/O errors are transient: one retry");
+        assert!(matches!(&seen[0].1, JobOutcome::Failed { error: JobError::Io(_), attempts: 2 }));
     }
 
     #[test]
@@ -449,25 +404,11 @@ mod tests {
             }
             Ok(done())
         });
-        assert_eq!(
-            summary,
-            BatchSummary {
-                ok: 2,
-                failed: 0,
-                cancelled: 4
-            }
-        );
+        assert_eq!(summary, BatchSummary { ok: 2, failed: 0, cancelled: 4 });
         assert!(summary.interrupted());
-        assert_eq!(
-            *started.lock().unwrap(),
-            vec!["j0", "j1"],
-            "in-flight jobs finish"
-        );
+        assert_eq!(*started.lock().unwrap(), vec!["j0", "j1"], "in-flight jobs finish");
         for (i, o) in &seen[2..] {
-            assert!(
-                matches!(o, JobOutcome::Cancelled),
-                "job {i} must be cancelled"
-            );
+            assert!(matches!(o, JobOutcome::Cancelled), "job {i} must be cancelled");
         }
     }
 
@@ -496,10 +437,7 @@ mod tests {
             .position(|(_, o)| matches!(o, JobOutcome::Cancelled))
             .expect("some job cancelled");
         for (i, o) in &seen[first_cancelled..] {
-            assert!(
-                matches!(o, JobOutcome::Cancelled),
-                "job {i} in the cancelled suffix"
-            );
+            assert!(matches!(o, JobOutcome::Cancelled), "job {i} in the cancelled suffix");
         }
     }
 

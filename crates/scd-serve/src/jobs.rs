@@ -109,16 +109,13 @@ impl JobSpec {
                 return Err("'predefined' must be an object of numbers".to_string());
             };
             for (k, val) in fields {
-                let num = val
-                    .as_f64()
-                    .ok_or_else(|| format!("predefined '{k}' must be a number"))?;
+                let num =
+                    val.as_f64().ok_or_else(|| format!("predefined '{k}' must be a number"))?;
                 predefined.push((k.clone(), num));
             }
         }
         let max_insts = match v.get("max_insts") {
-            Some(m) => m
-                .as_u64()
-                .ok_or("'max_insts' must be an unsigned integer")?,
+            Some(m) => m.as_u64().ok_or("'max_insts' must be an unsigned integer")?,
             None => u64::MAX,
         };
         let mut opts = GuestOptions::default();
@@ -151,27 +148,12 @@ impl JobSpec {
             // fragment, not the whole-run decomposition callers expect).
             return Err("a job cannot be both traced and sampled".to_string());
         }
-        Ok(JobSpec {
-            id,
-            vm,
-            scheme,
-            cfg,
-            src,
-            predefined,
-            max_insts,
-            opts,
-            traced,
-            sample,
-        })
+        Ok(JobSpec { id, vm, scheme, cfg, src, predefined, max_insts, opts, traced, sample })
     }
 
     /// Runs `f` with the borrowed [`RunRequest`] view of this job.
     pub fn with_request<R>(&self, f: impl FnOnce(&RunRequest<'_>) -> R) -> R {
-        let pre: Vec<(&str, f64)> = self
-            .predefined
-            .iter()
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
+        let pre: Vec<(&str, f64)> = self.predefined.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         let req = RunRequest::new(self.cfg.clone(), self.vm, &self.src)
             .predefined(&pre)
             .scheme(self.scheme)
@@ -364,10 +346,7 @@ mod tests {
         let line = r#"{"src": "emit(1);", "vm": "lvm", "scheme": "scd", "sample": "1M:50k:20k"}"#;
         let j = JobSpec::parse(line, 1).expect("parse");
         let plan = j.sample.expect("plan parsed");
-        assert_eq!(
-            (plan.period, plan.warmup, plan.measure),
-            (1_000_000, 50_000, 20_000)
-        );
+        assert_eq!((plan.period, plan.warmup, plan.measure), (1_000_000, 50_000, 20_000));
         assert!(!plan.self_check, "jobs never opt into the paranoia pass");
     }
 
@@ -375,10 +354,7 @@ mod tests {
     fn sample_default_resolves_qualified_plan() {
         let line = r#"{"src": "emit(1);", "vm": "lvm", "scheme": "scd", "sample": "default"}"#;
         let j = JobSpec::parse(line, 1).expect("parse");
-        assert_eq!(
-            j.sample.expect("plan resolved"),
-            SamplingPlan::qualified_default(false)
-        );
+        assert_eq!(j.sample.expect("plan resolved"), SamplingPlan::qualified_default(false));
     }
 
     #[test]
@@ -386,30 +362,12 @@ mod tests {
         for (line, why) in [
             ("{}", "missing vm"),
             (r#"{"vm": "lvm", "scheme": "scd"}"#, "missing src/bench"),
-            (
-                r#"{"src": "x", "bench": "y", "vm": "lvm", "scheme": "scd"}"#,
-                "both src and bench",
-            ),
-            (
-                r#"{"src": "x", "vm": "jvm", "scheme": "scd"}"#,
-                "unknown vm",
-            ),
-            (
-                r#"{"src": "x", "vm": "lvm", "scheme": "direct"}"#,
-                "unknown scheme",
-            ),
-            (
-                r#"{"bench": "no-such-bench", "vm": "lvm", "scheme": "scd"}"#,
-                "unknown bench",
-            ),
-            (
-                r#"{"src": "x", "vm": "lvm", "scheme": "scd", "cfg": "cray-1"}"#,
-                "unknown cfg",
-            ),
-            (
-                r#"{"src": "x", "vm": "lvm", "scheme": "scd", "sample": "1M:50k"}"#,
-                "bad plan",
-            ),
+            (r#"{"src": "x", "bench": "y", "vm": "lvm", "scheme": "scd"}"#, "both src and bench"),
+            (r#"{"src": "x", "vm": "jvm", "scheme": "scd"}"#, "unknown vm"),
+            (r#"{"src": "x", "vm": "lvm", "scheme": "direct"}"#, "unknown scheme"),
+            (r#"{"bench": "no-such-bench", "vm": "lvm", "scheme": "scd"}"#, "unknown bench"),
+            (r#"{"src": "x", "vm": "lvm", "scheme": "scd", "cfg": "cray-1"}"#, "unknown cfg"),
+            (r#"{"src": "x", "vm": "lvm", "scheme": "scd", "sample": "1M:50k"}"#, "bad plan"),
             (
                 r#"{"src": "x", "vm": "lvm", "scheme": "scd", "sample": "1M:20k/BTB=30k,PRED=80k:20k"}"#,
                 "retired per-structure window syntax",

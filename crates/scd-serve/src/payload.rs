@@ -162,9 +162,7 @@ pub fn encode(run: &CachedRun) -> String {
 }
 
 fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or mistyped field '{key}'"))
+    v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing or mistyped field '{key}'"))
 }
 
 /// The array under `key`, which must hold exactly `want` integers.
@@ -174,23 +172,15 @@ fn array_u64(v: &Value, key: &str, want: usize) -> Result<Vec<u64>, String> {
         .and_then(Value::as_arr)
         .ok_or_else(|| format!("missing or mistyped field '{key}'"))?;
     if arr.len() != want {
-        return Err(format!(
-            "field '{key}' has {} entries, want {want}",
-            arr.len()
-        ));
+        return Err(format!("field '{key}' has {} entries, want {want}", arr.len()));
     }
     arr.iter()
-        .map(|item| {
-            item.as_u64()
-                .ok_or_else(|| format!("non-integer entry in '{key}'"))
-        })
+        .map(|item| item.as_u64().ok_or_else(|| format!("non-integer entry in '{key}'")))
         .collect()
 }
 
 fn tuple_u64<const N: usize>(v: &Value, key: &str) -> Result<[u64; N], String> {
-    Ok(array_u64(v, key, N)?
-        .try_into()
-        .expect("array_u64 checked the length"))
+    Ok(array_u64(v, key, N)?.try_into().expect("array_u64 checked the length"))
 }
 
 /// Inverse of the `"stats"` object [`encode`] writes.
@@ -350,10 +340,7 @@ mod tests {
             format!("{head}{STATS_JSON},\"breakdown\":[45,46,47,48,49,50,51,52,53,54]}}")
         );
         run.breakdown = None;
-        assert_eq!(
-            encode(&run),
-            format!("{head}{STATS_JSON},\"breakdown\":null}}")
-        );
+        assert_eq!(encode(&run), format!("{head}{STATS_JSON},\"breakdown\":null}}"));
         run.sample = Some(dense_sample());
         assert_eq!(
             encode(&run),
@@ -392,10 +379,7 @@ mod tests {
     fn u64_counters_survive_past_f64_precision() {
         let mut run = dense_run();
         run.stats.cycles = u64::MAX - 1;
-        assert_eq!(
-            decode(&encode(&run)).expect("decode").stats.cycles,
-            u64::MAX - 1
-        );
+        assert_eq!(decode(&encode(&run)).expect("decode").stats.cycles, u64::MAX - 1);
     }
 
     #[test]
@@ -405,10 +389,7 @@ mod tests {
         // did, and such payloads decode with `sample: None`.
         let run = dense_run();
         let text = encode(&run);
-        assert!(
-            !text.contains("sample"),
-            "no sample key on full-detail payloads: {text}"
-        );
+        assert!(!text.contains("sample"), "no sample key on full-detail payloads: {text}");
         assert_eq!(decode(&text).expect("decode").sample, None);
     }
 
@@ -435,37 +416,22 @@ mod tests {
         let missing = text.replacen("\"intervals\"", "\"intervals_gone\"", 1);
         assert!(decode(&missing).is_err());
         let bad_plan = text.replacen("\"plan\":[1000000", "\"plan\":[1", 1);
-        assert!(
-            decode(&bad_plan).is_err(),
-            "an impossible plan must not decode"
-        );
+        assert!(decode(&bad_plan).is_err(), "an impossible plan must not decode");
     }
 
     #[test]
     fn truncated_and_mangled_payloads_are_errors() {
         let text = encode(&dense_run());
         for cut in [0, 1, text.len() / 2, text.len() - 1] {
-            assert!(
-                decode(&text[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
+            assert!(decode(&text[..cut]).is_err(), "truncation at {cut} must fail");
         }
         let wrong_version = text.replacen("\"v\":1", "\"v\":999", 1);
         assert!(decode(&wrong_version).is_err());
         let missing = text.replacen("\"cycles\"", "\"cycles_gone\"", 1);
-        assert_eq!(
-            decode(&missing).unwrap_err(),
-            "missing or mistyped field 'cycles'"
-        );
+        assert_eq!(decode(&missing).unwrap_err(), "missing or mistyped field 'cycles'");
         let missing = text.replacen("\"btb\"", "\"btb_gone\"", 1);
-        assert_eq!(
-            decode(&missing).unwrap_err(),
-            "missing or mistyped field 'btb'"
-        );
+        assert_eq!(decode(&missing).unwrap_err(), "missing or mistyped field 'btb'");
         let short = text.replacen("\"cond\":[6,7]", "\"cond\":[6]", 1);
-        assert_eq!(
-            decode(&short).unwrap_err(),
-            "field 'cond' has 1 entries, want 2"
-        );
+        assert_eq!(decode(&short).unwrap_err(), "field 'cond' has 1 entries, want 2");
     }
 }

@@ -26,9 +26,7 @@ impl Drop for TempDir {
 /// Payload `i`: its length and bytes both vary with `i`, and one is
 /// empty.
 fn payload(i: usize) -> Vec<u8> {
-    (0..(i * 37) % 3000)
-        .map(|j| (i * 131 + j * 7) as u8)
-        .collect()
+    (0..(i * 37) % 3000).map(|j| (i * 131 + j * 7) as u8).collect()
 }
 
 #[test]

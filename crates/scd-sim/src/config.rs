@@ -126,8 +126,18 @@ impl SimConfig {
             btb: BtbConfig::set_assoc(256, 2, Replacement::RoundRobin),
             ras_entries: 8,
             indirect: IndirectPredictor::BtbPc,
-            icache: CacheConfig { size: 16 * 1024, ways: 2, line: 64, replacement: Replacement::Lru },
-            dcache: CacheConfig { size: 32 * 1024, ways: 4, line: 64, replacement: Replacement::Lru },
+            icache: CacheConfig {
+                size: 16 * 1024,
+                ways: 2,
+                line: 64,
+                replacement: Replacement::Lru,
+            },
+            dcache: CacheConfig {
+                size: 32 * 1024,
+                ways: 4,
+                line: 64,
+                replacement: Replacement::Lru,
+            },
             l2: None,
             l2_latency: 8,
             itlb_entries: 10,
@@ -156,8 +166,18 @@ impl SimConfig {
             btb: BtbConfig::fully_assoc(62, Replacement::Lru),
             ras_entries: 2,
             indirect: IndirectPredictor::BtbPc,
-            icache: CacheConfig { size: 16 * 1024, ways: 4, line: 64, replacement: Replacement::Lru },
-            dcache: CacheConfig { size: 16 * 1024, ways: 4, line: 64, replacement: Replacement::Lru },
+            icache: CacheConfig {
+                size: 16 * 1024,
+                ways: 4,
+                line: 64,
+                replacement: Replacement::Lru,
+            },
+            dcache: CacheConfig {
+                size: 16 * 1024,
+                ways: 4,
+                line: 64,
+                replacement: Replacement::Lru,
+            },
             l2: None,
             l2_latency: 6,
             itlb_entries: 8,
@@ -179,9 +199,15 @@ impl SimConfig {
         let mut c = SimConfig::embedded_a5();
         c.name = "highend-a8";
         c.issue_width = 2;
-        c.icache = CacheConfig { size: 32 * 1024, ways: 4, line: 64, replacement: Replacement::Lru };
+        c.icache =
+            CacheConfig { size: 32 * 1024, ways: 4, line: 64, replacement: Replacement::Lru };
         c.btb = BtbConfig::set_assoc(512, 2, Replacement::RoundRobin);
-        c.l2 = Some(CacheConfig { size: 256 * 1024, ways: 8, line: 64, replacement: Replacement::Lru });
+        c.l2 = Some(CacheConfig {
+            size: 256 * 1024,
+            ways: 8,
+            line: 64,
+            replacement: Replacement::Lru,
+        });
         c.l2_latency = 8;
         c.dram_latency = 90;
         c

@@ -221,8 +221,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         // Validate the token by the loosest reading; the literal text is
         // what gets stored.
         text.parse::<f64>().map_err(|_| format!("bad number at byte {start}"))?;
@@ -367,10 +367,9 @@ mod tests {
 
     #[test]
     fn malformed_inputs_are_typed_errors() {
-        for bad in [
-            "", "{", "[1,", r#"{"a"}"#, "tru", "1 2", r#"{"a":1}x"#, "\"unterminated",
-            "[1,]",
-        ] {
+        for bad in
+            ["", "{", "[1,", r#"{"a"}"#, "tru", "1 2", r#"{"a":1}x"#, "\"unterminated", "[1,]"]
+        {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
     }

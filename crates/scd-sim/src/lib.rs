@@ -56,9 +56,9 @@ pub use lockstep::{LockstepDivergence, LockstepSink};
 pub use machine::{
     Annotations, Exit, Machine, Profile, SimError, VbbiHint, WatchdogKind, MAX_BRANCH_IDS,
 };
-pub use scd_ref::{ArchState, GuestMemory, MemFault};
 pub use predictor::{Direction, DirectionConfig, Ras};
 pub use sampling::{mean_ci95, SampleAccum, SampleReport, SamplingPlan};
+pub use scd_ref::{ArchState, GuestMemory, MemFault};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::{geomean, AccessCounters, BranchClass, BranchCounters, SimStats, COUNTER_NAMES};
 pub use tlb::Tlb;

@@ -292,11 +292,7 @@ mod tests {
                 assert_eq!(m.stats.instructions, core.instructions + 1);
                 if traced {
                     let sink = downcast_sink::<LockstepSink>(m.take_trace_sink().unwrap()).unwrap();
-                    assert!(
-                        sink.divergence().is_none(),
-                        "{}",
-                        sink.divergence().unwrap()
-                    );
+                    assert!(sink.divergence().is_none(), "{}", sink.divergence().unwrap());
                     assert_eq!(sink.checked(), core.instructions);
                 }
             }

@@ -10,10 +10,10 @@
 use super::{Machine, SimError, StaticInfo};
 use crate::btb::{BtbKey, EntryKind};
 use crate::config::ScdConfig;
-use scd_ref::MemFault;
 use crate::stats::BranchClass;
 use crate::trace::RedirectCause;
 use scd_isa::{exec, AluOp, FpOp, Inst, Reg};
+use scd_ref::MemFault;
 
 /// What one retirement decided: where fetch goes next, and whether the
 /// guest requested a halt (applied by the run loop *after* trace
@@ -121,12 +121,7 @@ impl Machine {
                 next_pc = target;
                 self.account_indirect::<OBSERVED, WARMING>(pc, rd, rs1, target);
             }
-            Inst::Branch {
-                op,
-                rs1,
-                rs2,
-                offset,
-            } => {
+            Inst::Branch { op, rs1, rs2, offset } => {
                 let a = self.guest.arch.regs[rs1.index()];
                 let b = self.guest.arch.regs[rs2.index()];
                 let taken = exec::branch_taken(op, a, b);
@@ -138,9 +133,7 @@ impl Machine {
                 let pred = self.btb.lookup_leveled(BtbKey::Pc(pc));
                 // Fetch acts on the BTB target only when the direction
                 // predictor says taken; only then can L1 lateness bite.
-                self.charge_l1_late_target::<WARMING>(
-                    dir_pred && pred.is_some_and(|(_, l1)| l1),
-                );
+                self.charge_l1_late_target::<WARMING>(dir_pred && pred.is_some_and(|(_, l1)| l1));
                 let btb_hit = pred.map(|(t, _)| t) == Some(target);
                 let pred_taken = dir_pred && btb_hit;
                 let mispredicted = pred_taken != taken;
@@ -160,12 +153,7 @@ impl Machine {
                     );
                 }
             }
-            Inst::Load {
-                op,
-                rd,
-                rs1,
-                offset,
-            } => {
+            Inst::Load { op, rd, rs1, offset } => {
                 let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 if OBSERVED {
                     self.scratch.ea = Some(addr);
@@ -176,22 +164,14 @@ impl Machine {
                 self.data_timing::<OBSERVED, WARMING>(addr, false);
                 self.xready[rd.index()] = self.cycle + 1 + self.cfg.load_use_penalty;
             }
-            Inst::Store {
-                op,
-                rs2,
-                rs1,
-                offset,
-            } => {
+            Inst::Store { op, rs2, rs1, offset } => {
                 let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 let v = exec::store_truncate(op, self.guest.arch.regs[rs2.index()]);
                 if OBSERVED {
                     self.scratch.ea = Some(addr);
                     self.scratch.store = Some(v);
                 }
-                self.guest
-                    .mem
-                    .write(addr, exec::store_width(op), v)
-                    .map_err(merr)?;
+                self.guest.mem.write(addr, exec::store_width(op), v).map_err(merr)?;
                 self.stats.stores += 1;
                 self.data_timing::<OBSERVED, WARMING>(addr, true);
             }
@@ -232,10 +212,7 @@ impl Machine {
                     self.scratch.ea = Some(addr);
                     self.scratch.store = Some(self.guest.arch.fregs[rs2.index()]);
                 }
-                self.guest
-                    .mem
-                    .write(addr, 8, self.guest.arch.fregs[rs2.index()])
-                    .map_err(merr)?;
+                self.guest.mem.write(addr, 8, self.guest.arch.fregs[rs2.index()]).map_err(merr)?;
                 self.stats.stores += 1;
                 self.data_timing::<OBSERVED, WARMING>(addr, true);
             }
@@ -302,13 +279,7 @@ impl Machine {
                 let flushed = self.jte_flush();
                 self.note_flush::<OBSERVED>(flushed);
             }
-            Inst::LoadOp {
-                op,
-                bid,
-                rd,
-                rs1,
-                offset,
-            } => {
+            Inst::LoadOp { op, bid, rd, rs1, offset } => {
                 let bid = bid as usize % nbids.max(1);
                 let addr = self.guest.arch.regs[rs1.index()].wrapping_add(offset as u64);
                 if OBSERVED {

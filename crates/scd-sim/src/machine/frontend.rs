@@ -96,10 +96,7 @@ impl Machine {
             self.issued_this_cycle = self.cfg.issue_width; // next inst starts a new cycle
         }
         if OBSERVED {
-            debug_assert!(
-                self.scratch.redirect.is_none(),
-                "two redirects in one retirement"
-            );
+            debug_assert!(self.scratch.redirect.is_none(), "two redirects in one retirement");
             self.scratch.redirect = Some(RedirectEvent { cause, penalty });
         }
     }
@@ -143,10 +140,7 @@ impl Machine {
             _ if self.cfg.indirect == IndirectPredictor::Ittage => {
                 // ITTAGE covers every indirect jump; the PC-indexed BTB
                 // is its base component.
-                let pred = self
-                    .ittage
-                    .predict(pc)
-                    .or_else(|| self.btb.lookup(BtbKey::Pc(pc)));
+                let pred = self.ittage.predict(pc).or_else(|| self.btb.lookup(BtbKey::Pc(pc)));
                 let miss = pred != Some(target);
                 self.ittage.update(pc, target);
                 if miss {

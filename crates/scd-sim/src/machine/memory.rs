@@ -18,10 +18,7 @@ impl Machine {
                 if a.writeback {
                     self.stats.l2.writebacks += 1;
                 }
-                let ev = L2Access {
-                    miss: !a.hit,
-                    writeback: a.writeback,
-                };
+                let ev = L2Access { miss: !a.hit, writeback: a.writeback };
                 if a.hit {
                     (self.cfg.l2_latency, Some(ev))
                 } else {

@@ -672,21 +672,12 @@ impl Machine {
                 }
 
                 // ---- trace emission + invariant checkpoint ----
-                self.emit_retirement(
-                    &si,
-                    pc,
-                    cycle_before,
-                    step.next_pc,
-                    step.exit_code.is_some(),
-                );
+                self.emit_retirement(&si, pc, cycle_before, step.next_pc, step.exit_code.is_some());
             }
 
             if let Some(code) = step.exit_code {
                 self.finalize_partial();
-                return Ok(Exit {
-                    code,
-                    output: std::mem::take(&mut self.guest.output),
-                });
+                return Ok(Exit { code, output: std::mem::take(&mut self.guest.output) });
             }
             self.guest.arch.pc = step.next_pc;
         }

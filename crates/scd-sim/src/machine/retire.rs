@@ -23,7 +23,11 @@ impl Machine {
         }
     }
 
-    pub(super) fn note_insert<const OBSERVED: bool>(&mut self, key: EntryKind, outcome: InsertOutcome) {
+    pub(super) fn note_insert<const OBSERVED: bool>(
+        &mut self,
+        key: EntryKind,
+        outcome: InsertOutcome,
+    ) {
         if OBSERVED {
             self.scratch.inserts.push(BtbInsertEvent { key, outcome });
         }

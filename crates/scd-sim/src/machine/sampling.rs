@@ -161,10 +161,7 @@ impl Machine {
         max_insts: u64,
         plan: &SamplingPlan,
     ) -> Result<(Exit, SampleReport), SimError> {
-        assert_eq!(
-            self.stats.instructions, 0,
-            "run_sampled requires a fresh machine"
-        );
+        assert_eq!(self.stats.instructions, 0, "run_sampled requires a fresh machine");
         assert!(
             self.tracer.0.is_none() && self.profile.is_none() && self.fault_plan.is_none(),
             "run_sampled cannot carry per-retirement observers"
@@ -186,10 +183,7 @@ impl Machine {
                 let code = self.run_fastforward(ff)?;
                 ff_insts += self.stats.instructions - before;
                 if let Some(code) = code {
-                    exit = Some(Exit {
-                        code,
-                        output: std::mem::take(&mut self.guest.output),
-                    });
+                    exit = Some(Exit { code, output: std::mem::take(&mut self.guest.output) });
                     break;
                 }
             }
@@ -235,8 +229,7 @@ impl Machine {
         if acc.intervals() == 0 {
             // Too short to sample: the guest exited (or the budget ran
             // out) before any measured window. Re-run exactly.
-            self.restore(&initial)
-                .expect("restoring a snapshot this run just took");
+            self.restore(&initial).expect("restoring a snapshot this run just took");
             let e = self.run(max_insts)?;
             let stats = &self.stats;
             let report = SampleReport {
@@ -329,8 +322,7 @@ impl Machine {
         exit: Option<&Exit>,
     ) {
         let end = self.snapshot();
-        self.restore(pre)
-            .expect("restoring a snapshot this run just took");
+        self.restore(pre).expect("restoring a snapshot this run just took");
         let res = self.run_impl::<false>(until);
         let delta2 = self.stats.delta_since(before);
         assert_eq!(

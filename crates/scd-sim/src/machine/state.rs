@@ -4,10 +4,10 @@
 //! advancing it.
 
 use super::{Machine, Scratch};
-use scd_ref::MemFault;
-use crate::{btb::Btb, cache::Cache};
 use crate::snapshot::{self, Load, Save, Snapshot, SnapshotError, Walk};
+use crate::{btb::Btb, cache::Cache};
 use scd_isa::Reg;
+use scd_ref::MemFault;
 
 /// Guest-binary metadata used for statistics attribution and VBBI.
 #[derive(Debug, Clone, Default)]

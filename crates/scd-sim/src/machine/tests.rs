@@ -658,10 +658,26 @@ fn snapshot_after_fast_forward_limit_is_pinned() {
     assert_eq!(
         &w[134..155],
         &[
-            0, 7, 0xff, 0x10074, 262, //
-            1, 0x100, 0xff0, 0, 262, //
-            0, 0, 0, 0, 262, //
-            0, 0, 0, 0, 262, //
+            0,
+            7,
+            0xff,
+            0x10074,
+            262, //
+            1,
+            0x100,
+            0xff0,
+            0,
+            262, //
+            0,
+            0,
+            0,
+            0,
+            262, //
+            0,
+            0,
+            0,
+            0,
+            262, //
             u64::MAX,
         ]
     );
@@ -669,8 +685,8 @@ fn snapshot_after_fast_forward_limit_is_pinned() {
     assert_eq!(
         &w[155..155 + crate::stats::NUM_COUNTERS],
         &[
-            2620, 1500, 0, 210, 80, 90, 20, 100, 0, 0, 0, 0, 0, 30, 30, 100, 60, 40, 310, 30,
-            1500, 0, 0, 290, 10, 0, 0, 0, 0, 1500, 0, 0, 290, 0, 0, 30, 0, 0, 0, 0, 0, 0,
+            2620, 1500, 0, 210, 80, 90, 20, 100, 0, 0, 0, 0, 0, 30, 30, 100, 60, 40, 310, 30, 1500,
+            0, 0, 290, 10, 0, 0, 0, 0, 1500, 0, 0, 290, 0, 0, 30, 0, 0, 0, 0, 0, 0,
         ]
     );
     let fnv = |bytes: &[u8]| crate::snapshot::fnv1a(crate::snapshot::FNV_OFFSET, bytes);

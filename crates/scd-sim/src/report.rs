@@ -55,7 +55,7 @@ pub fn describe_event(ev: &TraceEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{ArchInfo, FetchAccess, InstClass, Inserts};
+    use crate::trace::{ArchInfo, FetchAccess, Inserts, InstClass};
 
     fn ev() -> TraceEvent {
         TraceEvent {

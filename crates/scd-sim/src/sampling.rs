@@ -68,12 +68,7 @@ impl SamplingPlan {
                  ({period})"
             ));
         }
-        Ok(SamplingPlan {
-            period,
-            warmup,
-            measure,
-            self_check: false,
-        })
+        Ok(SamplingPlan { period, warmup, measure, self_check: false })
     }
 
     /// Parses `"period:warmup:measure"` with optional `k` (×10³) and
@@ -128,11 +123,9 @@ fn parse_count(s: &str) -> Result<u64, String> {
         Some(b'm' | b'M') => (&s[..s.len() - 1], 1_000_000u64),
         _ => (s, 1),
     };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("sampling plan: bad instruction count {s:?}"))?;
-    n.checked_mul(scale)
-        .ok_or_else(|| format!("sampling plan: count {s:?} overflows"))
+    let n: u64 =
+        digits.parse().map_err(|_| format!("sampling plan: bad instruction count {s:?}"))?;
+    n.checked_mul(scale).ok_or_else(|| format!("sampling plan: count {s:?} overflows"))
 }
 
 /// Sample mean and 95% CLT confidence half-width of `samples`
@@ -204,8 +197,7 @@ impl SampleAccum {
     /// Records one measured window's counter delta.
     pub fn record(&mut self, delta: &SimStats) {
         if delta.instructions > 0 {
-            self.cpi
-                .push(delta.cycles as f64 / delta.instructions as f64);
+            self.cpi.push(delta.cycles as f64 / delta.instructions as f64);
         }
         self.sum.accumulate(delta);
     }
@@ -289,12 +281,7 @@ mod tests {
     #[test]
     fn accum_estimates_scale() {
         let mut acc = SampleAccum::default();
-        let mut d = SimStats {
-            instructions: 100,
-            cycles: 200,
-            loads: 10,
-            ..Default::default()
-        };
+        let mut d = SimStats { instructions: 100, cycles: 200, loads: 10, ..Default::default() };
         d.icache.misses = 4;
         acc.record(&d);
         acc.record(&d);

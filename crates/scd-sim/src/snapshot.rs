@@ -157,12 +157,7 @@ impl Snapshot {
         if r.pos != bytes.len() {
             return Err(SnapshotError::Format("trailing bytes".into()));
         }
-        Ok(Snapshot {
-            fingerprint,
-            words,
-            segments,
-            output,
-        })
+        Ok(Snapshot { fingerprint, words, segments, output })
     }
 }
 
@@ -395,12 +390,7 @@ mod tests {
     fn malformed_bytes_error() {
         assert!(Snapshot::from_bytes(b"").is_err());
         assert!(Snapshot::from_bytes(b"NOTCKPT0").is_err());
-        let snap = Snapshot {
-            fingerprint: 1,
-            words: vec![7],
-            segments: vec![],
-            output: vec![],
-        };
+        let snap = Snapshot { fingerprint: 1, words: vec![7], segments: vec![], output: vec![] };
         let mut bytes = snap.to_bytes();
         bytes.truncate(bytes.len() - 1);
         assert!(Snapshot::from_bytes(&bytes).is_err());
@@ -418,10 +408,7 @@ mod tests {
             segments: vec![("a".into(), 0, 2, vec![1, 2, 3])],
             output: vec![],
         };
-        assert!(matches!(
-            Snapshot::from_bytes(&snap.to_bytes()),
-            Err(SnapshotError::Format(_))
-        ));
+        assert!(matches!(Snapshot::from_bytes(&snap.to_bytes()), Err(SnapshotError::Format(_))));
     }
 
     #[test]
@@ -449,56 +436,21 @@ mod tests {
             dispatch_instructions: 103,
             loads: 104,
             stores: 105,
-            cond: crate::BranchCounters {
-                executed: 106,
-                mispredicted: 107,
-            },
-            direct: crate::BranchCounters {
-                executed: 108,
-                mispredicted: 109,
-            },
-            ret: crate::BranchCounters {
-                executed: 110,
-                mispredicted: 111,
-            },
-            indirect_dispatch: crate::BranchCounters {
-                executed: 112,
-                mispredicted: 113,
-            },
-            indirect_other: crate::BranchCounters {
-                executed: 114,
-                mispredicted: 115,
-            },
+            cond: crate::BranchCounters { executed: 106, mispredicted: 107 },
+            direct: crate::BranchCounters { executed: 108, mispredicted: 109 },
+            ret: crate::BranchCounters { executed: 110, mispredicted: 111 },
+            indirect_dispatch: crate::BranchCounters { executed: 112, mispredicted: 113 },
+            indirect_other: crate::BranchCounters { executed: 114, mispredicted: 115 },
             bop_executed: 116,
             bop_hits: 117,
             bop_misses: 118,
             bop_stall_cycles: 119,
             jru_executed: 120,
-            icache: crate::AccessCounters {
-                accesses: 121,
-                misses: 122,
-                writebacks: 123,
-            },
-            dcache: crate::AccessCounters {
-                accesses: 124,
-                misses: 125,
-                writebacks: 126,
-            },
-            l2: crate::AccessCounters {
-                accesses: 127,
-                misses: 128,
-                writebacks: 129,
-            },
-            itlb: crate::AccessCounters {
-                accesses: 130,
-                misses: 131,
-                writebacks: 132,
-            },
-            dtlb: crate::AccessCounters {
-                accesses: 133,
-                misses: 134,
-                writebacks: 135,
-            },
+            icache: crate::AccessCounters { accesses: 121, misses: 122, writebacks: 123 },
+            dcache: crate::AccessCounters { accesses: 124, misses: 125, writebacks: 126 },
+            l2: crate::AccessCounters { accesses: 127, misses: 128, writebacks: 129 },
+            itlb: crate::AccessCounters { accesses: 130, misses: 131, writebacks: 132 },
+            dtlb: crate::AccessCounters { accesses: 133, misses: 134, writebacks: 135 },
             btb: crate::BtbStats {
                 jte_inserts: 136,
                 jte_cap_skips: 137,

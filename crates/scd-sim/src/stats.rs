@@ -332,11 +332,7 @@ mod tests {
 
     #[test]
     fn derived_metrics() {
-        let mut s = SimStats {
-            cycles: 2000,
-            instructions: 1000,
-            ..Default::default()
-        };
+        let mut s = SimStats { cycles: 2000, instructions: 1000, ..Default::default() };
         s.record_branch(BranchClass::IndirectDispatch, true);
         s.record_branch(BranchClass::IndirectDispatch, false);
         s.record_branch(BranchClass::Conditional, true);
@@ -349,11 +345,7 @@ mod tests {
 
     #[test]
     fn dispatch_fraction() {
-        let s = SimStats {
-            instructions: 400,
-            dispatch_instructions: 100,
-            ..Default::default()
-        };
+        let s = SimStats { instructions: 400, dispatch_instructions: 100, ..Default::default() };
         assert!((s.dispatch_fraction() - 0.25).abs() < 1e-12);
     }
 
@@ -374,18 +366,10 @@ mod tests {
 
     #[test]
     fn interval_arithmetic_round_trips() {
-        let mut base = SimStats {
-            cycles: 100,
-            instructions: 50,
-            ..Default::default()
-        };
+        let mut base = SimStats { cycles: 100, instructions: 50, ..Default::default() };
         base.icache.accesses = 40;
         base.btb.jte_inserts = 7;
-        let mut later = SimStats {
-            cycles: 260,
-            instructions: 130,
-            ..Default::default()
-        };
+        let mut later = SimStats { cycles: 260, instructions: 130, ..Default::default() };
         later.icache.accesses = 90;
         later.btb.jte_inserts = 19;
         let d = later.delta_since(&base);
@@ -405,11 +389,7 @@ mod tests {
 
     #[test]
     fn access_mpki() {
-        let a = AccessCounters {
-            accesses: 100,
-            misses: 5,
-            writebacks: 0,
-        };
+        let a = AccessCounters { accesses: 100, misses: 5, writebacks: 0 };
         assert!((a.mpki(1000) - 5.0).abs() < 1e-12);
         assert_eq!(a.mpki(0), 0.0);
     }

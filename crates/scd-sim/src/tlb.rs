@@ -37,7 +37,12 @@ impl Tlb {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "TLB needs at least one entry");
-        Tlb { entries: vec![TlbEntry::default(); entries], tick: 0, last_vpn: u64::MAX, last_idx: 0 }
+        Tlb {
+            entries: vec![TlbEntry::default(); entries],
+            tick: 0,
+            last_vpn: u64::MAX,
+            last_idx: 0,
+        }
     }
 
     /// Looks up the page containing `addr`, filling on miss.

@@ -938,9 +938,8 @@ fn get_num_or_zero(obj: &Value, name: &str) -> Result<u64, String> {
 }
 
 fn get_flag(obj: &Value, name: &str) -> Result<bool, String> {
-    obj.get(name).map_or(Ok(false), |v| {
-        v.as_bool().ok_or_else(|| format!("field {name:?} must be a bool"))
-    })
+    obj.get(name)
+        .map_or(Ok(false), |v| v.as_bool().ok_or_else(|| format!("field {name:?} must be a bool")))
 }
 
 fn get_str<'a>(obj: &'a Value, name: &str) -> Result<&'a str, String> {
@@ -1382,8 +1381,8 @@ mod tests {
         .is_err());
         assert!(TraceEvent::from_json("{\"seq\":0}{").is_err()); // trailing
         assert!(TraceEvent::from_json("[1,2]").is_err()); // not an object
-        // Counters are unsigned integers: a negative or fractional
-        // number is a schema error, not a truncation.
+                                                          // Counters are unsigned integers: a negative or fractional
+                                                          // number is a schema error, not a truncation.
         let line = |seq: &str| {
             format!("{{\"seq\":{seq},\"pc\":0,\"class\":\"alu\",\"cycle\":0,\"cycles\":0}}")
         };

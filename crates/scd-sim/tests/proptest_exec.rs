@@ -106,10 +106,22 @@ fn arb_word() -> impl Strategy<Value = u32> {
     prop_oneof![
         any::<u32>(),
         // Bias towards decodable words: random fields on known opcodes.
-        (any::<u32>(), prop::sample::select(vec![
-            0b0110011u32, 0b0010011, 0b0000011, 0b0100011, 0b1100011, 0b1101111,
-            0b1100111, 0b0110111, 0b0001011, 0b0101011, 0b1010011,
-        ]))
+        (
+            any::<u32>(),
+            prop::sample::select(vec![
+                0b0110011u32,
+                0b0010011,
+                0b0000011,
+                0b0100011,
+                0b1100011,
+                0b1101111,
+                0b1100111,
+                0b0110111,
+                0b0001011,
+                0b0101011,
+                0b1010011,
+            ])
+        )
             .prop_map(|(r, opc)| (r & !0x7F) | opc),
     ]
 }

@@ -88,10 +88,7 @@ fn sampled_matches_full_run() {
     assert_eq!(e1, e2);
     assert!(!report.exact_fallback);
     assert!(report.intervals >= 5, "intervals: {}", report.intervals);
-    assert_eq!(
-        report.total_insts,
-        report.ff_insts + report.warm_insts + report.measured_insts
-    );
+    assert_eq!(report.total_insts, report.ff_insts + report.warm_insts + report.measured_insts);
     assert_eq!(sampled.stats.instructions, report.total_insts);
 
     // Characterization, not a specification: every fast-forward leg

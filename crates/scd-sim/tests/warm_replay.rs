@@ -173,10 +173,7 @@ fn golden_sampled_exit_crosses_warming_boundary() {
     assert!(!report.exact_fallback);
     assert!(report.intervals >= 1);
     // Every retirement is attributed to exactly one leg.
-    assert_eq!(
-        report.total_insts,
-        report.ff_insts + report.warm_insts + report.measured_insts
-    );
+    assert_eq!(report.total_insts, report.ff_insts + report.warm_insts + report.measured_insts);
 }
 
 /// The warm → detailed seam composes: warming to 8k in two segments

@@ -36,7 +36,12 @@ fn main() {
     let (lvm, _) = luma::lvm::compile_lvm(&script, &[("N", 10.0)])
         .or_else(|_| luma::lvm::compile_lvm(&script, &[]))
         .expect("compiles for LVM");
-    println!("==== LVM ({} words, {} consts, {} functions) ====", lvm.code.len(), lvm.consts.len(), lvm.funcs.len());
+    println!(
+        "==== LVM ({} words, {} consts, {} functions) ====",
+        lvm.code.len(),
+        lvm.consts.len(),
+        lvm.funcs.len()
+    );
     print!("{}", luma::lvm::listing(&lvm));
 
     let (svm, _) = luma::svm::compile_svm(&script, &[("N", 10.0)])

@@ -72,12 +72,12 @@ fn show(m: &Machine, caption: &str) {
             EntryKind::Jte => println!(
                 "   V=1 J/B=J  opcode {key:>5?}      -> target {target:#x}   (jump table entry)"
             ),
-            EntryKind::Pc => println!(
-                "   V=1 J/B=B  pc>>2 {key:#7x} -> target {target:#x}   (BTB entry)"
-            ),
-            EntryKind::Vbbi => println!(
-                "   V=1 J/B=V  hash  {key:#7x} -> target {target:#x}   (VBBI entry)"
-            ),
+            EntryKind::Pc => {
+                println!("   V=1 J/B=B  pc>>2 {key:#7x} -> target {target:#x}   (BTB entry)")
+            }
+            EntryKind::Vbbi => {
+                println!("   V=1 J/B=V  hash  {key:#7x} -> target {target:#x}   (VBBI entry)")
+            }
         }
     }
     println!(
@@ -106,8 +106,5 @@ fn main() {
 
     // (d) jte.flush at loop exit: all JTEs invalidated, ordinary BTB
     // entries (the warm-up loop's branch) survive.
-    show(
-        &run_interp(&[0, 0, 3]),
-        "(d) jte.flush on exit: JTEs gone, BTB entries survive",
-    );
+    show(&run_interp(&[0, 0, 3]), "(d) jte.flush on exit: JTEs gone, BTB entries survive");
 }

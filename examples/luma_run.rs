@@ -80,7 +80,11 @@ fn main() {
             println!("cycles        : {}", run.stats.cycles);
             println!("IPC           : {:.3}", run.stats.ipc());
             println!("branch MPKI   : {:.2}", run.stats.branch_mpki());
-            println!("I$ / D$ MPKI  : {:.2} / {:.2}", run.stats.icache_mpki(), run.stats.dcache.mpki(run.stats.instructions));
+            println!(
+                "I$ / D$ MPKI  : {:.2} / {:.2}",
+                run.stats.icache_mpki(),
+                run.stats.dcache.mpki(run.stats.instructions)
+            );
             if scheme == Scheme::Scd {
                 println!(
                     "bop hit rate  : {:.1}% ({} stall cycles)",

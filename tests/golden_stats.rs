@@ -49,9 +49,8 @@ fn render_current() -> String {
                     .unwrap_or_else(|e| panic!("{key}: {e}"));
                     let fingerprint = session.machine.snapshot().fingerprint();
                     session.machine.set_trace_sink(Box::new(CycleBreakdown::default()));
-                    let run = session
-                        .run_and_validate(u64::MAX)
-                        .unwrap_or_else(|e| panic!("{key}: {e}"));
+                    let run =
+                        session.run_and_validate(u64::MAX).unwrap_or_else(|e| panic!("{key}: {e}"));
                     let breakdown = session
                         .machine
                         .take_trace_sink()
@@ -104,8 +103,7 @@ fn fast_and_observed_loops_agree_bit_for_bit() {
             // the invariant checker, so drop it explicitly).
             let mut fast = build();
             fast.machine.disable_invariants();
-            let fast_run =
-                fast.machine.run(u64::MAX).unwrap_or_else(|e| panic!("{key} fast: {e}"));
+            let fast_run = fast.machine.run(u64::MAX).unwrap_or_else(|e| panic!("{key} fast: {e}"));
             let fast_stats = fast.machine.stats.clone();
 
             // Observed path: tracer + invariant checkpoints armed.
@@ -223,4 +221,3 @@ fn two_level_btb_stats_are_deterministic() {
     );
     check_golden(GOLDEN_TWO_LEVEL, &current);
 }
-

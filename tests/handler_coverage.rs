@@ -93,16 +93,11 @@ fn lvm_opcode_coverage_is_near_total() {
     let script = luma::parser::parse(KITCHEN_SINK).unwrap();
     let (p, init) = luma::lvm::compile_lvm(&script, &[]).unwrap();
     let result = luma::lvm::LvmInterp::new(&p, &init).run(1_000_000).unwrap();
-    let missing: Vec<LOp> = LOp::ALL
-        .into_iter()
-        .filter(|&op| result.op_counts[op as usize] == 0)
-        .collect();
+    let missing: Vec<LOp> =
+        LOp::ALL.into_iter().filter(|&op| result.op_counts[op as usize] == 0).collect();
     // A few opcodes are legitimately situational; everything else must
     // have executed.
-    assert!(
-        missing.len() <= 6,
-        "too many unexercised LVM opcodes: {missing:?}"
-    );
+    assert!(missing.len() <= 6, "too many unexercised LVM opcodes: {missing:?}");
     // The headline ones must always be covered.
     for op in [
         LOp::Move,
@@ -132,10 +127,7 @@ fn lvm_opcode_coverage_is_near_total() {
         LOp::Floor,
         LOp::Halt,
     ] {
-        assert!(
-            result.op_counts[op as usize] > 0,
-            "{op:?} not exercised by the kitchen sink"
-        );
+        assert!(result.op_counts[op as usize] > 0, "{op:?} not exercised by the kitchen sink");
     }
 }
 
@@ -247,8 +239,8 @@ fn gen_luma_source(seed: u64) -> String {
     let mut s = String::new();
     let lit = |r: &mut SrcRng| -> String {
         match r.below(4) {
-            0 => format!("{}", r.below(100)),              // i8-range int
-            1 => format!("{}", 300 + r.below(20_000)),     // i16-range int
+            0 => format!("{}", r.below(100)),                 // i8-range int
+            1 => format!("{}", 300 + r.below(20_000)),        // i16-range int
             2 => format!("{}.{}", r.below(50), r.below(100)), // const pool
             _ => format!("{}", r.below(10)),
         }
@@ -318,16 +310,8 @@ fn gen_luma_source(seed: u64) -> String {
                 );
             }
             6 => {
-                let _ = writeln!(
-                    s,
-                    "for k = 0, {} {{ {a} = {a} + k; }}",
-                    1 + r.below(8)
-                );
-                let _ = writeln!(
-                    s,
-                    "for k = {}, 0, -1 {{ {b} = {b} - 1; }}",
-                    1 + r.below(8)
-                );
+                let _ = writeln!(s, "for k = 0, {} {{ {a} = {a} + k; }}", 1 + r.below(8));
+                let _ = writeln!(s, "for k = {}, 0, -1 {{ {b} = {b} - 1; }}", 1 + r.below(8));
             }
             7 => {
                 let _ = writeln!(
@@ -349,11 +333,8 @@ fn gen_luma_source(seed: u64) -> String {
                 let _ = writeln!(s, "bare(arr);");
             }
             _ => {
-                let _ = writeln!(
-                    s,
-                    "emit(min(sqrt(abs({a})), max(floor({b}), {})));",
-                    lit(&mut r),
-                );
+                let _ =
+                    writeln!(s, "emit(min(sqrt(abs({a})), max(floor({b}), {})));", lit(&mut r),);
                 let _ = writeln!(s, "var maybe = nil; emit(maybe == nil); maybe = true;");
                 let _ = writeln!(s, "emit(choosefn({a} > {b}));");
             }
@@ -394,8 +375,7 @@ fn all_handlers_reached_by_benchmarks_and_fuzz_union() {
     for i in 0..64u64 {
         absorb(&gen_luma_source(0x5EED ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), &[]);
     }
-    let lvm_missing: Vec<LOp> =
-        LOp::ALL.into_iter().filter(|&op| lvm[op as usize] == 0).collect();
+    let lvm_missing: Vec<LOp> = LOp::ALL.into_iter().filter(|&op| lvm[op as usize] == 0).collect();
     let svm_missing: Vec<SOp> = (0..svm.len())
         .map(|n| SOp::from_u8(n as u8).unwrap())
         .filter(|&op| op != SOp::Nop && svm[op as u8 as usize] == 0)

@@ -3,9 +3,7 @@
 //! interpreter guest co-simulates divergence-free end to end.
 
 use scd_ref::corpus;
-use scd_sim::{
-    downcast_sink, LockstepSink, Machine, SimConfig, SimError, TwoLevelBtbConfig,
-};
+use scd_sim::{downcast_sink, LockstepSink, Machine, SimConfig, SimError, TwoLevelBtbConfig};
 
 /// The three SCD configurations the fuzz harness exercises — mirrored
 /// here so a committed reproducer is replayed exactly as it was found —
@@ -45,8 +43,7 @@ fn pinned_corpus_replays_lockstep_clean() {
 
     for path in &paths {
         let text = std::fs::read_to_string(path).expect("readable reproducer");
-        let repro =
-            corpus::load(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let repro = corpus::load(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         for (variant, cfg) in variant_configs() {
             let mut m = Machine::new(cfg, &repro.program);
             m.map("fuzzdata", repro.data_base, repro.data_size);
@@ -79,8 +76,7 @@ fn pinned_corpus_replays_lockstep_clean() {
 fn pinned_corpus_fast_matches_observed() {
     for path in &corpus_paths() {
         let text = std::fs::read_to_string(path).expect("readable reproducer");
-        let repro =
-            corpus::load(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let repro = corpus::load(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         for (variant, cfg) in variant_configs() {
             let run_mode = |observed: bool| {
                 let mut m = Machine::new(cfg.clone(), &repro.program);

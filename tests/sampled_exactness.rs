@@ -62,10 +62,7 @@ fn faults_inside_fast_forward_match_full_detail() {
             let p = faulting_program(access, addr);
             let mut full = machine(&cfg, &p);
             let full_err = full.run(1_000_000).expect_err("the access faults");
-            assert!(
-                matches!(full_err, SimError::Mem { .. }),
-                "{what}: {full_err:?}"
-            );
+            assert!(matches!(full_err, SimError::Mem { .. }), "{what}: {full_err:?}");
             let n = full.stats.instructions;
 
             // Warm and measure 50 each, and a period that puts the
@@ -75,15 +72,9 @@ fn faults_inside_fast_forward_match_full_detail() {
             assert!(period < n && n - 1 < 2 * period - 100, "{what}: n = {n}");
             let plan = SamplingPlan::new(period, 50, 50).unwrap();
             let mut sampled = machine(&cfg, &p);
-            let sampled_err = sampled
-                .run_sampled(1_000_000, &plan)
-                .expect_err("the access faults");
+            let sampled_err = sampled.run_sampled(1_000_000, &plan).expect_err("the access faults");
 
-            assert_eq!(
-                format!("{sampled_err:?}"),
-                format!("{full_err:?}"),
-                "{what}"
-            );
+            assert_eq!(format!("{sampled_err:?}"), format!("{full_err:?}"), "{what}");
             assert_eq!(sampled.stats.instructions, n, "{what}");
             assert_eq!(diff_architectural(&full, &sampled), None, "{what}");
         }
@@ -110,14 +101,10 @@ fn generated_programs_end_sampled_as_in_full_detail() {
         let mut full = build();
         let full_exit = full.run(2_000_000).expect("generated programs exit");
         let mut sampled = build();
-        let (sampled_exit, _) = sampled
-            .run_sampled(2_000_000, &plan)
-            .expect("generated programs exit");
+        let (sampled_exit, _) =
+            sampled.run_sampled(2_000_000, &plan).expect("generated programs exit");
         assert_eq!(sampled_exit, full_exit, "seed {seed}");
-        assert_eq!(
-            sampled.stats.instructions, full.stats.instructions,
-            "seed {seed}"
-        );
+        assert_eq!(sampled.stats.instructions, full.stats.instructions, "seed {seed}");
         assert_eq!(diff_architectural(&full, &sampled), None, "seed {seed}");
     }
 }

@@ -50,16 +50,9 @@ fn scheduled_fetch_removes_stalls() {
     // The ablation knob: scheduling independent work between the .op
     // load and bop hides the Rop latency.
     let opts = GuestOptions { production_weight: true, scheduled_fetch: true };
-    let sched = run_source(
-        SimConfig::embedded_a5(),
-        Vm::Lvm,
-        LOOPY,
-        &[],
-        Scheme::Scd,
-        opts,
-        u64::MAX,
-    )
-    .expect("runs");
+    let sched =
+        run_source(SimConfig::embedded_a5(), Vm::Lvm, LOOPY, &[], Scheme::Scd, opts, u64::MAX)
+            .expect("runs");
     let plain = run_loopy(SimConfig::embedded_a5());
     assert_eq!(sched.checksum, plain.checksum);
     assert!(sched.stats.bop_stall_cycles < plain.stats.bop_stall_cycles);
@@ -88,7 +81,7 @@ fn multiple_branch_ids_are_independent() {
     let mut a = Asm::new(0x1_0000);
     a.li(Reg::S1, 0x10_0000); // table 0 bytecode stream
     a.li(Reg::S2, 0x10_1000); // table 1 bytecode stream
-    // masks: table 0 uses 6 bits, table 1 uses 8 bits
+                              // masks: table 0 uses 6 bits, table 1 uses 8 bits
     a.li(Reg::T0, 0x3F);
     a.setmask(0, Reg::T0);
     a.li(Reg::T0, 0xFF);

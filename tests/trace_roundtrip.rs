@@ -17,7 +17,8 @@ fn trace_file(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn jsonl_trace_replays_to_exact_stats() {
-    for (vm, scheme) in [(Vm::Lvm, Scheme::Scd), (Vm::Svm, Scheme::Scd), (Vm::Lvm, Scheme::Baseline)]
+    for (vm, scheme) in
+        [(Vm::Lvm, Scheme::Scd), (Vm::Svm, Scheme::Scd), (Vm::Lvm, Scheme::Baseline)]
     {
         let path = trace_file(&format!("{}-{}", vm.name(), scheme.name()));
         let run = run_source_with(
