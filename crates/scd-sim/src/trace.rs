@@ -1362,6 +1362,57 @@ mod tests {
         vec![base, load, bop, jru, flush]
     }
 
+    /// Events for the wire shapes a short run does not reach: a bare
+    /// event, writebacks at every level, an empty `data` and `l2`, a
+    /// `bop` hit, a blocked and a capped insert, an at-cap insert that
+    /// also evicted a remote JTE, and a fault that evicted nothing.
+    fn hand_built_events() -> Vec<TraceEvent> {
+        let mut evs = sample_events();
+        let mut odd = TraceEvent { seq: 5, pc: 0x1_0014, class: InstClass::Jalr, ..evs[0] };
+        odd.data = Some(DataAccess::default());
+        odd.fetch.l2 = Some(L2Access::default());
+        odd.inserts
+            .push(BtbInsertEvent { key: EntryKind::Jte, outcome: InsertOutcome::CapSkipped });
+        odd.inserts.push(BtbInsertEvent {
+            key: EntryKind::Jte,
+            outcome: InsertOutcome::Inserted {
+                evicted: Some(EntryKind::Jte),
+                remote_jte_evicted: true,
+            },
+        });
+        odd.fault = Some(FaultEvent { kind: FaultKind::PredictorScramble, evicted: 0 });
+        odd.redirect = Some(RedirectEvent { cause: RedirectCause::CondMispredict, penalty: 0 });
+        odd.branch = Some(BranchEvent { class: BranchClass::Return, mispredicted: false });
+        let mut vbbi = TraceEvent { seq: 6, class: InstClass::LoadOp, ..evs[0] };
+        vbbi.inserts.push(BtbInsertEvent {
+            key: EntryKind::Vbbi,
+            outcome: InsertOutcome::Inserted { evicted: None, remote_jte_evicted: true },
+        });
+        vbbi.bop = Some(BopEvent { outcome: BopOutcome::NotReady, stall: 0 });
+        vbbi.flush = Some(JteFlushEvent { flushes: 0, flushed: 0 });
+        evs.extend([odd, vbbi]);
+        evs
+    }
+
+    #[test]
+    fn hand_built_event_bytes_are_pinned() {
+        let want = [
+            r#"{"seq":0,"pc":65536,"class":"alu","cycle":1,"cycles":1}"#,
+            r#"{"seq":1,"pc":65540,"class":"load","cycle":40,"cycles":39,"dispatch":true,"fetch":{"itlb_miss":true,"icache_miss":true,"l2":{"miss":true},"penalty":25},"data":{"dcache_miss":true,"writeback":true,"l2":{"writeback":true},"penalty":8},"arch":{"next_pc":65544,"wx_r":10,"wx_v":3735928559,"ea":131080}}"#,
+            r#"{"seq":2,"pc":65544,"class":"bop","cycle":45,"cycles":5,"redirect":{"cause":"bop_hit","penalty":1},"bop":{"outcome":"hit","stall":2}}"#,
+            r#"{"seq":3,"pc":65548,"class":"jru","cycle":50,"cycles":5,"branch":{"class":"ind_dispatch","mispredicted":true},"redirect":{"cause":"indirect_mispredict","penalty":3},"inserts":[{"key":"jte","outcome":"inserted","evicted":"pc"},{"key":"pc","outcome":"blocked"}],"arch":{"next_pc":65600,"wx_r":0,"wx_v":0,"wf_r":3,"wf_v":0,"store":0}}"#,
+            r#"{"seq":4,"pc":65552,"class":"jte_flush","cycle":51,"cycles":1,"flush":{"flushes":1,"flushed":4},"fault":{"kind":"jte_invalidate","evicted":1}}"#,
+            r#"{"seq":5,"pc":65556,"class":"jalr","cycle":1,"cycles":1,"fetch":{"l2":{}},"data":{},"branch":{"class":"ret","mispredicted":false},"redirect":{"cause":"cond_mispredict","penalty":0},"inserts":[{"key":"jte","outcome":"cap_skipped"},{"key":"jte","outcome":"inserted","evicted":"jte","remote_jte_evicted":true}],"fault":{"kind":"predictor_scramble"}}"#,
+            r#"{"seq":6,"pc":65536,"class":"load_op","cycle":1,"cycles":1,"bop":{"outcome":"not_ready","stall":0},"inserts":[{"key":"vbbi","outcome":"inserted","remote_jte_evicted":true}],"flush":{"flushes":0,"flushed":0}}"#,
+        ];
+        let evs = hand_built_events();
+        assert_eq!(evs.len(), want.len());
+        for (ev, want) in evs.iter().zip(want) {
+            assert_eq!(ev.to_json(), want);
+            assert_eq!(TraceEvent::from_json(want).as_ref(), Ok(ev), "{want}");
+        }
+    }
+
     #[test]
     fn json_roundtrip_preserves_events() {
         for ev in sample_events() {
