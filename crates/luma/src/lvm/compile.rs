@@ -228,7 +228,8 @@ impl<'s> FnGen<'s> {
                     return err("array literal too long");
                 }
                 let a = self.expr_fresh(&Expr::ArrayLit(Vec::new()))?; // placeholder unreachable
-                                                                       // The line above would recurse; build directly instead.
+
+                // The line above would recurse; build directly instead.
                 let _ = a;
                 unreachable!("ArrayLit handled in expr_fresh/expr_to wrapper");
             }

@@ -364,7 +364,8 @@ impl<'i> Builder<'i> {
         self.a.bltu(T5, regs::HEAP, &trap); // out of memory
         self.a.sd(len, 0, T4); // length
         self.a.sd(len, 8, T4); // capacity (== length; arrays are fixed)
-                               // Fill with nil (the nil bit pattern is exactly BOX).
+
+        // Fill with nil (the nil bit pattern is exactly BOX).
         self.a.addi(T5, T4, 16);
         self.a.add(T6, T5, T3);
         self.a.addi(T6, T6, -16);
@@ -607,7 +608,8 @@ impl<'i> Builder<'i> {
                 self.a.add(T2, T2, regs::FUNCTAB);
                 self.a.lwu(T3, 0, T2); // code_off (bytes)
                 self.a.lwu(T4, 8, T2); // nregs
-                                       // Push the CallInfo record.
+
+                // Push the CallInfo record.
                 self.a.sd(regs::VPC, 0, regs::FRAMES);
                 self.a.sd(regs::BASE, 8, regs::FRAMES);
                 self.a.sd(T0, 16, regs::FRAMES); // result slot address
@@ -617,7 +619,8 @@ impl<'i> Builder<'i> {
                 self.a.addi(regs::FRAMES, regs::FRAMES, 32);
                 self.a.li(T5, (layout::FRAME_BASE + layout::FRAME_SIZE) as i64);
                 self.a.bgeu(regs::FRAMES, T5, &trap); // frame overflow
-                                                      // New frame: base = &R[A] + 8 (the first argument).
+
+                // New frame: base = &R[A] + 8 (the first argument).
                 self.a.addi(regs::BASE, T0, 8);
                 self.a.slli(T4, T4, 3);
                 self.a.add(T4, T4, regs::BASE);

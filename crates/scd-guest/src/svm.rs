@@ -551,7 +551,8 @@ impl<'i> Builder<'i> {
                 self.a.add(T4, T4, regs::FUNCTAB);
                 self.a.lwu(T5, 0, T4); // code_off
                 self.a.lwu(T6, 8, T4); // nlocals
-                                       // Push the frame record.
+
+                // Push the frame record.
                 self.a.sd(regs::VPC, 0, regs::FRAMES);
                 self.a.sd(regs::BASE, 8, regs::FRAMES);
                 self.a.addi(T4, T2, -8);
@@ -564,7 +565,8 @@ impl<'i> Builder<'i> {
                 self.a.slli(T6, T6, 3);
                 self.a.add(T6, T6, regs::BASE); // new sp = locals + nlocals*8
                 self.a.bltu(regs::CTL, T6, &trap); // stack overflow
-                                                   // Nil-fill the non-parameter locals (from sp to new sp).
+
+                // Nil-fill the non-parameter locals (from sp to new sp).
                 self.a.label(&fill);
                 self.a.beq(SP, T6, &done);
                 self.a.sd(regs::BOX, 0, SP);

@@ -1533,8 +1533,9 @@ mod tests {
         // Free one L0 way so a Pc can get in at all.
         assert_eq!(b.fault_invalidate_jte(0), 1);
         b.insert(BtbKey::Pc(4 << 2), 0xA4); // raw 4 -> L1 set 0 on demotion
-                                            // Pushing a second Pc evicts the first, whose demotion set is
-                                            // all-JTE: the victim is dropped and counted.
+
+        // Pushing a second Pc evicts the first, whose demotion set is
+        // all-JTE: the victim is dropped and counted.
         let out = b.insert(BtbKey::Pc(68 << 2), 0xA68);
         assert_eq!(
             out,

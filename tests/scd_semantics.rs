@@ -81,7 +81,8 @@ fn multiple_branch_ids_are_independent() {
     let mut a = Asm::new(0x1_0000);
     a.li(Reg::S1, 0x10_0000); // table 0 bytecode stream
     a.li(Reg::S2, 0x10_1000); // table 1 bytecode stream
-                              // masks: table 0 uses 6 bits, table 1 uses 8 bits
+
+    // masks: table 0 uses 6 bits, table 1 uses 8 bits
     a.li(Reg::T0, 0x3F);
     a.setmask(0, Reg::T0);
     a.li(Reg::T0, 0xFF);
