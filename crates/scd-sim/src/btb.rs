@@ -274,9 +274,10 @@ impl BtbConfig {
 
 /// Which key space a BTB entry belongs to. Stored in the entry and
 /// matched on lookup, so raw key collisions across spaces are inert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EntryKind {
     /// Conventional PC-indexed entry.
+    #[default]
     Pc,
     /// SCD jump table entry.
     Jte,
@@ -356,9 +357,10 @@ btb_counters! {
 /// What [`Btb::insert`] did, for per-event tracing and invariant
 /// checking. Together with the inserted key's kind this determines the
 /// exact [`BtbStats`] delta of the call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// Tag match: the existing entry's target was refreshed in place.
+    #[default]
     Updated,
     /// A new entry was written.
     Inserted {

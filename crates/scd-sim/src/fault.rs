@@ -17,6 +17,7 @@
 //! difference in registers, memory or guest output — only the timing
 //! statistics may diverge.
 
+use crate::json::WireName;
 use crate::machine::Machine;
 
 /// The fault classes a [`FaultPlan`] can inject.
@@ -31,10 +32,11 @@ use crate::machine::Machine;
 /// outside the paper's fault model — real BTBs protect the payload with
 /// parity, and a detected error invalidates the entry, which is exactly
 /// [`FaultKind::JteInvalidate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultKind {
     /// Parity-detected corruption of one resident JTE: the entry is
     /// invalidated and counted as a JTE eviction.
+    #[default]
     JteInvalidate,
     /// The whole BTB (and the dedicated JTE table, if configured) is
     /// invalidated, JTEs included.
@@ -54,38 +56,26 @@ pub enum FaultKind {
     PredictorScramble,
 }
 
+crate::json::wire_names!(FaultKind, "fault kind",
+    JteInvalidate => "jte_invalidate", BtbFlush => "btb_flush", BtbBitFlip => "btb_bit_flip",
+    RasFlush => "ras_flush", CacheInvalidate => "cache_invalidate",
+    TlbInvalidate => "tlb_invalidate", PredictorScramble => "predictor_scramble");
+
 impl FaultKind {
     /// Wire name used in the JSONL trace encoding.
     pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::JteInvalidate => "jte_invalidate",
-            FaultKind::BtbFlush => "btb_flush",
-            FaultKind::BtbBitFlip => "btb_bit_flip",
-            FaultKind::RasFlush => "ras_flush",
-            FaultKind::CacheInvalidate => "cache_invalidate",
-            FaultKind::TlbInvalidate => "tlb_invalidate",
-            FaultKind::PredictorScramble => "predictor_scramble",
-        }
+        WireName::name(self)
     }
 
     /// Parses a wire name back into a kind.
     pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "jte_invalidate" => FaultKind::JteInvalidate,
-            "btb_flush" => FaultKind::BtbFlush,
-            "btb_bit_flip" => FaultKind::BtbBitFlip,
-            "ras_flush" => FaultKind::RasFlush,
-            "cache_invalidate" => FaultKind::CacheInvalidate,
-            "tlb_invalidate" => FaultKind::TlbInvalidate,
-            "predictor_scramble" => FaultKind::PredictorScramble,
-            _ => return None,
-        })
+        WireName::from_name(s)
     }
 }
 
 /// Trace record of one injected fault, attached to the retiring
 /// instruction's [`crate::TraceEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultEvent {
     /// What was injected.
     pub kind: FaultKind,
@@ -420,21 +410,5 @@ mod tests {
         a.mem_mut().write(0x10_0000, 1, 0xFF).unwrap();
         let d = diff_architectural(&a, &b).expect("differs");
         assert!(d.contains("scratch"), "got {d}");
-    }
-
-    #[test]
-    fn fault_kind_names_roundtrip() {
-        for k in [
-            FaultKind::JteInvalidate,
-            FaultKind::BtbFlush,
-            FaultKind::BtbBitFlip,
-            FaultKind::RasFlush,
-            FaultKind::CacheInvalidate,
-            FaultKind::TlbInvalidate,
-            FaultKind::PredictorScramble,
-        ] {
-            assert_eq!(FaultKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(FaultKind::from_name("nope"), None);
     }
 }

@@ -1,6 +1,7 @@
 //! A minimal hand-rolled JSON layer: a recursive-descent parser into a
-//! borrowed-nothing [`Value`] tree, plus the string-escaping helper the
-//! renderers share.
+//! borrowed-nothing [`Value`] tree, the string-escaping helper the
+//! renderers share, and the record walk ([`Wire`]) through which each
+//! wire record the workspace both writes and reads lists its fields once.
 //!
 //! The workspace is deliberately serde-free (it must build offline), so
 //! every JSON document the workspace reads goes through this one module:
@@ -16,6 +17,14 @@
 //! - **Totality.** Parsing is a typed `Result` — a truncated or
 //!   corrupted payload must surface as a decode error the cache can
 //!   quarantine, never a panic.
+//!
+//! Two records are both written and read back by the workspace: the
+//! retirement-trace event and the `scd serve` cache payload. Each lists
+//! its fields once, in one function generic over [`Wire`]: [`emit`] runs
+//! it to append the JSON and [`read`] to overwrite each field from the
+//! parsed object, the way the checkpoint walk does for snapshot words.
+//! Each helper fixes its field's omission rule ([`Zero`]) and enum wire
+//! names come from one table per enum ([`WireName`]).
 
 use std::fmt::Write as _;
 
@@ -321,6 +330,428 @@ pub fn push_str_literal(out: &mut String, s: &str) {
     out.push('"');
 }
 
+// ---------------------------------------------------------------------
+// Record walks
+// ---------------------------------------------------------------------
+
+/// How a field's zero (`0`, `false`) is written, and what a read makes
+/// of its key's absence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Zero {
+    /// Always written; a read without the key is an error.
+    Required,
+    /// Always written; a read without the key gives zero.
+    Written,
+    /// Omitted when zero; a read without the key gives zero.
+    Omitted,
+}
+
+/// How a [`Read`] words a bad field; each record keeps the wording its
+/// reader had before the two shared this walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Errors {
+    /// `missing field "k"`, `field "k" must be a number`; a non-object
+    /// where an object belongs is an error (the trace event).
+    Precise,
+    /// `missing or mistyped field 'k'`; a non-object where an object
+    /// belongs reads as one without fields (the cache payload).
+    Lumped,
+}
+
+impl Errors {
+    /// The error for field `key`: absent when `want` is `None`, else not
+    /// `want` ("a number", ...).
+    fn bad(self, key: &str, want: Option<&str>) -> String {
+        match (self, want) {
+            (Errors::Lumped, _) => format!("missing or mistyped field '{key}'"),
+            (Errors::Precise, None) => format!("missing field {key:?}"),
+            (Errors::Precise, Some(want)) => format!("field {key:?} must be {want}"),
+        }
+    }
+}
+
+/// An enum with one wire name per variant, from one `wire_names!`
+/// table.
+pub trait WireName: Copy + 'static {
+    /// What an unknown name is reported as: `unknown {WHAT} "…"`.
+    const WHAT: &'static str;
+    /// Every variant with its wire name; a variant with fields appears
+    /// once, with empty fields.
+    const NAMES: &'static [(Self, &'static str)];
+
+    /// The variant's wire name.
+    fn name(self) -> &'static str;
+
+    /// The variant named `s` (with empty fields), if any.
+    fn from_name(s: &str) -> Option<Self> {
+        Self::NAMES.iter().find(|(_, n)| *n == s).map(|&(v, _)| v)
+    }
+}
+
+/// Implements [`WireName`] for an enum from one list of
+/// `Variant => "name"` pairs; a variant with fields lists their empty
+/// values, `Variant { field: value, .. } => "name"`. `name` is one
+/// exhaustive `match`, so a variant missing from the list fails to
+/// compile.
+macro_rules! wire_names {
+    ($ty:ident, $what:literal,
+     $($variant:ident $({ $($field:ident: $empty:expr),* })? => $name:literal),+ $(,)?) => {
+        impl $crate::json::WireName for $ty {
+            const WHAT: &'static str = $what;
+            const NAMES: &'static [(Self, &'static str)] =
+                &[$(($ty::$variant $({ $($field: $empty),* })?, $name)),+];
+
+            fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $name),+
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_names;
+
+/// What a walk step returns; only a read can fail.
+pub type Step = Result<(), String>;
+
+/// One side of a wire record's walk. Each record lists its fields once,
+/// in one function generic over `Wire`: a `String` appends them as JSON
+/// ([`emit`]) and a [`Read`] overwrites them from a parsed object
+/// ([`read`]), so the two directions cannot drift apart.
+pub trait Wire: Sized {
+    /// True for [`Read`]: read-only checks run only then.
+    const READ: bool;
+
+    /// Emitting: starts field `key` and returns the buffer its value
+    /// goes to. Reading: `None`.
+    fn put(&mut self, key: &str) -> Option<&mut String>;
+
+    /// Reading: the value under `key`. Emitting: `None`.
+    fn get(&self, key: &str) -> Option<&Value>;
+
+    /// How this walk words a bad field.
+    fn errors(&self) -> Errors {
+        Errors::Precise
+    }
+
+    /// Objects under `key`, one per filled slot, each walked by `walk`:
+    /// one bare object, or an `array` whose elements a read names `what`
+    /// in its errors. Omitted when no slot is filled; a read fills the
+    /// slots in order.
+    fn objects<T: Default>(
+        &mut self,
+        key: &str,
+        what: &str,
+        array: bool,
+        slots: &mut [Option<T>],
+        walk: impl FnMut(&mut Self, &mut T) -> Step,
+    ) -> Step;
+
+    /// An object present exactly when its key is.
+    fn opt<T: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Option<T>,
+        walk: impl FnMut(&mut Self, &mut T) -> Step,
+    ) -> Step {
+        self.objects(key, key, false, std::slice::from_mut(v), walk)
+    }
+
+    /// Walks `walk`, but a read error there is returned only once the
+    /// rest of the record reads cleanly.
+    fn late(&mut self, walk: impl FnOnce(&mut Self) -> Step) -> Step;
+
+    /// A number, written and read as `zero` says.
+    fn num(&mut self, key: &str, v: &mut u64, zero: Zero) -> Step {
+        scalar(self, key, v, zero, "a number", Value::as_u64)
+    }
+
+    /// A flag, written and read as `zero` says.
+    fn flag(&mut self, key: &str, v: &mut bool, zero: Zero) -> Step {
+        scalar(self, key, v, zero, "a bool", Value::as_bool)
+    }
+
+    /// A number present exactly when its key is: its value may be 0.
+    fn opt_num(&mut self, key: &str, v: &mut Option<u64>) -> Step {
+        if Self::READ {
+            *v = self.get(key).map(|_| 0);
+        }
+        v.as_mut().map_or(Ok(()), |x| self.num(key, x, Zero::Required))
+    }
+
+    /// An `f64` carried exactly, as its IEEE-754 bit pattern.
+    fn bits(&mut self, key: &str, v: &mut f64) -> Step {
+        let mut b = v.to_bits();
+        self.num(key, &mut b, Zero::Required)?;
+        *v = f64::from_bits(b);
+        Ok(())
+    }
+
+    /// A register/value pair as two numbers, present exactly when the
+    /// register's key is.
+    fn pair(&mut self, rkey: &str, vkey: &str, v: &mut Option<(u8, u64)>) -> Step {
+        let (mut r, mut x) = (v.map(|(r, _)| u64::from(r)), v.map_or(0, |(_, x)| x));
+        self.opt_num(rkey, &mut r)?;
+        *v = match r {
+            Some(r) => Some((
+                u8::try_from(r).map_err(|_| format!("field {rkey:?} out of register range"))?,
+                self.num(vkey, &mut x, Zero::Required).map(|()| x)?,
+            )),
+            None => None,
+        };
+        Ok(())
+    }
+
+    /// A required enum, by its wire name.
+    fn name<E: WireName>(&mut self, key: &str, v: &mut E) -> Step {
+        if let Some(out) = self.put(key) {
+            push_quoted(out, v.name());
+        }
+        if Self::READ {
+            let s = self.get(key).ok_or_else(|| self.errors().bad(key, None))?;
+            let s = s.as_str().ok_or_else(|| self.errors().bad(key, Some("a string")))?;
+            *v = E::from_name(s).ok_or_else(|| format!("unknown {} {s:?}", E::WHAT))?;
+        }
+        Ok(())
+    }
+
+    /// An enum by its wire name, present exactly when its key is.
+    fn opt_name<E: WireName>(&mut self, key: &str, v: &mut Option<E>) -> Step {
+        if let Some(e) = *v {
+            if let Some(out) = self.put(key) {
+                push_quoted(out, e.name());
+            }
+        }
+        if Self::READ {
+            *v = match self.get(key) {
+                Some(s) => {
+                    let s = s.as_str().ok_or_else(|| format!("{key} must be a string"))?;
+                    Some(E::from_name(s).ok_or_else(|| format!("unknown {key} kind {s:?}"))?)
+                }
+                None => None,
+            };
+        }
+        Ok(())
+    }
+
+    /// A fixed-length array of integers, one per slot.
+    fn array(&mut self, key: &str, slots: &mut [&mut u64]) -> Step {
+        if let Some(out) = self.put(key) {
+            out.push('[');
+            for (i, x) in slots.iter().enumerate() {
+                let _ = write!(out, "{}{x}", if i > 0 { "," } else { "" });
+            }
+            out.push(']');
+        }
+        if Self::READ {
+            let (e, n) = (self.errors(), slots.len());
+            let arr = self.get(key).ok_or_else(|| e.bad(key, None))?;
+            let arr = arr.as_arr().ok_or_else(|| e.bad(key, Some("an array")))?;
+            if arr.len() != n {
+                return Err(format!("field '{key}' has {} entries, want {n}", arr.len()));
+            }
+            for (slot, x) in slots.iter_mut().zip(arr) {
+                **slot = x.as_u64().ok_or_else(|| format!("non-integer entry in '{key}'"))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Counters by their dotted names (`cycles`, `cond.executed`): a
+    /// plain name is one number, and a run of names under one prefix is
+    /// one array under the prefix (`"cond":[…]`).
+    fn counters(&mut self, names: &[&str], slots: &mut [&mut u64]) -> Step {
+        fn group(name: &str) -> Option<&str> {
+            name.split_once('.').map(|(g, _)| g)
+        }
+        let mut i = 0;
+        while let Some(&name) = names.get(i) {
+            let Some(g) = group(name) else {
+                self.num(name, slots[i], Zero::Required)?;
+                i += 1;
+                continue;
+            };
+            let end = i + names[i..].iter().take_while(|n| group(n) == Some(g)).count();
+            self.array(g, &mut slots[i..end])?;
+            i = end;
+        }
+        Ok(())
+    }
+}
+
+/// A number or flag under `key`, written and read as `zero` says.
+fn scalar<W: Wire, T: Copy + Default + PartialEq + std::fmt::Display>(
+    w: &mut W,
+    key: &str,
+    v: &mut T,
+    zero: Zero,
+    want: &str,
+    read: fn(&Value) -> Option<T>,
+) -> Step {
+    if zero != Zero::Omitted || *v != T::default() {
+        if let Some(out) = w.put(key) {
+            let _ = write!(out, "{v}");
+        }
+    }
+    if W::READ {
+        *v = match w.get(key) {
+            Some(x) => read(x).ok_or_else(|| w.errors().bad(key, Some(want)))?,
+            None if zero == Zero::Required => return Err(w.errors().bad(key, None)),
+            None => T::default(),
+        };
+    }
+    Ok(())
+}
+
+/// Appends `s`, which needs no escaping, in quotes.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(s);
+    out.push('"');
+}
+
+/// The emitting walk: appends each field to the JSON object the buffer
+/// ends in.
+impl Wire for String {
+    const READ: bool = false;
+
+    fn put(&mut self, key: &str) -> Option<&mut String> {
+        self.push_str(if self.ends_with('{') { "\"" } else { ",\"" });
+        self.push_str(key);
+        self.push_str("\":");
+        Some(self)
+    }
+
+    fn get(&self, _: &str) -> Option<&Value> {
+        None
+    }
+
+    fn objects<T: Default>(
+        &mut self,
+        key: &str,
+        _: &str,
+        array: bool,
+        slots: &mut [Option<T>],
+        mut walk: impl FnMut(&mut Self, &mut T) -> Step,
+    ) -> Step {
+        if slots.iter().all(Option::is_none) {
+            return Ok(());
+        }
+        self.put(key);
+        for (i, t) in slots.iter_mut().flatten().enumerate() {
+            if array {
+                self.push(if i > 0 { ',' } else { '[' });
+            }
+            emit(self, |w| walk(w, t));
+        }
+        if array {
+            self.push(']');
+        }
+        Ok(())
+    }
+
+    fn late(&mut self, walk: impl FnOnce(&mut Self) -> Step) -> Step {
+        walk(self)
+    }
+}
+
+/// The reading walk: overwrites each field from a parsed object.
+pub struct Read<'v> {
+    obj: &'v Value,
+    errors: Errors,
+    late: Option<String>,
+}
+
+impl<'v> Read<'v> {
+    /// Walks `walk` over `v`, the sub-object or element named `what`,
+    /// and then returns to the current object.
+    fn within(&mut self, v: &'v Value, what: &str, walk: impl FnOnce(&mut Self) -> Step) -> Step {
+        if self.errors == Errors::Precise && !matches!(v, Value::Obj(_)) {
+            return Err(format!("{what} must be an object"));
+        }
+        let outer = std::mem::replace(&mut self.obj, v);
+        let r = walk(self);
+        self.obj = outer;
+        r
+    }
+}
+
+impl Wire for Read<'_> {
+    const READ: bool = true;
+
+    fn put(&mut self, _: &str) -> Option<&mut String> {
+        None
+    }
+
+    fn get(&self, key: &str) -> Option<&Value> {
+        self.obj.get(key)
+    }
+
+    fn errors(&self) -> Errors {
+        self.errors
+    }
+
+    fn objects<T: Default>(
+        &mut self,
+        key: &str,
+        what: &str,
+        array: bool,
+        slots: &mut [Option<T>],
+        mut walk: impl FnMut(&mut Self, &mut T) -> Step,
+    ) -> Step {
+        slots.fill_with(|| None);
+        let Some(v) = self.obj.get(key) else { return Ok(()) };
+        let items = if array {
+            v.as_arr().ok_or_else(|| format!("{key} must be an array"))?
+        } else {
+            std::slice::from_ref(v)
+        };
+        for (i, v) in items.iter().enumerate() {
+            let mut t = T::default();
+            self.within(v, what, |w| walk(w, &mut t))?;
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(t);
+            }
+        }
+        Ok(())
+    }
+
+    fn late(&mut self, walk: impl FnOnce(&mut Self) -> Step) -> Step {
+        if let Err(e) = walk(self) {
+            self.late.get_or_insert(e);
+        }
+        Ok(())
+    }
+}
+
+/// Appends the record `walk` emits to `out`, as one JSON object.
+///
+/// # Panics
+/// Panics if `walk` fails, which only a read check run while emitting
+/// can do.
+pub fn emit(out: &mut String, walk: impl FnOnce(&mut String) -> Step) {
+    out.push('{');
+    walk(out).expect("only a read can fail");
+    out.push('}');
+}
+
+/// Parses `text` and reads one record from it through `walk`; `what`
+/// names the document when [`Errors::Precise`] finds it is no object.
+///
+/// # Errors
+/// The first syntax error, or the first bad field in `walk`'s order.
+pub fn read(
+    text: &str,
+    what: &str,
+    errors: Errors,
+    walk: impl FnOnce(&mut Read<'_>) -> Step,
+) -> Step {
+    let v = parse(text)?;
+    let mut r = Read { obj: &v, errors, late: None };
+    r.within(&v, what, walk)?;
+    r.late.map_or(Ok(()), Err)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,5 +803,44 @@ mod tests {
         {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    /// A record with one field per [`Zero`] rule, a counter group and a
+    /// late field.
+    fn walk_rec<W: Wire>(w: &mut W, r: &mut [u64; 6]) -> Step {
+        let [late, req, written, omitted, a, b] = r;
+        w.late(|w| w.num("late", late, Zero::Required))?;
+        w.num("req", req, Zero::Required)?;
+        w.num("written", written, Zero::Written)?;
+        w.num("omitted", omitted, Zero::Omitted)?;
+        w.counters(&["g.a", "g.b"], &mut [a, b])
+    }
+
+    fn read_rec(text: &str, errors: Errors) -> Result<[u64; 6], String> {
+        let mut r = [9; 6];
+        read(text, "rec", errors, |w| walk_rec(w, &mut r)).map(|()| r)
+    }
+
+    #[test]
+    fn walk_keeps_each_zero_rule_and_the_late_order() {
+        let mut out = String::new();
+        emit(&mut out, |w| walk_rec(w, &mut [1, 0, 0, 0, 2, 3]));
+        assert_eq!(out, r#"{"late":1,"req":0,"written":0,"g":[2,3]}"#);
+        assert_eq!(read_rec(&out, Errors::Precise), Ok([1, 0, 0, 0, 2, 3]));
+        // Written and omitted zeros read as 0 when absent; required ones
+        // are errors, the late one only after every other field.
+        let text = r#"{"late":1,"req":4,"g":[2,3]}"#;
+        assert_eq!(read_rec(text, Errors::Precise), Ok([1, 4, 0, 0, 2, 3]));
+        let text = r#"{"written":"x","g":[2,3]}"#;
+        assert_eq!(read_rec(text, Errors::Precise), Err(r#"missing field "req""#.into()));
+        let text = r#"{"req":4,"written":"x","g":[2,3]}"#;
+        let err = read_rec(text, Errors::Precise);
+        assert_eq!(err, Err(r#"field "written" must be a number"#.into()));
+        let text = r#"{"req":4,"g":[2,3]}"#;
+        assert_eq!(read_rec(text, Errors::Precise), Err(r#"missing field "late""#.into()));
+        assert_eq!(read_rec(text, Errors::Lumped), Err("missing or mistyped field 'late'".into()));
+        let text = r#"{"late":1,"req":4,"g":[2]}"#;
+        assert_eq!(read_rec(text, Errors::Lumped), Err("field 'g' has 1 entries, want 2".into()));
+        assert_eq!(read_rec("[]", Errors::Precise), Err("rec must be an object".into()));
     }
 }

@@ -52,6 +52,13 @@ pub struct SamplingPlan {
     pub self_check: bool,
 }
 
+/// The plan that measures every instruction: full detail.
+impl Default for SamplingPlan {
+    fn default() -> Self {
+        SamplingPlan { period: 1, warmup: 0, measure: 1, self_check: false }
+    }
+}
+
 impl SamplingPlan {
     /// Builds a validated plan.
     ///
@@ -151,7 +158,7 @@ pub fn mean_ci95(samples: &[f64]) -> (f64, f64) {
 /// everything downstream (validation, reports) reads estimated counters
 /// transparently — this report carries the sampling metadata those
 /// counters no longer show.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleReport {
     /// The plan the run executed.
     pub plan: SamplingPlan,

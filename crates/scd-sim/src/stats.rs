@@ -6,9 +6,10 @@ use crate::btb::BtbStats;
 use crate::snapshot::{SnapshotError, Walk};
 
 /// Branch classes used for the Fig. 2 misprediction breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BranchClass {
     /// Conditional branch.
+    #[default]
     Conditional,
     /// Direct unconditional jump (`jal`, including calls).
     Direct,

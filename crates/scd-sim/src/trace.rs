@@ -28,8 +28,9 @@
 //! checkpoint panic instead of a silently wrong figure.
 
 use crate::btb::{EntryKind, InsertOutcome};
-use crate::fault::{FaultEvent, FaultKind};
-use crate::json::{self, Value};
+use crate::fault::FaultEvent;
+use crate::json::Zero::{Omitted, Required, Written};
+use crate::json::{self, wire_names, Errors, Step, Wire, WireName};
 use crate::stats::{BranchClass, SimStats, COUNTER_NAMES};
 use scd_isa::Inst;
 
@@ -38,7 +39,7 @@ use scd_isa::Inst;
 // ---------------------------------------------------------------------
 
 /// Coarse class of a retired instruction, for attribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum InstClass {
     /// Integer ALU (including `lui`/`auipc` and immediates).
     Alu,
@@ -73,6 +74,7 @@ pub enum InstClass {
     /// SCD `load_op`.
     LoadOp,
     /// Anything else (never retired today; reserved).
+    #[default]
     Other,
 }
 
@@ -109,48 +111,7 @@ impl InstClass {
 
     /// Wire name used in the JSONL encoding.
     pub fn name(self) -> &'static str {
-        match self {
-            InstClass::Alu => "alu",
-            InstClass::Load => "load",
-            InstClass::Store => "store",
-            InstClass::FpLoad => "fp_load",
-            InstClass::FpStore => "fp_store",
-            InstClass::Fp => "fp",
-            InstClass::CondBranch => "branch",
-            InstClass::Jal => "jal",
-            InstClass::Jalr => "jalr",
-            InstClass::Ecall => "ecall",
-            InstClass::Fence => "fence",
-            InstClass::SetMask => "setmask",
-            InstClass::Bop => "bop",
-            InstClass::Jru => "jru",
-            InstClass::JteFlush => "jte_flush",
-            InstClass::LoadOp => "load_op",
-            InstClass::Other => "other",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "alu" => InstClass::Alu,
-            "load" => InstClass::Load,
-            "store" => InstClass::Store,
-            "fp_load" => InstClass::FpLoad,
-            "fp_store" => InstClass::FpStore,
-            "fp" => InstClass::Fp,
-            "branch" => InstClass::CondBranch,
-            "jal" => InstClass::Jal,
-            "jalr" => InstClass::Jalr,
-            "ecall" => InstClass::Ecall,
-            "fence" => InstClass::Fence,
-            "setmask" => InstClass::SetMask,
-            "bop" => InstClass::Bop,
-            "jru" => InstClass::Jru,
-            "jte_flush" => InstClass::JteFlush,
-            "load_op" => InstClass::LoadOp,
-            "other" => InstClass::Other,
-            _ => return None,
-        })
+        WireName::name(self)
     }
 
     /// Whether this class performs exactly one data-memory access.
@@ -186,12 +147,6 @@ pub struct FetchAccess {
     pub penalty: u64,
 }
 
-impl FetchAccess {
-    fn is_default(&self) -> bool {
-        *self == FetchAccess::default()
-    }
-}
-
 /// Data-side attribution for one retirement (present only when misses
 /// or writebacks occurred; the access itself is implied by the class).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -215,7 +170,7 @@ impl DataAccess {
 }
 
 /// Branch retirement outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchEvent {
     /// The branch class.
     pub class: BranchClass,
@@ -224,9 +179,10 @@ pub struct BranchEvent {
 }
 
 /// Why the front end was redirected at this instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RedirectCause {
     /// `jal` whose target was not in the BTB (decode redirect).
+    #[default]
     JalMiss,
     /// Conditional branch mispredicted.
     CondMispredict,
@@ -236,29 +192,8 @@ pub enum RedirectCause {
     BopHit,
 }
 
-impl RedirectCause {
-    fn name(self) -> &'static str {
-        match self {
-            RedirectCause::JalMiss => "jal_miss",
-            RedirectCause::CondMispredict => "cond_mispredict",
-            RedirectCause::IndirectMispredict => "indirect_mispredict",
-            RedirectCause::BopHit => "bop_hit",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "jal_miss" => RedirectCause::JalMiss,
-            "cond_mispredict" => RedirectCause::CondMispredict,
-            "indirect_mispredict" => RedirectCause::IndirectMispredict,
-            "bop_hit" => RedirectCause::BopHit,
-            _ => return None,
-        })
-    }
-}
-
 /// A front-end redirect charged at this instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RedirectEvent {
     /// What caused it.
     pub cause: RedirectCause,
@@ -267,7 +202,7 @@ pub struct RedirectEvent {
 }
 
 /// Outcome of one `bop` execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BopOutcome {
     /// Short-circuited through a JTE hit.
     Hit,
@@ -278,34 +213,12 @@ pub enum BopOutcome {
     /// Fall-through scheme: Rop was not yet available at fetch.
     NotReady,
     /// SCD disabled in this configuration.
+    #[default]
     Disabled,
 }
 
-impl BopOutcome {
-    fn name(self) -> &'static str {
-        match self {
-            BopOutcome::Hit => "hit",
-            BopOutcome::JteMiss => "jte_miss",
-            BopOutcome::RopInvalid => "rop_invalid",
-            BopOutcome::NotReady => "not_ready",
-            BopOutcome::Disabled => "disabled",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "hit" => BopOutcome::Hit,
-            "jte_miss" => BopOutcome::JteMiss,
-            "rop_invalid" => BopOutcome::RopInvalid,
-            "not_ready" => BopOutcome::NotReady,
-            "disabled" => BopOutcome::Disabled,
-            _ => return None,
-        })
-    }
-}
-
 /// `bop` retirement details.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BopEvent {
     /// What the short-circuit attempt did.
     pub outcome: BopOutcome,
@@ -314,7 +227,7 @@ pub struct BopEvent {
 }
 
 /// One BTB insert performed by this instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BtbInsertEvent {
     /// Key space of the inserted entry.
     pub key: EntryKind,
@@ -353,7 +266,7 @@ impl Inserts {
 
 /// JTE flushes performed at this instruction (the periodic context-switch
 /// flush and an explicit `jte.flush` can coincide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JteFlushEvent {
     /// Number of flush operations.
     pub flushes: u64,
@@ -366,7 +279,7 @@ pub struct JteFlushEvent {
 /// contract the lockstep oracle (`scd-sim::lockstep`, backed by the
 /// `scd-ref` reference ISS) checks against the shared
 /// [`scd_isa::exec`] semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArchInfo {
     /// Integer writeback: (register index, value after execute). Present
     /// for any class that defines an x-register; writes to `x0` report
@@ -384,7 +297,7 @@ pub struct ArchInfo {
 }
 
 /// Everything the timing model charged for one retired instruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TraceEvent {
     /// Retirement index, starting at 0.
     pub seq: u64,
@@ -575,159 +488,33 @@ impl<W: std::io::Write + Send + 'static> TraceSink for JsonlSink<W> {
 // JSON encoding
 // ---------------------------------------------------------------------
 
-fn kind_name(k: EntryKind) -> &'static str {
-    match k {
-        EntryKind::Pc => "pc",
-        EntryKind::Jte => "jte",
-        EntryKind::Vbbi => "vbbi",
-    }
-}
-
-fn kind_from_name(s: &str) -> Option<EntryKind> {
-    Some(match s {
-        "pc" => EntryKind::Pc,
-        "jte" => EntryKind::Jte,
-        "vbbi" => EntryKind::Vbbi,
-        _ => return None,
-    })
-}
-
-fn branch_class_name(c: BranchClass) -> &'static str {
-    match c {
-        BranchClass::Conditional => "cond",
-        BranchClass::Direct => "direct",
-        BranchClass::Return => "ret",
-        BranchClass::IndirectDispatch => "ind_dispatch",
-        BranchClass::IndirectOther => "ind_other",
-    }
-}
-
-fn branch_class_from_name(s: &str) -> Option<BranchClass> {
-    Some(match s {
-        "cond" => BranchClass::Conditional,
-        "direct" => BranchClass::Direct,
-        "ret" => BranchClass::Return,
-        "ind_dispatch" => BranchClass::IndirectDispatch,
-        "ind_other" => BranchClass::IndirectOther,
-        _ => return None,
-    })
-}
+wire_names!(InstClass, "class",
+    Alu => "alu", Load => "load", Store => "store", FpLoad => "fp_load", FpStore => "fp_store",
+    Fp => "fp", CondBranch => "branch", Jal => "jal", Jalr => "jalr", Ecall => "ecall",
+    Fence => "fence", SetMask => "setmask", Bop => "bop", Jru => "jru",
+    JteFlush => "jte_flush", LoadOp => "load_op", Other => "other");
+wire_names!(RedirectCause, "redirect cause",
+    JalMiss => "jal_miss", CondMispredict => "cond_mispredict",
+    IndirectMispredict => "indirect_mispredict", BopHit => "bop_hit");
+wire_names!(BopOutcome, "bop outcome",
+    Hit => "hit", JteMiss => "jte_miss", RopInvalid => "rop_invalid", NotReady => "not_ready",
+    Disabled => "disabled");
+wire_names!(BranchClass, "branch class",
+    Conditional => "cond", Direct => "direct", Return => "ret",
+    IndirectDispatch => "ind_dispatch", IndirectOther => "ind_other");
+wire_names!(EntryKind, "key", Pc => "pc", Jte => "jte", Vbbi => "vbbi");
+wire_names!(InsertOutcome, "insert outcome",
+    Updated => "updated",
+    Inserted { evicted: None, remote_jte_evicted: false } => "inserted",
+    CapSkipped => "cap_skipped", Blocked => "blocked");
 
 impl TraceEvent {
-    /// Appends the one-line JSON encoding of this event to `out`.
-    /// Optional sub-objects and false/zero flags are omitted.
+    /// Appends the one-line JSON encoding of this event to `out`, each
+    /// field kept or omitted as the event's one field list (`walk`)
+    /// declares.
     pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"pc\":{},\"class\":\"{}\",\"cycle\":{},\"cycles\":{}",
-            self.seq,
-            self.pc,
-            self.class.name(),
-            self.cycle,
-            self.cycles
-        );
-        if self.dispatch {
-            out.push_str(",\"dispatch\":true");
-        }
-        if !self.fetch.is_default() {
-            out.push_str(",\"fetch\":{");
-            let mut first = true;
-            json_flag(out, &mut first, "itlb_miss", self.fetch.itlb_miss);
-            json_flag(out, &mut first, "icache_miss", self.fetch.icache_miss);
-            json_l2(out, &mut first, self.fetch.l2);
-            json_num(out, &mut first, "penalty", self.fetch.penalty);
-            out.push('}');
-        }
-        if let Some(d) = &self.data {
-            out.push_str(",\"data\":{");
-            let mut first = true;
-            json_flag(out, &mut first, "dtlb_miss", d.dtlb_miss);
-            json_flag(out, &mut first, "dcache_miss", d.dcache_miss);
-            json_flag(out, &mut first, "writeback", d.writeback);
-            json_l2(out, &mut first, d.l2);
-            json_num(out, &mut first, "penalty", d.penalty);
-            out.push('}');
-        }
-        if let Some(b) = &self.branch {
-            let _ = write!(
-                out,
-                ",\"branch\":{{\"class\":\"{}\",\"mispredicted\":{}}}",
-                branch_class_name(b.class),
-                b.mispredicted
-            );
-        }
-        if let Some(r) = &self.redirect {
-            let _ = write!(
-                out,
-                ",\"redirect\":{{\"cause\":\"{}\",\"penalty\":{}}}",
-                r.cause.name(),
-                r.penalty
-            );
-        }
-        if let Some(b) = &self.bop {
-            let _ = write!(
-                out,
-                ",\"bop\":{{\"outcome\":\"{}\",\"stall\":{}}}",
-                b.outcome.name(),
-                b.stall
-            );
-        }
-        if !self.inserts.is_empty() {
-            out.push_str(",\"inserts\":[");
-            for (i, ins) in self.inserts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"key\":\"{}\",", kind_name(ins.key));
-                match ins.outcome {
-                    InsertOutcome::Updated => out.push_str("\"outcome\":\"updated\"}"),
-                    InsertOutcome::CapSkipped => out.push_str("\"outcome\":\"cap_skipped\"}"),
-                    InsertOutcome::Blocked => out.push_str("\"outcome\":\"blocked\"}"),
-                    InsertOutcome::Inserted { evicted, remote_jte_evicted } => {
-                        out.push_str("\"outcome\":\"inserted\"");
-                        if let Some(k) = evicted {
-                            let _ = write!(out, ",\"evicted\":\"{}\"", kind_name(k));
-                        }
-                        if remote_jte_evicted {
-                            out.push_str(",\"remote_jte_evicted\":true");
-                        }
-                        out.push('}');
-                    }
-                }
-            }
-            out.push(']');
-        }
-        if let Some(f) = &self.flush {
-            let _ =
-                write!(out, ",\"flush\":{{\"flushes\":{},\"flushed\":{}}}", f.flushes, f.flushed);
-        }
-        if let Some(ft) = &self.fault {
-            let _ = write!(out, ",\"fault\":{{\"kind\":\"{}\"", ft.kind.name());
-            if ft.evicted != 0 {
-                let _ = write!(out, ",\"evicted\":{}", ft.evicted);
-            }
-            out.push('}');
-        }
-        if let Some(a) = &self.arch {
-            // Values here can legitimately be 0, so presence is encoded
-            // by the key, never elided like the flag helpers do.
-            let _ = write!(out, ",\"arch\":{{\"next_pc\":{}", a.next_pc);
-            if let Some((r, v)) = a.wx {
-                let _ = write!(out, ",\"wx_r\":{r},\"wx_v\":{v}");
-            }
-            if let Some((r, v)) = a.wf {
-                let _ = write!(out, ",\"wf_r\":{r},\"wf_v\":{v}");
-            }
-            if let Some(ea) = a.ea {
-                let _ = write!(out, ",\"ea\":{ea}");
-            }
-            if let Some(st) = a.store {
-                let _ = write!(out, ",\"store\":{st}");
-            }
-            out.push('}');
-        }
-        out.push('}');
+        let mut ev = *self;
+        json::emit(out, |w| ev.walk(w));
     }
 
     /// The one-line JSON encoding of this event.
@@ -742,221 +529,88 @@ impl TraceEvent {
     /// # Errors
     /// Returns a description of the first syntactic or schema problem.
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
-        let v = json::parse(line)?;
-        let obj = object(&v, "event")?;
-        let class_name = get_str(obj, "class")?;
-        let class = InstClass::from_name(class_name)
-            .ok_or_else(|| format!("unknown class {class_name:?}"))?;
-        let mut ev = TraceEvent {
-            seq: get_num(obj, "seq")?,
-            pc: get_num(obj, "pc")?,
-            class,
-            cycle: get_num(obj, "cycle")?,
-            cycles: get_num(obj, "cycles")?,
-            dispatch: get_flag(obj, "dispatch")?,
-            fetch: FetchAccess::default(),
-            data: None,
-            branch: None,
-            redirect: None,
-            bop: None,
-            inserts: Inserts::default(),
-            flush: None,
-            fault: None,
-            arch: None,
-        };
-        if let Some(f) = obj.get("fetch") {
-            let f = object(f, "fetch")?;
-            ev.fetch = FetchAccess {
-                itlb_miss: get_flag(f, "itlb_miss")?,
-                icache_miss: get_flag(f, "icache_miss")?,
-                l2: get_l2(f)?,
-                penalty: get_num_or_zero(f, "penalty")?,
-            };
-        }
-        if let Some(d) = obj.get("data") {
-            let d = object(d, "data")?;
-            ev.data = Some(DataAccess {
-                dtlb_miss: get_flag(d, "dtlb_miss")?,
-                dcache_miss: get_flag(d, "dcache_miss")?,
-                writeback: get_flag(d, "writeback")?,
-                l2: get_l2(d)?,
-                penalty: get_num_or_zero(d, "penalty")?,
-            });
-        }
-        if let Some(b) = obj.get("branch") {
-            let b = object(b, "branch")?;
-            let name = get_str(b, "class")?;
-            ev.branch = Some(BranchEvent {
-                class: branch_class_from_name(name)
-                    .ok_or_else(|| format!("unknown branch class {name:?}"))?,
-                mispredicted: get_flag(b, "mispredicted")?,
-            });
-        }
-        if let Some(r) = obj.get("redirect") {
-            let r = object(r, "redirect")?;
-            let name = get_str(r, "cause")?;
-            ev.redirect = Some(RedirectEvent {
-                cause: RedirectCause::from_name(name)
-                    .ok_or_else(|| format!("unknown redirect cause {name:?}"))?,
-                penalty: get_num_or_zero(r, "penalty")?,
-            });
-        }
-        if let Some(b) = obj.get("bop") {
-            let b = object(b, "bop")?;
-            let name = get_str(b, "outcome")?;
-            ev.bop = Some(BopEvent {
-                outcome: BopOutcome::from_name(name)
-                    .ok_or_else(|| format!("unknown bop outcome {name:?}"))?,
-                stall: get_num_or_zero(b, "stall")?,
-            });
-        }
-        if let Some(list) = obj.get("inserts") {
-            let list = list.as_arr().ok_or("inserts must be an array")?;
-            for item in list {
-                let item = object(item, "insert")?;
-                let key = get_str(item, "key")?;
-                let key = kind_from_name(key).ok_or_else(|| format!("unknown key {key:?}"))?;
-                let outcome = match get_str(item, "outcome")? {
-                    "updated" => InsertOutcome::Updated,
-                    "cap_skipped" => InsertOutcome::CapSkipped,
-                    "blocked" => InsertOutcome::Blocked,
-                    "inserted" => InsertOutcome::Inserted {
-                        evicted: match item.get("evicted") {
-                            Some(v) => {
-                                let name = v.as_str().ok_or("evicted must be a string")?;
-                                Some(
-                                    kind_from_name(name)
-                                        .ok_or_else(|| format!("unknown evicted kind {name:?}"))?,
-                                )
-                            }
-                            None => None,
-                        },
-                        remote_jte_evicted: get_flag(item, "remote_jte_evicted")?,
-                    },
-                    other => return Err(format!("unknown insert outcome {other:?}")),
-                };
-                ev.inserts.push(BtbInsertEvent { key, outcome });
-            }
-        }
-        if let Some(f) = obj.get("flush") {
-            let f = object(f, "flush")?;
-            ev.flush = Some(JteFlushEvent {
-                flushes: get_num(f, "flushes")?,
-                flushed: get_num(f, "flushed")?,
-            });
-        }
-        if let Some(ft) = obj.get("fault") {
-            let ft = object(ft, "fault")?;
-            let name = get_str(ft, "kind")?;
-            ev.fault = Some(FaultEvent {
-                kind: FaultKind::from_name(name)
-                    .ok_or_else(|| format!("unknown fault kind {name:?}"))?,
-                evicted: get_num_or_zero(ft, "evicted")?,
-            });
-        }
-        if let Some(a) = obj.get("arch") {
-            let a = object(a, "arch")?;
-            let pair = |rk: &str, vk: &str| -> Result<Option<(u8, u64)>, String> {
-                match get_opt_num(a, rk)? {
-                    None => Ok(None),
-                    Some(r) => {
-                        let r = u8::try_from(r)
-                            .map_err(|_| format!("field {rk:?} out of register range"))?;
-                        Ok(Some((r, get_num(a, vk)?)))
-                    }
-                }
-            };
-            ev.arch = Some(ArchInfo {
-                wx: pair("wx_r", "wx_v")?,
-                wf: pair("wf_r", "wf_v")?,
-                ea: get_opt_num(a, "ea")?,
-                store: get_opt_num(a, "store")?,
-                next_pc: get_num(a, "next_pc")?,
-            });
-        }
+        let mut ev = TraceEvent::default();
+        json::read(line, "event", Errors::Precise, |r| {
+            // The class is checked before the numbers ahead of it on the
+            // wire, so a line with two bad fields names the one it always
+            // has.
+            r.name("class", &mut ev.class)?;
+            ev.walk(r)
+        })?;
         Ok(ev)
     }
-}
 
-fn json_flag(out: &mut String, first: &mut bool, name: &str, v: bool) {
-    if v {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push('"');
-        out.push_str(name);
-        out.push_str("\":true");
+    /// The event's one field list: each field's key, order and omission
+    /// rule, for writing and reading alike. Flags and the fetch and
+    /// data penalties are omitted when zero; `branch.mispredicted`,
+    /// `redirect.penalty`, `bop.stall` and the `flush` counts are always
+    /// written; `arch` fields are present by key, since their values may
+    /// be 0.
+    fn walk<W: Wire>(&mut self, w: &mut W) -> Step {
+        w.num("seq", &mut self.seq, Required)?;
+        w.num("pc", &mut self.pc, Required)?;
+        w.name("class", &mut self.class)?;
+        w.num("cycle", &mut self.cycle, Required)?;
+        w.num("cycles", &mut self.cycles, Required)?;
+        w.flag("dispatch", &mut self.dispatch, Omitted)?;
+        let mut fetch = (self.fetch != FetchAccess::default()).then_some(self.fetch);
+        w.opt("fetch", &mut fetch, |w, f| {
+            w.flag("itlb_miss", &mut f.itlb_miss, Omitted)?;
+            w.flag("icache_miss", &mut f.icache_miss, Omitted)?;
+            w.opt("l2", &mut f.l2, walk_l2)?;
+            w.num("penalty", &mut f.penalty, Omitted)
+        })?;
+        self.fetch = fetch.unwrap_or_default();
+        w.opt("data", &mut self.data, |w, d| {
+            w.flag("dtlb_miss", &mut d.dtlb_miss, Omitted)?;
+            w.flag("dcache_miss", &mut d.dcache_miss, Omitted)?;
+            w.flag("writeback", &mut d.writeback, Omitted)?;
+            w.opt("l2", &mut d.l2, walk_l2)?;
+            w.num("penalty", &mut d.penalty, Omitted)
+        })?;
+        w.opt("branch", &mut self.branch, |w, b| {
+            w.name("class", &mut b.class)?;
+            w.flag("mispredicted", &mut b.mispredicted, Written)
+        })?;
+        w.opt("redirect", &mut self.redirect, |w, r| {
+            w.name("cause", &mut r.cause)?;
+            w.num("penalty", &mut r.penalty, Written)
+        })?;
+        w.opt("bop", &mut self.bop, |w, b| {
+            w.name("outcome", &mut b.outcome)?;
+            w.num("stall", &mut b.stall, Written)
+        })?;
+        w.objects("inserts", "insert", true, &mut self.inserts.slots, |w, ins| {
+            w.name("key", &mut ins.key)?;
+            w.name("outcome", &mut ins.outcome)?;
+            if let InsertOutcome::Inserted { evicted, remote_jte_evicted } = &mut ins.outcome {
+                w.opt_name("evicted", evicted)?;
+                w.flag("remote_jte_evicted", remote_jte_evicted, Omitted)?;
+            }
+            Ok(())
+        })?;
+        w.opt("flush", &mut self.flush, |w, f| {
+            w.num("flushes", &mut f.flushes, Required)?;
+            w.num("flushed", &mut f.flushed, Required)
+        })?;
+        w.opt("fault", &mut self.fault, |w, f| {
+            w.name("kind", &mut f.kind)?;
+            w.num("evicted", &mut f.evicted, Omitted)
+        })?;
+        w.opt("arch", &mut self.arch, |w, a| {
+            // Written first but checked last, as it always was.
+            w.late(|w| w.num("next_pc", &mut a.next_pc, Required))?;
+            w.pair("wx_r", "wx_v", &mut a.wx)?;
+            w.pair("wf_r", "wf_v", &mut a.wf)?;
+            w.opt_num("ea", &mut a.ea)?;
+            w.opt_num("store", &mut a.store)
+        })
     }
 }
 
-fn json_num(out: &mut String, first: &mut bool, name: &str, v: u64) {
-    use std::fmt::Write as _;
-    if v != 0 {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        let _ = write!(out, "\"{name}\":{v}");
-    }
-}
-
-fn json_l2(out: &mut String, first: &mut bool, l2: Option<L2Access>) {
-    if let Some(l2) = l2 {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str("\"l2\":{");
-        let mut inner_first = true;
-        json_flag(out, &mut inner_first, "miss", l2.miss);
-        json_flag(out, &mut inner_first, "writeback", l2.writeback);
-        out.push('}');
-    }
-}
-
-/// `v` itself when it is a JSON object; `what` names it in the error.
-fn object<'a>(v: &'a Value, what: &str) -> Result<&'a Value, String> {
-    match v {
-        Value::Obj(_) => Ok(v),
-        _ => Err(format!("{what} must be an object")),
-    }
-}
-
-fn get_opt_num(obj: &Value, name: &str) -> Result<Option<u64>, String> {
-    obj.get(name)
-        .map(|v| v.as_u64().ok_or_else(|| format!("field {name:?} must be a number")))
-        .transpose()
-}
-
-fn get_num(obj: &Value, name: &str) -> Result<u64, String> {
-    get_opt_num(obj, name)?.ok_or_else(|| format!("missing field {name:?}"))
-}
-
-fn get_num_or_zero(obj: &Value, name: &str) -> Result<u64, String> {
-    Ok(get_opt_num(obj, name)?.unwrap_or(0))
-}
-
-fn get_flag(obj: &Value, name: &str) -> Result<bool, String> {
-    obj.get(name)
-        .map_or(Ok(false), |v| v.as_bool().ok_or_else(|| format!("field {name:?} must be a bool")))
-}
-
-fn get_str<'a>(obj: &'a Value, name: &str) -> Result<&'a str, String> {
-    obj.get(name)
-        .ok_or_else(|| format!("missing field {name:?}"))?
-        .as_str()
-        .ok_or_else(|| format!("field {name:?} must be a string"))
-}
-
-fn get_l2(obj: &Value) -> Result<Option<L2Access>, String> {
-    match obj.get("l2") {
-        None => Ok(None),
-        Some(v) => {
-            let o = object(v, "l2")?;
-            Ok(Some(L2Access { miss: get_flag(o, "miss")?, writeback: get_flag(o, "writeback")? }))
-        }
-    }
+fn walk_l2<W: Wire>(w: &mut W, l2: &mut L2Access) -> Step {
+    w.flag("miss", &mut l2.miss, Omitted)?;
+    w.flag("writeback", &mut l2.writeback, Omitted)
 }
 
 // ---------------------------------------------------------------------
@@ -1264,6 +918,514 @@ impl TraceSink for CycleBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
+
+    /// The trace codec as it stood before the one-walk `write_json`/
+    /// `from_json`, kept verbatim as the differential oracle.
+    mod old {
+        use super::super::*;
+        use crate::fault::FaultKind;
+        use crate::json::{self, Value};
+
+        fn fault_kind_name(k: FaultKind) -> &'static str {
+            match k {
+                FaultKind::JteInvalidate => "jte_invalidate",
+                FaultKind::BtbFlush => "btb_flush",
+                FaultKind::BtbBitFlip => "btb_bit_flip",
+                FaultKind::RasFlush => "ras_flush",
+                FaultKind::CacheInvalidate => "cache_invalidate",
+                FaultKind::TlbInvalidate => "tlb_invalidate",
+                FaultKind::PredictorScramble => "predictor_scramble",
+            }
+        }
+
+        fn fault_kind_from_name(s: &str) -> Option<FaultKind> {
+            Some(match s {
+                "jte_invalidate" => FaultKind::JteInvalidate,
+                "btb_flush" => FaultKind::BtbFlush,
+                "btb_bit_flip" => FaultKind::BtbBitFlip,
+                "ras_flush" => FaultKind::RasFlush,
+                "cache_invalidate" => FaultKind::CacheInvalidate,
+                "tlb_invalidate" => FaultKind::TlbInvalidate,
+                "predictor_scramble" => FaultKind::PredictorScramble,
+                _ => return None,
+            })
+        }
+
+        fn inst_class_name(c: InstClass) -> &'static str {
+            match c {
+                InstClass::Alu => "alu",
+                InstClass::Load => "load",
+                InstClass::Store => "store",
+                InstClass::FpLoad => "fp_load",
+                InstClass::FpStore => "fp_store",
+                InstClass::Fp => "fp",
+                InstClass::CondBranch => "branch",
+                InstClass::Jal => "jal",
+                InstClass::Jalr => "jalr",
+                InstClass::Ecall => "ecall",
+                InstClass::Fence => "fence",
+                InstClass::SetMask => "setmask",
+                InstClass::Bop => "bop",
+                InstClass::Jru => "jru",
+                InstClass::JteFlush => "jte_flush",
+                InstClass::LoadOp => "load_op",
+                InstClass::Other => "other",
+            }
+        }
+
+        fn inst_class_from_name(s: &str) -> Option<InstClass> {
+            Some(match s {
+                "alu" => InstClass::Alu,
+                "load" => InstClass::Load,
+                "store" => InstClass::Store,
+                "fp_load" => InstClass::FpLoad,
+                "fp_store" => InstClass::FpStore,
+                "fp" => InstClass::Fp,
+                "branch" => InstClass::CondBranch,
+                "jal" => InstClass::Jal,
+                "jalr" => InstClass::Jalr,
+                "ecall" => InstClass::Ecall,
+                "fence" => InstClass::Fence,
+                "setmask" => InstClass::SetMask,
+                "bop" => InstClass::Bop,
+                "jru" => InstClass::Jru,
+                "jte_flush" => InstClass::JteFlush,
+                "load_op" => InstClass::LoadOp,
+                "other" => InstClass::Other,
+                _ => return None,
+            })
+        }
+
+        fn redirect_cause_name(c: RedirectCause) -> &'static str {
+            match c {
+                RedirectCause::JalMiss => "jal_miss",
+                RedirectCause::CondMispredict => "cond_mispredict",
+                RedirectCause::IndirectMispredict => "indirect_mispredict",
+                RedirectCause::BopHit => "bop_hit",
+            }
+        }
+
+        fn redirect_cause_from_name(s: &str) -> Option<RedirectCause> {
+            Some(match s {
+                "jal_miss" => RedirectCause::JalMiss,
+                "cond_mispredict" => RedirectCause::CondMispredict,
+                "indirect_mispredict" => RedirectCause::IndirectMispredict,
+                "bop_hit" => RedirectCause::BopHit,
+                _ => return None,
+            })
+        }
+
+        fn bop_outcome_name(o: BopOutcome) -> &'static str {
+            match o {
+                BopOutcome::Hit => "hit",
+                BopOutcome::JteMiss => "jte_miss",
+                BopOutcome::RopInvalid => "rop_invalid",
+                BopOutcome::NotReady => "not_ready",
+                BopOutcome::Disabled => "disabled",
+            }
+        }
+
+        fn bop_outcome_from_name(s: &str) -> Option<BopOutcome> {
+            Some(match s {
+                "hit" => BopOutcome::Hit,
+                "jte_miss" => BopOutcome::JteMiss,
+                "rop_invalid" => BopOutcome::RopInvalid,
+                "not_ready" => BopOutcome::NotReady,
+                "disabled" => BopOutcome::Disabled,
+                _ => return None,
+            })
+        }
+
+        fn kind_name(k: EntryKind) -> &'static str {
+            match k {
+                EntryKind::Pc => "pc",
+                EntryKind::Jte => "jte",
+                EntryKind::Vbbi => "vbbi",
+            }
+        }
+
+        fn kind_from_name(s: &str) -> Option<EntryKind> {
+            Some(match s {
+                "pc" => EntryKind::Pc,
+                "jte" => EntryKind::Jte,
+                "vbbi" => EntryKind::Vbbi,
+                _ => return None,
+            })
+        }
+
+        fn branch_class_name(c: BranchClass) -> &'static str {
+            match c {
+                BranchClass::Conditional => "cond",
+                BranchClass::Direct => "direct",
+                BranchClass::Return => "ret",
+                BranchClass::IndirectDispatch => "ind_dispatch",
+                BranchClass::IndirectOther => "ind_other",
+            }
+        }
+
+        fn branch_class_from_name(s: &str) -> Option<BranchClass> {
+            Some(match s {
+                "cond" => BranchClass::Conditional,
+                "direct" => BranchClass::Direct,
+                "ret" => BranchClass::Return,
+                "ind_dispatch" => BranchClass::IndirectDispatch,
+                "ind_other" => BranchClass::IndirectOther,
+                _ => return None,
+            })
+        }
+
+        /// Appends the one-line JSON encoding of this event to `out`.
+        /// Optional sub-objects and false/zero flags are omitted.
+        pub fn write_json(ev: &TraceEvent, out: &mut String) {
+            use std::fmt::Write as _;
+            let _ = write!(
+                out,
+                "{{\"seq\":{},\"pc\":{},\"class\":\"{}\",\"cycle\":{},\"cycles\":{}",
+                ev.seq,
+                ev.pc,
+                inst_class_name(ev.class),
+                ev.cycle,
+                ev.cycles
+            );
+            if ev.dispatch {
+                out.push_str(",\"dispatch\":true");
+            }
+            if ev.fetch != FetchAccess::default() {
+                out.push_str(",\"fetch\":{");
+                let mut first = true;
+                json_flag(out, &mut first, "itlb_miss", ev.fetch.itlb_miss);
+                json_flag(out, &mut first, "icache_miss", ev.fetch.icache_miss);
+                json_l2(out, &mut first, ev.fetch.l2);
+                json_num(out, &mut first, "penalty", ev.fetch.penalty);
+                out.push('}');
+            }
+            if let Some(d) = &ev.data {
+                out.push_str(",\"data\":{");
+                let mut first = true;
+                json_flag(out, &mut first, "dtlb_miss", d.dtlb_miss);
+                json_flag(out, &mut first, "dcache_miss", d.dcache_miss);
+                json_flag(out, &mut first, "writeback", d.writeback);
+                json_l2(out, &mut first, d.l2);
+                json_num(out, &mut first, "penalty", d.penalty);
+                out.push('}');
+            }
+            if let Some(b) = &ev.branch {
+                let _ = write!(
+                    out,
+                    ",\"branch\":{{\"class\":\"{}\",\"mispredicted\":{}}}",
+                    branch_class_name(b.class),
+                    b.mispredicted
+                );
+            }
+            if let Some(r) = &ev.redirect {
+                let _ = write!(
+                    out,
+                    ",\"redirect\":{{\"cause\":\"{}\",\"penalty\":{}}}",
+                    redirect_cause_name(r.cause),
+                    r.penalty
+                );
+            }
+            if let Some(b) = &ev.bop {
+                let _ = write!(
+                    out,
+                    ",\"bop\":{{\"outcome\":\"{}\",\"stall\":{}}}",
+                    bop_outcome_name(b.outcome),
+                    b.stall
+                );
+            }
+            if !ev.inserts.is_empty() {
+                out.push_str(",\"inserts\":[");
+                for (i, ins) in ev.inserts.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{{\"key\":\"{}\",", kind_name(ins.key));
+                    match ins.outcome {
+                        InsertOutcome::Updated => out.push_str("\"outcome\":\"updated\"}"),
+                        InsertOutcome::CapSkipped => out.push_str("\"outcome\":\"cap_skipped\"}"),
+                        InsertOutcome::Blocked => out.push_str("\"outcome\":\"blocked\"}"),
+                        InsertOutcome::Inserted { evicted, remote_jte_evicted } => {
+                            out.push_str("\"outcome\":\"inserted\"");
+                            if let Some(k) = evicted {
+                                let _ = write!(out, ",\"evicted\":\"{}\"", kind_name(k));
+                            }
+                            if remote_jte_evicted {
+                                out.push_str(",\"remote_jte_evicted\":true");
+                            }
+                            out.push('}');
+                        }
+                    }
+                }
+                out.push(']');
+            }
+            if let Some(f) = &ev.flush {
+                let _ = write!(
+                    out,
+                    ",\"flush\":{{\"flushes\":{},\"flushed\":{}}}",
+                    f.flushes, f.flushed
+                );
+            }
+            if let Some(ft) = &ev.fault {
+                let _ = write!(out, ",\"fault\":{{\"kind\":\"{}\"", fault_kind_name(ft.kind));
+                if ft.evicted != 0 {
+                    let _ = write!(out, ",\"evicted\":{}", ft.evicted);
+                }
+                out.push('}');
+            }
+            if let Some(a) = &ev.arch {
+                // Values here can legitimately be 0, so presence is encoded
+                // by the key, never elided like the flag helpers do.
+                let _ = write!(out, ",\"arch\":{{\"next_pc\":{}", a.next_pc);
+                if let Some((r, v)) = a.wx {
+                    let _ = write!(out, ",\"wx_r\":{r},\"wx_v\":{v}");
+                }
+                if let Some((r, v)) = a.wf {
+                    let _ = write!(out, ",\"wf_r\":{r},\"wf_v\":{v}");
+                }
+                if let Some(ea) = a.ea {
+                    let _ = write!(out, ",\"ea\":{ea}");
+                }
+                if let Some(st) = a.store {
+                    let _ = write!(out, ",\"store\":{st}");
+                }
+                out.push('}');
+            }
+            out.push('}');
+        }
+
+        /// The one-line JSON encoding of this event.
+        pub fn to_json(ev: &TraceEvent) -> String {
+            let mut s = String::with_capacity(160);
+            write_json(ev, &mut s);
+            s
+        }
+
+        /// Parses an event from its JSONL line.
+        ///
+        /// # Errors
+        /// Returns a description of the first syntactic or schema problem.
+        pub fn from_json(line: &str) -> Result<TraceEvent, String> {
+            let v = json::parse(line)?;
+            let obj = object(&v, "event")?;
+            let class_name = get_str(obj, "class")?;
+            let class = inst_class_from_name(class_name)
+                .ok_or_else(|| format!("unknown class {class_name:?}"))?;
+            let mut ev = TraceEvent {
+                seq: get_num(obj, "seq")?,
+                pc: get_num(obj, "pc")?,
+                class,
+                cycle: get_num(obj, "cycle")?,
+                cycles: get_num(obj, "cycles")?,
+                dispatch: get_flag(obj, "dispatch")?,
+                fetch: FetchAccess::default(),
+                data: None,
+                branch: None,
+                redirect: None,
+                bop: None,
+                inserts: Inserts::default(),
+                flush: None,
+                fault: None,
+                arch: None,
+            };
+            if let Some(f) = obj.get("fetch") {
+                let f = object(f, "fetch")?;
+                ev.fetch = FetchAccess {
+                    itlb_miss: get_flag(f, "itlb_miss")?,
+                    icache_miss: get_flag(f, "icache_miss")?,
+                    l2: get_l2(f)?,
+                    penalty: get_num_or_zero(f, "penalty")?,
+                };
+            }
+            if let Some(d) = obj.get("data") {
+                let d = object(d, "data")?;
+                ev.data = Some(DataAccess {
+                    dtlb_miss: get_flag(d, "dtlb_miss")?,
+                    dcache_miss: get_flag(d, "dcache_miss")?,
+                    writeback: get_flag(d, "writeback")?,
+                    l2: get_l2(d)?,
+                    penalty: get_num_or_zero(d, "penalty")?,
+                });
+            }
+            if let Some(b) = obj.get("branch") {
+                let b = object(b, "branch")?;
+                let name = get_str(b, "class")?;
+                ev.branch = Some(BranchEvent {
+                    class: branch_class_from_name(name)
+                        .ok_or_else(|| format!("unknown branch class {name:?}"))?,
+                    mispredicted: get_flag(b, "mispredicted")?,
+                });
+            }
+            if let Some(r) = obj.get("redirect") {
+                let r = object(r, "redirect")?;
+                let name = get_str(r, "cause")?;
+                ev.redirect = Some(RedirectEvent {
+                    cause: redirect_cause_from_name(name)
+                        .ok_or_else(|| format!("unknown redirect cause {name:?}"))?,
+                    penalty: get_num_or_zero(r, "penalty")?,
+                });
+            }
+            if let Some(b) = obj.get("bop") {
+                let b = object(b, "bop")?;
+                let name = get_str(b, "outcome")?;
+                ev.bop = Some(BopEvent {
+                    outcome: bop_outcome_from_name(name)
+                        .ok_or_else(|| format!("unknown bop outcome {name:?}"))?,
+                    stall: get_num_or_zero(b, "stall")?,
+                });
+            }
+            if let Some(list) = obj.get("inserts") {
+                let list = list.as_arr().ok_or("inserts must be an array")?;
+                for item in list {
+                    let item = object(item, "insert")?;
+                    let key = get_str(item, "key")?;
+                    let key = kind_from_name(key).ok_or_else(|| format!("unknown key {key:?}"))?;
+                    let outcome =
+                        match get_str(item, "outcome")? {
+                            "updated" => InsertOutcome::Updated,
+                            "cap_skipped" => InsertOutcome::CapSkipped,
+                            "blocked" => InsertOutcome::Blocked,
+                            "inserted" => InsertOutcome::Inserted {
+                                evicted: match item.get("evicted") {
+                                    Some(v) => {
+                                        let name = v.as_str().ok_or("evicted must be a string")?;
+                                        Some(kind_from_name(name).ok_or_else(|| {
+                                            format!("unknown evicted kind {name:?}")
+                                        })?)
+                                    }
+                                    None => None,
+                                },
+                                remote_jte_evicted: get_flag(item, "remote_jte_evicted")?,
+                            },
+                            other => return Err(format!("unknown insert outcome {other:?}")),
+                        };
+                    ev.inserts.push(BtbInsertEvent { key, outcome });
+                }
+            }
+            if let Some(f) = obj.get("flush") {
+                let f = object(f, "flush")?;
+                ev.flush = Some(JteFlushEvent {
+                    flushes: get_num(f, "flushes")?,
+                    flushed: get_num(f, "flushed")?,
+                });
+            }
+            if let Some(ft) = obj.get("fault") {
+                let ft = object(ft, "fault")?;
+                let name = get_str(ft, "kind")?;
+                ev.fault = Some(FaultEvent {
+                    kind: fault_kind_from_name(name)
+                        .ok_or_else(|| format!("unknown fault kind {name:?}"))?,
+                    evicted: get_num_or_zero(ft, "evicted")?,
+                });
+            }
+            if let Some(a) = obj.get("arch") {
+                let a = object(a, "arch")?;
+                let pair = |rk: &str, vk: &str| -> Result<Option<(u8, u64)>, String> {
+                    match get_opt_num(a, rk)? {
+                        None => Ok(None),
+                        Some(r) => {
+                            let r = u8::try_from(r)
+                                .map_err(|_| format!("field {rk:?} out of register range"))?;
+                            Ok(Some((r, get_num(a, vk)?)))
+                        }
+                    }
+                };
+                ev.arch = Some(ArchInfo {
+                    wx: pair("wx_r", "wx_v")?,
+                    wf: pair("wf_r", "wf_v")?,
+                    ea: get_opt_num(a, "ea")?,
+                    store: get_opt_num(a, "store")?,
+                    next_pc: get_num(a, "next_pc")?,
+                });
+            }
+            Ok(ev)
+        }
+
+        fn json_flag(out: &mut String, first: &mut bool, name: &str, v: bool) {
+            if v {
+                if !*first {
+                    out.push(',');
+                }
+                *first = false;
+                out.push('"');
+                out.push_str(name);
+                out.push_str("\":true");
+            }
+        }
+
+        fn json_num(out: &mut String, first: &mut bool, name: &str, v: u64) {
+            use std::fmt::Write as _;
+            if v != 0 {
+                if !*first {
+                    out.push(',');
+                }
+                *first = false;
+                let _ = write!(out, "\"{name}\":{v}");
+            }
+        }
+
+        fn json_l2(out: &mut String, first: &mut bool, l2: Option<L2Access>) {
+            if let Some(l2) = l2 {
+                if !*first {
+                    out.push(',');
+                }
+                *first = false;
+                out.push_str("\"l2\":{");
+                let mut inner_first = true;
+                json_flag(out, &mut inner_first, "miss", l2.miss);
+                json_flag(out, &mut inner_first, "writeback", l2.writeback);
+                out.push('}');
+            }
+        }
+
+        /// `v` itself when it is a JSON object; `what` names it in the error.
+        fn object<'a>(v: &'a Value, what: &str) -> Result<&'a Value, String> {
+            match v {
+                Value::Obj(_) => Ok(v),
+                _ => Err(format!("{what} must be an object")),
+            }
+        }
+
+        fn get_opt_num(obj: &Value, name: &str) -> Result<Option<u64>, String> {
+            obj.get(name)
+                .map(|v| v.as_u64().ok_or_else(|| format!("field {name:?} must be a number")))
+                .transpose()
+        }
+
+        fn get_num(obj: &Value, name: &str) -> Result<u64, String> {
+            get_opt_num(obj, name)?.ok_or_else(|| format!("missing field {name:?}"))
+        }
+
+        fn get_num_or_zero(obj: &Value, name: &str) -> Result<u64, String> {
+            Ok(get_opt_num(obj, name)?.unwrap_or(0))
+        }
+
+        fn get_flag(obj: &Value, name: &str) -> Result<bool, String> {
+            obj.get(name).map_or(Ok(false), |v| {
+                v.as_bool().ok_or_else(|| format!("field {name:?} must be a bool"))
+            })
+        }
+
+        fn get_str<'a>(obj: &'a Value, name: &str) -> Result<&'a str, String> {
+            obj.get(name)
+                .ok_or_else(|| format!("missing field {name:?}"))?
+                .as_str()
+                .ok_or_else(|| format!("field {name:?} must be a string"))
+        }
+
+        fn get_l2(obj: &Value) -> Result<Option<L2Access>, String> {
+            match obj.get("l2") {
+                None => Ok(None),
+                Some(v) => {
+                    let o = object(v, "l2")?;
+                    Ok(Some(L2Access {
+                        miss: get_flag(o, "miss")?,
+                        writeback: get_flag(o, "writeback")?,
+                    }))
+                }
+            }
+        }
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
         let base = TraceEvent {
@@ -1413,6 +1575,222 @@ mod tests {
         }
     }
 
+    /// An event built from `words`: each optional part present or not,
+    /// numbers zero, small, near 2^53 or huge, so every wire shape and
+    /// omission rule comes up across cases.
+    fn event_from(words: &[u64]) -> TraceEvent {
+        let mut it = words.iter().copied().cycle();
+        let mut next = move || it.next().expect("cycled");
+        let num = |x: u64| match x % 4 {
+            0 => 0,
+            1 => x >> 58,
+            2 => (1 << 53) + (x >> 60),
+            _ => x,
+        };
+        fn pick<E: WireName>(x: u64) -> E {
+            E::NAMES[(x % E::NAMES.len() as u64) as usize].0
+        }
+        let mut bits = next();
+        let mut flag = move || {
+            bits = bits.rotate_right(1);
+            bits & 1 == 1
+        };
+        let mut ev = TraceEvent {
+            seq: num(next()),
+            pc: num(next()),
+            class: pick(next()),
+            cycle: num(next()),
+            cycles: num(next()),
+            dispatch: flag(),
+            ..TraceEvent::default()
+        };
+        let l2 = |on: bool, miss: bool, writeback: bool| on.then_some(L2Access { miss, writeback });
+        if flag() {
+            ev.fetch = FetchAccess {
+                itlb_miss: flag(),
+                icache_miss: flag(),
+                l2: l2(flag(), flag(), flag()),
+                penalty: num(next()),
+            };
+        }
+        if flag() {
+            ev.data = Some(DataAccess {
+                dtlb_miss: flag(),
+                dcache_miss: flag(),
+                writeback: flag(),
+                l2: l2(flag(), flag(), flag()),
+                penalty: num(next()),
+            });
+        }
+        if flag() {
+            ev.branch = Some(BranchEvent { class: pick(next()), mispredicted: flag() });
+        }
+        if flag() {
+            ev.redirect = Some(RedirectEvent { cause: pick(next()), penalty: num(next()) });
+        }
+        if flag() {
+            ev.bop = Some(BopEvent { outcome: pick(next()), stall: num(next()) });
+        }
+        for _ in 0..next() % 3 {
+            let mut outcome = pick(next());
+            if let InsertOutcome::Inserted { evicted, remote_jte_evicted } = &mut outcome {
+                *evicted = flag().then(|| pick(next()));
+                *remote_jte_evicted = flag();
+            }
+            ev.inserts.push(BtbInsertEvent { key: pick(next()), outcome });
+        }
+        if flag() {
+            ev.flush = Some(JteFlushEvent { flushes: num(next()), flushed: num(next()) });
+        }
+        if flag() {
+            ev.fault = Some(FaultEvent { kind: pick(next()), evicted: num(next()) });
+        }
+        if flag() {
+            let pair = |on: bool, r: u64, v: u64| on.then_some(((r % 32) as u8, v));
+            ev.arch = Some(ArchInfo {
+                wx: pair(flag(), next(), num(next())),
+                wf: pair(flag(), next(), num(next())),
+                ea: flag().then(|| num(next())),
+                store: flag().then(|| num(next())),
+                next_pc: num(next()),
+            });
+        }
+        ev
+    }
+
+    /// Byte ranges of the JSON tokens of `text`: strings, numbers and
+    /// literals, and single punctuation bytes.
+    fn tokens(text: &str) -> Vec<std::ops::Range<usize>> {
+        let b = text.as_bytes();
+        let word = |c: u8| c.is_ascii_alphanumeric() || b"+-.".contains(&c);
+        let (mut out, mut i) = (Vec::new(), 0);
+        while i < b.len() {
+            let start = i;
+            i += 1;
+            if b[start] == b'"' {
+                while b[i] != b'"' {
+                    i += 1;
+                }
+                i += 1;
+            } else if word(b[start]) {
+                while i < b.len() && word(b[i]) {
+                    i += 1;
+                }
+            }
+            out.push(start..i);
+        }
+        out
+    }
+
+    /// Replacement tokens for the mutation sweep: every key and wire name
+    /// of the schema, edge numbers, literals, punctuation, and deletion.
+    fn trace_vocab() -> Vec<String> {
+        let keys = "seq pc class cycle cycles dispatch fetch itlb_miss icache_miss l2 miss \
+                    writeback penalty data dtlb_miss dcache_miss branch mispredicted redirect \
+                    cause bop outcome stall inserts key evicted remote_jte_evicted flush flushes \
+                    flushed fault kind arch next_pc wx_r wx_v wf_r wf_v ea store nope";
+        let mut names: Vec<&str> = keys.split(' ').filter(|k| !k.is_empty()).collect();
+        fn of<E: WireName>(names: &mut Vec<&str>) {
+            names.extend(E::NAMES.iter().map(|&(_, n)| n));
+        }
+        of::<InstClass>(&mut names);
+        of::<BranchClass>(&mut names);
+        of::<RedirectCause>(&mut names);
+        of::<BopOutcome>(&mut names);
+        of::<EntryKind>(&mut names);
+        of::<InsertOutcome>(&mut names);
+        of::<FaultKind>(&mut names);
+        let mut vocab: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+        let other = "0 1 255 256 -1 1.5 1e2 9007199254740993 18446744073709551615 \
+                     18446744073709551616 true false null { } [ ] , : {} []";
+        vocab.extend(other.split(' ').filter(|t| !t.is_empty()).map(str::to_string));
+        vocab.push(String::new());
+        vocab
+    }
+
+    /// Old and new decode `line` to the same event or the same error
+    /// text, and a decoded event encodes to the same bytes under both.
+    fn same_decode(line: &str) -> Result<(), String> {
+        let (old, new) = (old::from_json(line), TraceEvent::from_json(line));
+        if old != new {
+            return Err(format!("{line}\n old: {old:?}\n new: {new:?}"));
+        }
+        match new {
+            Ok(ev) if old::to_json(&ev) != ev.to_json() => Err(format!("re-encoding {line}")),
+            _ => Ok(()),
+        }
+    }
+
+    /// `line` with token `t` replaced by `with`.
+    fn mutated(line: &str, t: &std::ops::Range<usize>, with: &str) -> String {
+        format!("{}{with}{}", &line[..t.start], &line[t.end..])
+    }
+
+    #[test]
+    fn every_single_token_mutation_decodes_as_before() {
+        let vocab = trace_vocab();
+        for ev in hand_built_events() {
+            let line = ev.to_json();
+            for t in tokens(&line) {
+                for with in &vocab {
+                    same_decode(&mutated(&line, &t, with)).unwrap();
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Generated events encode to the old bytes, and their lines and
+        /// random single-token mutations of them decode as before.
+        #[test]
+        fn codec_matches_the_old_codec(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 16..48),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 8..9),
+        ) {
+            let ev = event_from(&words);
+            let line = ev.to_json();
+            proptest::prop_assert_eq!(&line, &old::to_json(&ev));
+            proptest::prop_assert_eq!(TraceEvent::from_json(&line), Ok(ev));
+            let vocab = trace_vocab();
+            for (i, t) in tokens(&line).iter().enumerate() {
+                let with = &vocab[(picks[i % picks.len()] >> (i % 7)) as usize % vocab.len()];
+                let r = same_decode(&mutated(&line, t, with));
+                proptest::prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+            }
+        }
+    }
+
+    /// Every wire-name table: each variant round-trips through its name,
+    /// no name is used twice, and an unknown name gives `None`. The tables
+    /// list every variant, since `wire_names!` derives `name` as one
+    /// exhaustive match over the same list.
+    #[test]
+    fn every_wire_name_table_round_trips() {
+        fn check<E: WireName + PartialEq + std::fmt::Debug>() {
+            let mut seen = std::collections::HashSet::new();
+            for &(v, n) in E::NAMES {
+                assert_eq!(v.name(), n);
+                assert_eq!(E::from_name(n), Some(v), "{}", E::WHAT);
+                assert!(seen.insert(n), "{} name {n:?} is used twice", E::WHAT);
+            }
+            assert_eq!(E::from_name("nope"), None, "{}", E::WHAT);
+        }
+        check::<InstClass>();
+        check::<BranchClass>();
+        check::<RedirectCause>();
+        check::<BopOutcome>();
+        check::<EntryKind>();
+        check::<InsertOutcome>();
+        check::<FaultKind>();
+        // The public inherent wrappers read the same tables.
+        for &(k, n) in <FaultKind as WireName>::NAMES {
+            assert_eq!((k.name(), FaultKind::from_name(n)), (n, Some(k)));
+        }
+        assert_eq!(InstClass::JteFlush.name(), "jte_flush");
+    }
+
     #[test]
     fn json_roundtrip_preserves_events() {
         for ev in sample_events() {
@@ -1432,8 +1810,9 @@ mod tests {
         .is_err());
         assert!(TraceEvent::from_json("{\"seq\":0}{").is_err()); // trailing
         assert!(TraceEvent::from_json("[1,2]").is_err()); // not an object
-                                                          // Counters are unsigned integers: a negative or fractional
-                                                          // number is a schema error, not a truncation.
+
+        // Counters are unsigned integers: a negative or fractional
+        // number is a schema error, not a truncation.
         let line = |seq: &str| {
             format!("{{\"seq\":{seq},\"pc\":0,\"class\":\"alu\",\"cycle\":0,\"cycles\":0}}")
         };
