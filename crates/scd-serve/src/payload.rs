@@ -82,7 +82,7 @@ fn walk<W: Wire>(run: &mut CachedRun, w: &mut W) -> Step {
     if version != VERSION {
         return Err(format!("payload version {version}, want {VERSION}"));
     }
-    // Written ahead of the stats but checked after everything else.
+    // Written ahead of the stats, checked after everything else.
     w.late(|w| w.num("checksum", &mut run.checksum, Required))?;
     w.late(|w| w.num("dispatches", &mut run.dispatches, Required))?;
     let (mut stats, mut counters) = (Some(()), run.stats.counters_mut());

@@ -346,8 +346,8 @@ pub enum Zero {
     Omitted,
 }
 
-/// How a [`Read`] words a bad field; each record keeps the wording its
-/// reader had before the two shared this walk.
+/// How a [`Read`] words a bad field: the trace event and the cache
+/// payload word theirs differently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Errors {
     /// `missing field "k"`, `field "k" must be a number`; a non-object

@@ -531,9 +531,9 @@ impl TraceEvent {
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
         let mut ev = TraceEvent::default();
         json::read(line, "event", Errors::Precise, |r| {
-            // The class is checked before the numbers ahead of it on the
-            // wire, so a line with two bad fields names the one it always
-            // has.
+            // The class is checked first, before the numbers ahead of it
+            // on the wire: of two bad fields, a bad class is the one
+            // reported.
             r.name("class", &mut ev.class)?;
             ev.walk(r)
         })?;
@@ -598,7 +598,7 @@ impl TraceEvent {
             w.num("evicted", &mut f.evicted, Omitted)
         })?;
         w.opt("arch", &mut self.arch, |w, a| {
-            // Written first but checked last, as it always was.
+            // Written first, checked after the rest of `arch`.
             w.late(|w| w.num("next_pc", &mut a.next_pc, Required))?;
             w.pair("wx_r", "wx_v", &mut a.wx)?;
             w.pair("wf_r", "wf_v", &mut a.wf)?;
